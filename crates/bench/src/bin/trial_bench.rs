@@ -11,8 +11,9 @@
 //! ```
 //!
 //! Every configuration replays the *same* round script on a fresh chip
-//! (warmup rounds, timed rounds, a mid-script `advance` that invalidates
-//! compiled plans, then post-invalidation rounds), and the benchmark
+//! (warmup rounds, timed rounds, a mid-script `advance` that evolves VRT
+//! chains and lands arrivals under the cached plan, then post-advance
+//! rounds), and the benchmark
 //! asserts all transcripts are byte-identical before reporting any
 //! number — a throughput figure from a diverging engine would be
 //! meaningless. Timing covers only the steady-state timed rounds, so the
@@ -43,8 +44,8 @@ const B_CHIP_SEED: u64 = 0xBC417;
 /// Warmup rounds before the timer starts (lets Compiled pay its one-time
 /// plan compile outside the timed region).
 const WARMUP_ROUNDS: u64 = 2;
-/// Rounds run after the mid-script `advance`, checking that invalidation
-/// and recompile stay bit-identical (never timed).
+/// Rounds run after the mid-script `advance`, checking that the cached
+/// plan stays bit-identical across a clock step (never timed).
 const POST_ADVANCE_ROUNDS: u64 = 2;
 
 struct Config {
@@ -110,9 +111,9 @@ fn run_config(
         }
     }
     let wall = start.elapsed();
-    // Exercise plan invalidation: advance device time (epoch roll + VRT
-    // evolution + arrivals), then keep trialing. Untimed, but part of the
-    // equality transcript.
+    // Advance device time (VRT evolution + arrivals) under the cached
+    // plan, then keep trialing. Untimed, but part of the equality
+    // transcript.
     chip.advance(Ms::from_hours(1.0));
     for _ in 0..POST_ADVANCE_ROUNDS {
         transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());

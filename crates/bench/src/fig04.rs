@@ -10,7 +10,7 @@ use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
 use reaper_retention::{RetentionConfig, SimulatedChip};
 
 use crate::table::{fmt_f, Scale, Table};
-use crate::util::dram_temp;
+use crate::util::{dram_temp, merge_sorted_union};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Table {
@@ -42,10 +42,11 @@ pub fn run(scale: Scale) -> Table {
             let interval = Ms::from_secs(t_s);
 
             // Warm-up: discover the base set without advancing time.
-            let mut seen = std::collections::BTreeSet::new();
+            let mut seen = Vec::new();
             for it in 0..warmup_iters {
                 for p in DataPattern::standard_set(it) {
-                    seen.extend(chip.retention_trial(p, interval, temp).into_vec());
+                    let outcome = chip.retention_trial(p, interval, temp);
+                    merge_sorted_union(&mut seen, outcome.into_vec());
                 }
             }
             // Measurement: spread iterations over wall-clock hours.
@@ -54,11 +55,8 @@ pub fn run(scale: Scale) -> Table {
             for it in 0..measure_iters {
                 chip.advance(step);
                 for p in DataPattern::standard_set(warmup_iters + it) {
-                    for cell in chip.retention_trial(p, interval, temp).into_vec() {
-                        if seen.insert(cell) {
-                            new_cells += 1;
-                        }
-                    }
+                    let outcome = chip.retention_trial(p, interval, temp);
+                    new_cells += merge_sorted_union(&mut seen, outcome.into_vec());
                 }
             }
             let rate = new_cells as f64 / measure_hours;

@@ -199,10 +199,6 @@ pub struct SimulatedChip {
     /// lanes keyed by this nonce, so repeated identical trials still see
     /// fresh randomness.
     trial_nonce: u64,
-    /// Bumped whenever chip state that a compiled plan *could* depend on
-    /// changes (`advance` with positive dt, VRT-arrival insertion); the
-    /// plan cache drops its compiled tier when it observes a new epoch.
-    plan_epoch: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
     /// Which engine `retention_trial` routes through.
@@ -285,7 +281,6 @@ impl SimulatedChip {
             rng,
             stream_base: seed,
             trial_nonce: 0,
-            plan_epoch: 0,
             plan_cache: PlanCache::default(),
             engine: TrialEngine::default(),
             cfg,
@@ -354,19 +349,13 @@ impl SimulatedChip {
         Ms::new(self.now_ms)
     }
 
-    /// Advances the simulated wall clock by `dt`.
+    /// Advances the simulated wall clock by `dt`. Compiled plans stay
+    /// cached: they read VRT chain state live and never see the clock.
     ///
     /// # Panics
     /// Panics if `dt` is negative.
     pub fn advance(&mut self, dt: Ms) {
         assert!(dt.as_ms() >= 0.0, "cannot advance time backwards");
-        if dt.as_ms() > 0.0 {
-            // Defensive plan invalidation: compiled plans read VRT state
-            // live and are provably time-independent, but the contract is
-            // "no cached condition survives a state change" — cheap to
-            // enforce, impossible to get wrong later.
-            self.plan_epoch += 1;
-        }
         self.now_ms += dt.as_ms();
     }
 
@@ -566,7 +555,6 @@ impl SimulatedChip {
     /// Resolves which engine serves this trial, compiling/promoting cache
     /// entries as the engine policy dictates (see [`TrialEngine`]).
     fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
-        self.plan_cache.roll_epoch(self.plan_epoch);
         if self.engine == TrialEngine::Scalar {
             self.plan_cache.stats.scalar_trials += 1;
             return TrialRoute::Scalar;
@@ -601,8 +589,8 @@ impl SimulatedChip {
             }
         }
 
-        // Lowered tier: pattern-only lanes; survives epoch rolls and the
-        // harness's per-trial temperature jitter.
+        // Lowered tier: pattern-only lanes; survives the harness's
+        // per-trial temperature jitter.
         if let Some(i) = self.plan_cache.find_lowering(pattern) {
             self.plan_cache.stats.lowered_trials += 1;
             return TrialRoute::Lowered(i);
@@ -937,7 +925,6 @@ impl SimulatedChip {
     /// engine: asking for many rounds at one condition *is* the recurrence
     /// signal the Auto engine otherwise waits for.
     fn batch_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
-        self.plan_cache.roll_epoch(self.plan_epoch);
         let key = PlanKey::new(pattern, interval, temp);
         self.plan_cache.note_plan_key(key);
         if let Some(i) = self.plan_cache.find_plan(&key) {
@@ -1016,13 +1003,6 @@ impl SimulatedChip {
         let n = Poisson::new(rate * elapsed_hours)
             .expect("invariant: arrival rate and elapsed span are positive here")
             .sample(&mut self.rng);
-        if n > 0 {
-            // New arrival cells change what a trial can report; roll the
-            // plan epoch so the compiled tier is rebuilt (arrivals are
-            // handled outside the plans, but see `advance` — the epoch
-            // contract covers every merge).
-            self.plan_epoch += 1;
-        }
 
         let sigma_dist = LogNormal::from_median(self.cfg.sigma_median_secs, self.cfg.sigma_log_sd)
             .expect("invariant: validated config yields finite positive sigma params");
@@ -1359,8 +1339,8 @@ mod tests {
     #[test]
     fn batched_rounds_match_sequential_trials() {
         // The multi-round entry point must replicate a retention_trial
-        // loop bit-for-bit — across a time advance (VRT arrivals, epoch
-        // roll) and at every batch cap, including partial final batches.
+        // loop bit-for-bit — across a time advance (VRT arrivals) and at
+        // every batch cap, including partial final batches.
         let p = DataPattern::checkerboard();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
@@ -1446,12 +1426,14 @@ mod tests {
         assert_eq!(s.plan_trials, 2);
         assert_eq!(s.plans_compiled, 1);
 
-        // Time advance invalidates the compiled tier (plan sightings
-        // included); the next trial must not be served by a stale plan.
+        // A time advance keeps the plan: the next trial is a cache hit,
+        // not a recompile, and nothing is invalidated.
         chip.advance(Ms::from_hours(1.0));
         let _ = chip.retention_trial(p, interval, temp);
         let s = chip.plan_stats();
-        assert_eq!(s.invalidations, 1);
+        assert_eq!(s.plan_trials, 3);
+        assert_eq!(s.plans_compiled, 1);
+        assert_eq!(s.invalidations, 0);
     }
 
     #[test]

@@ -15,10 +15,20 @@
 //!   time-independent, so it survives the harness's per-trial thermal
 //!   jitter and `advance` calls.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
-//!   candidate window all the way to per-cell `phi(z)` thresholds in flat
-//!   `f64` lanes; a round is then a branch-light linear scan that draws one
-//!   uniform per in-band cell and compares against the cached threshold —
-//!   no erf, no struct chasing, no VRT copy for non-VRT cells.
+//!   candidate window all the way to per-cell integer thresholds
+//!   `ceil(phi(z) · 2⁵³)`; a round is then a branch-light linear scan that
+//!   draws one 53-bit uniform per in-band cell and compares it against the
+//!   cached threshold — no erf, no struct chasing, no VRT copy for non-VRT
+//!   cells.
+//!
+//! # Lifecycle
+//!
+//! compile → run rounds → evict. A plan reads only the chip's immutable
+//! cell array, sort keys and config plus its own `(pattern, interval,
+//! temp)`; VRT chain state is read live from the chip on every round, and
+//! VRT-arrival cells are handled outside the plans. Nothing a clock step
+//! or an arrival changes is baked into a plan, so plans live across
+//! `advance` calls and leave the cache only through LRU eviction.
 //!
 //! # Determinism contract
 //!
@@ -27,10 +37,10 @@
 //! cell.index])`, make the same draws in the same order (VRT observation
 //! first, then the failure draw only when `z` is in band), and compute
 //! μ, σ, z with the exact same floating-point expression order, so the
-//! cached `phi(z)` is the very value the scalar path would compute.
-//! Outcomes are merged through `TrialOutcome::from_unsorted` and per-slot
-//! VRT writes, both order-independent — hence identical at any thread
-//! count. See DESIGN.md §"Compiled trial plans".
+//! cached threshold decides exactly as `next_f64() < phi(z)` would on the
+//! scalar path. Outcomes are merged through `TrialOutcome::from_unsorted`
+//! and per-slot VRT writes, both order-independent — hence identical at
+//! any thread count. See DESIGN.md §"Compiled trial plans".
 
 use std::sync::Arc;
 
@@ -84,8 +94,10 @@ pub struct PlanStats {
     pub lowerings_built: u64,
     /// Trial plans compiled.
     pub plans_compiled: u64,
-    /// Times the epoch rolled while compiled plans were cached (plan-tier
-    /// invalidation events; lowerings survive these by construction).
+    /// Compiled plans dropped for a reason other than LRU eviction.
+    /// Always 0: plans are pure functions of the immutable cell array and
+    /// their condition, so no chip state change invalidates one. Kept so
+    /// existing readers of the counter keep working.
     pub invalidations: u64,
 }
 
@@ -270,16 +282,11 @@ fn threshold_of(z: f64) -> f64 {
 pub(crate) struct PlanLanes {
     /// Non-VRT cells with `z > Z_CUTOFF`: fail every round, no draw.
     pub(crate) certain: Vec<u64>,
-    /// In-band non-VRT lanes (structure-of-arrays, index-aligned).
+    /// In-band non-VRT lanes (structure-of-arrays, index-aligned): the
+    /// cell index and its threshold `phi(z)` rescaled to
+    /// `ceil(phi(z) · 2⁵³)`, so `(next_u64() >> 11) < prob_thr_u[i]` iff
+    /// `next_f64() < phi(z)`, exactly (see [`crate::batch::u53_threshold`]).
     pub(crate) prob_idx: Vec<u64>,
-    pub(crate) prob_mu: Vec<f64>,
-    pub(crate) prob_sigma: Vec<f64>,
-    pub(crate) prob_z: Vec<f64>,
-    pub(crate) prob_thr: Vec<f64>,
-    /// `prob_thr` rescaled to `ceil(thr · 2⁵³)` for the batch kernel's
-    /// integer-domain compare: `(next_u64() >> 11) < prob_thr_u[i]` iff
-    /// `next_f64() < prob_thr[i]`, exactly (see
-    /// [`crate::batch::u53_threshold`]).
     pub(crate) prob_thr_u: Vec<u64>,
     /// VRT lanes: base_vrt slot, cell index, and per-cell `[high, low]`
     /// state thresholds (flattened pairs, sentinel-encoded).
@@ -301,8 +308,6 @@ pub(crate) struct TrialPlan {
     /// Candidate-window bound the plan was compiled for (consistency
     /// checks; the lanes already encode it).
     end: usize,
-    /// Trial interval in seconds (lane-consistency checks).
-    t_secs: f64,
     /// The immutable compiled lanes, shared with pooled fan-outs.
     pub(crate) lanes: Arc<PlanLanes>,
     /// Failure count of this plan's most recent round — the capacity
@@ -352,13 +357,8 @@ impl TrialPlan {
                     if z > Z_CUTOFF {
                         lanes.certain.push(cell.index);
                     } else if z >= -Z_CUTOFF {
-                        let thr = phi(z);
                         lanes.prob_idx.push(cell.index);
-                        lanes.prob_mu.push(mu);
-                        lanes.prob_sigma.push(sigma);
-                        lanes.prob_z.push(z);
-                        lanes.prob_thr.push(thr);
-                        lanes.prob_thr_u.push(u53_threshold(thr));
+                        lanes.prob_thr_u.push(u53_threshold(phi(z)));
                     }
                     // z < -Z_CUTOFF: certain pass, dropped — the scalar
                     // path opens a lane but draws nothing for these, so
@@ -390,40 +390,21 @@ impl TrialPlan {
         Self {
             key: PlanKey::new(pattern, interval, temp),
             end,
-            t_secs: t,
             lanes: Arc::new(lanes),
             fail_hint,
         }
     }
 
-    /// Every lane invariant the round loop relies on, recomputed from the
-    /// μ/σ lanes: checked via `debug_assert!` so the redundant lanes stay
-    /// live in all builds while costing nothing in release.
+    /// The lane-shape invariants the round loops rely on: parallel lanes
+    /// have equal lengths and the three lane classes fit inside the
+    /// candidate window they partition. Checked via `debug_assert!`.
     pub(crate) fn lanes_consistent(&self) -> bool {
         let lanes = &self.lanes;
         let n = lanes.prob_idx.len();
-        n == lanes.prob_mu.len()
-            && n == lanes.prob_sigma.len()
-            && n == lanes.prob_z.len()
-            && n == lanes.prob_thr.len()
-            && n == lanes.prob_thr_u.len()
+        n == lanes.prob_thr_u.len()
             && lanes.vrt_slot.len() == lanes.vrt_idx.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
             && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.end
-            && (0..n).all(|i| {
-                let (Some(mu), Some(sigma), Some(z), Some(thr), Some(thr_u)) = (
-                    lanes.prob_mu.get(i),
-                    lanes.prob_sigma.get(i),
-                    lanes.prob_z.get(i),
-                    lanes.prob_thr.get(i),
-                    lanes.prob_thr_u.get(i),
-                ) else {
-                    return false;
-                };
-                ((self.t_secs - mu) / sigma).to_bits() == z.to_bits()
-                    && phi(*z).to_bits() == thr.to_bits()
-                    && u53_threshold(*thr) == *thr_u
-            })
     }
 
     /// One round: extend with the certain failures, draw one uniform per
@@ -522,13 +503,13 @@ fn scan_prob_range(
         .get(range.clone())
         .expect("invariant: scan ranges are within [0, len)");
     let thr_lane = lanes
-        .prob_thr
+        .prob_thr_u
         .get(range)
         .expect("invariant: prob lanes are index-aligned");
-    for (idx, thr) in idx_lane.iter().zip(thr_lane) {
-        let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, *idx]);
-        if lane.next_f64() < *thr {
-            out.push(*idx);
+    for (&idx, &thr_u) in idx_lane.iter().zip(thr_lane) {
+        let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, idx]);
+        if (lane.next_u64() >> 11) < thr_u {
+            out.push(idx);
         }
     }
 }
@@ -547,8 +528,6 @@ const SEEN_CAP: usize = 64;
 /// wall-clock time (lint rule D2).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCache {
-    /// Chip epoch the plan tier is valid for; see `roll_epoch`.
-    epoch: u64,
     tick: u64,
     plan_seen: Vec<(PlanKey, u64)>,
     plans: Vec<(u64, TrialPlan)>,
@@ -592,24 +571,8 @@ impl PlanCache {
         self.tick
     }
 
-    /// Synchronizes the cache with the chip's plan epoch. On a mismatch
-    /// the compiled-plan tier (plans + their sighting records) is dropped;
-    /// lowerings are kept — they are pure functions of the immutable cell
-    /// array and a pattern, so no time advance or VRT merge can stale them.
-    pub(crate) fn roll_epoch(&mut self, chip_epoch: u64) {
-        if self.epoch == chip_epoch {
-            return;
-        }
-        self.epoch = chip_epoch;
-        if !self.plans.is_empty() {
-            self.stats.invalidations += 1;
-        }
-        self.plans.clear();
-        self.plan_seen.clear();
-    }
-
     /// True (and records the sighting) if this exact condition was seen
-    /// before within the current epoch.
+    /// before.
     pub(crate) fn note_plan_key(&mut self, key: PlanKey) -> bool {
         let tick = self.bump();
         note_seen(&mut self.plan_seen, key, tick)
@@ -804,7 +767,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_promotes_on_second_sighting_and_rolls_epoch() {
+    fn cache_promotes_on_second_sighting_and_evicts_by_lru_only() {
         let mut cache = PlanCache::default();
         let key = PlanKey::new(
             reaper_dram_model::DataPattern::solid0(),
@@ -839,15 +802,29 @@ mod tests {
         assert!(cache.find_lowering(pat).is_some());
         assert_eq!(cache.lowering_at(li).pattern, pat);
 
-        // epoch roll: plan tier dropped, lowerings survive
-        cache.roll_epoch(1);
-        assert!(cache.find_plan(&key).is_none());
-        assert!(!cache.note_plan_key(key), "plan sightings reset");
-        assert!(cache.find_lowering(pat).is_some());
-        assert_eq!(cache.stats.invalidations, 1);
-        // same epoch again: nothing more dropped
-        cache.roll_epoch(1);
-        assert_eq!(cache.stats.invalidations, 1);
+        // Plans leave only through LRU eviction: a plan hit when the cache
+        // is full outlives the older entries, then goes once it is the
+        // least recently used. Nothing invalidates it.
+        let plan = cache.plan_at_mut(pi).clone();
+        for i in 0..2 * PLAN_CAP as u64 {
+            if i == PLAN_CAP as u64 - 1 {
+                assert!(
+                    cache.find_plan(&key).is_some(),
+                    "a recent hit is not the LRU entry"
+                );
+            }
+            let key = PlanKey::new(DataPattern::random(i), Ms::new(512.0), Celsius::new(45.0));
+            cache.insert_plan(TrialPlan {
+                key,
+                ..plan.clone()
+            });
+        }
+        assert!(
+            cache.find_plan(&key).is_none(),
+            "evicted once least recently used"
+        );
+        assert!(cache.note_plan_key(key), "sightings persist");
+        assert_eq!(cache.stats.invalidations, 0);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! same reference byte for byte. Scripts include repeated conditions (so
 //! the Auto engine promotes through scalar → compile → cache-hit within
 //! one run), occasional 60–70-round repeat bursts (so batched replays
-//! cross the 64-round plane boundary mid-step), time advances (plan
-//! invalidation + VRT chain evolution + Poisson arrival merges), and
-//! condition changes (multiple live plans per chip).
+//! cross the 64-round plane boundary mid-step), time advances (VRT chain
+//! evolution + Poisson arrival merges, with compiled plans kept across
+//! them), and condition changes (multiple live plans per chip).
 //!
 //! `reaper_exec::set_thread_count` mutates process-global state, so — per
 //! the workspace convention — exactly one test in this binary touches it.
@@ -25,8 +25,8 @@ use reaper_retention::{RetentionConfig, SimulatedChip, TrialEngine};
 const VENDORS: [Vendor; 3] = [Vendor::A, Vendor::B, Vendor::C];
 const INTERVALS_MS: [f64; 4] = [512.0, 1024.0, 2048.0, 3000.0];
 const TEMPS_C: [f64; 3] = [45.0, 60.0, 70.0];
-/// Hours advanced before a step: 0 keeps plans live, the others roll the
-/// epoch and let VRT chains and arrivals evolve.
+/// Hours advanced before a step: 0 keeps the clock still, the others let
+/// VRT chains and arrivals evolve under plans compiled before the step.
 const ADVANCES_H: [f64; 3] = [0.0, 0.5, 2.0];
 /// Batch caps replayed against the scalar reference: single-round
 /// batches, a partial plane, and the full 64-bit plane.
@@ -208,4 +208,34 @@ fn schedule_matches_sequential_loop() {
             .collect();
         assert_eq!(got, reference, "schedule diverged at cap {max_batch}");
     }
+}
+
+/// Compiled plans are never invalidated: a plan compiled before the first
+/// clock step serves every trial through advances and VRT arrivals with
+/// no recompile, byte-equal to a scalar replay of the same script.
+#[test]
+fn plans_survive_advances_and_arrivals() {
+    let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);
+    let pattern = DataPattern::checkerboard();
+    let (interval, temp) = (Ms::new(2048.0), Celsius::new(60.0));
+    let run = |engine| {
+        let mut chip = SimulatedChip::new(cfg.clone(), 4343);
+        chip.set_trial_engine(engine);
+        let mut transcript = vec![chip.retention_trial(pattern, interval, temp).into_vec()];
+        while chip.arrival_count() == 0 {
+            assert!(transcript.len() <= 64, "no VRT arrival after 64 advances");
+            chip.advance(Ms::from_hours(8.0));
+            transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
+        }
+        transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
+        (transcript, chip.plan_stats())
+    };
+    let (transcript, stats) = run(TrialEngine::Compiled);
+    assert_eq!(
+        stats.plans_compiled, 1,
+        "a clock step or an arrival recompiled the plan"
+    );
+    assert_eq!(stats.plan_trials, transcript.len() as u64);
+    assert_eq!(stats.invalidations, 0);
+    assert_eq!(transcript, run(TrialEngine::Scalar).0);
 }

@@ -68,6 +68,9 @@ cargo test --release -q --offline -p reaper-portfolio
 echo "== bench-portfolio: racing gate (<=1.05x best solo, < sequential grid) =="
 cargo run --release -q --offline --example portfolio_bench -- --gate
 
+echo "== benchmark: repro_drift smoke (goldens + byte-identical passes) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --smoke
+
 echo "== smoke: headline experiment (quick scale) =="
 cargo run --release --offline -p reaper-conformance --bin experiments -- headline --quick
 
