@@ -145,11 +145,11 @@ pub fn estimate_cell_fit_map(
     use std::collections::BTreeMap;
     let temp = dram_temp(ambient);
     let mut chip = chip.clone();
-    // This loop stays on the default Auto engine deliberately: every trial
-    // uses a fresh random pattern, so no condition ever recurs and neither
-    // plan tier would be promoted — Auto makes that a few linear probes of
-    // per-chip caches, i.e. free, while forcing `Compiled` here would pay
-    // a full compile per trial for zero reuse.
+    // Single trials on purpose: every trial uses a fresh random pattern,
+    // so no condition ever recurs and neither cache tier is promoted —
+    // each trial is the window scan after a few linear probes of per-chip
+    // caches, while the rounds form here would pay a full compile per
+    // trial for zero reuse.
     // fail_counts[cell] = count per interval index.
     let mut fail_counts: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     for (ii, &t) in intervals_s.iter().enumerate() {

@@ -5,8 +5,9 @@
 //! profiling is the degenerate reach point `(+0 ms, +0 °C)`.
 
 use reaper_dram_model::{Celsius, DataPattern, Ms};
+use reaper_exec::cancel::CancelToken;
 use reaper_exec::num;
-use reaper_retention::{SimulatedChip, MAX_BATCH_ROUNDS};
+use reaper_retention::SimulatedChip;
 use reaper_softmc::TestHarness;
 
 use crate::conditions::{ReachConditions, TargetConditions};
@@ -265,7 +266,7 @@ impl Profiler {
         // per-trial thermal jitter keeps full plans from ever being
         // reusable under a harness, but pattern lowerings are condition-
         // independent and serve every iteration. Free of simulated time,
-        // and outcome-neutral (all engines are bit-identical).
+        // and outcome-neutral (every trial path is bit-identical).
         harness
             .chip_mut()
             .prewarm_lowerings(&self.patterns.stable_patterns());
@@ -305,8 +306,8 @@ impl Profiler {
     /// chip's bit-plane batch kernel: `iterations` passes over `patterns`
     /// at exactly (`interval`, `dram_temp`), submitted as one trial
     /// schedule so each recurring condition runs up to
-    /// [`MAX_BATCH_ROUNDS`] rounds per kernel pass. Returns the union of
-    /// all observed failures.
+    /// [`reaper_retention::MAX_BATCH_ROUNDS`] rounds per kernel pass.
+    /// Returns the union of all observed failures.
     ///
     /// Unlike [`Profiler::run`] this charges no simulated time and applies
     /// no thermal-chamber jitter — it is the fast path for callers that
@@ -331,7 +332,7 @@ impl Profiler {
             }
         }
         let mut profile = FailureProfile::new();
-        for outcome in chip.retention_trial_schedule(&schedule, MAX_BATCH_ROUNDS) {
+        for outcome in chip.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes {
             for &cell in outcome.failures() {
                 profile.insert(cell);
             }

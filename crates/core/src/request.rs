@@ -262,7 +262,7 @@ impl ProfilingRequest {
         let mut harness = TestHarness::new(chip, target.ambient, self.seed);
         // `Profiler::run` prewarms the chip's trial-plan lowerings for the
         // recurring patterns, so serve workers get the packed-lane fast
-        // path without any per-worker setup — and since every engine is
+        // path without any per-worker setup — and since every trial path is
         // bit-identical, job IDs and cached profile bytes are unaffected.
         let run = Profiler::reach(target, reach, self.rounds, self.patterns.to_pattern_set())
             .run(&mut harness);

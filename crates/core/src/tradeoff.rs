@@ -143,7 +143,7 @@ impl TradeoffAnalysis {
         // Build the recurring patterns' trial-plan lowerings once on the
         // pristine chip: the ground-truth run and every grid point profile
         // a clone of it, so the packed lanes are inherited instead of
-        // being rebuilt per point. Outcome-neutral (all trial engines are
+        // being rebuilt per point. Outcome-neutral (every trial path is
         // bit-identical); it only moves shared work out of the fan-out.
         let mut base = chip.clone();
         base.prewarm_lowerings(&PatternSet::Standard.stable_patterns());

@@ -1,15 +1,18 @@
 //! Bit-plane batch trial kernel: up to 64 rounds per cell per pass.
 //!
-//! A compiled [`TrialPlan`] round is a linear scan that opens one hash
-//! lane per in-band cell and performs one compare. Running R rounds
-//! round-major re-streams the `prob_idx`/threshold lanes from memory R
-//! times and pays the fan-out/merge overhead R times. This module flips
-//! the loop nest to **cell-major**: each in-band lane is visited once per
-//! batch — one index load, one threshold load — and the inner loop walks
-//! the (up to 64) round nonces, recording outcomes as one `u64`
-//! **bit-plane** per cell, bit *r* set iff the cell failed in round *r*.
-//! The planes are then expanded back into per-round failure vectors with
-//! popcount/trailing-zeros iteration (the gsim2 word-packed SoA trick).
+//! The one kernel every trial on a compiled [`TrialPlan`] runs through:
+//! single trials as batches of one, and the multi-round and schedule
+//! entry points in batches of up to 64. Running R rounds round-major
+//! would re-stream the `prob_idx`/threshold lanes from memory R times and
+//! pay the fan-out/merge overhead R times. The kernel runs the loop nest
+//! **cell-major** instead: each in-band lane is visited once per batch —
+//! one index load, one threshold load — and the inner loop walks the (up
+//! to 64) round nonces, recording outcomes as one `u64` **bit-plane** per
+//! cell, bit *r* set iff the cell failed in round *r*. The planes are then
+//! expanded back into per-round failure vectors with popcount/
+//! trailing-zeros iteration (the gsim2 word-packed SoA trick), walking
+//! the three index-sorted lane classes in one merge so every round comes
+//! out sorted.
 //!
 //! Two further per-draw savings fall out of the inversion:
 //!
@@ -27,14 +30,14 @@
 //!
 //! # Determinism contract
 //!
-//! Bit-identical to the scalar engine at any thread count and any batch
+//! Bit-identical to the window scan at any thread count and any batch
 //! size: every (cell, round) pair opens the same hash lane and makes the
 //! same draws in the same order (VRT observation first, failure draw only
 //! in band). VRT chains are replayed sequentially per cell across the
 //! batch carrying the advanced state — and since every round in a batch
 //! shares one wall-clock `now_ms`, [`TwoStateVrt::observe_at`] advances
 //! the chain on at most the first observation (dt > 0) and is a draw-
-//! consuming no-op for the rest, exactly as the round-major replay would
+//! consuming no-op for the rest, exactly as a round-by-round scan would
 //! behave. See DESIGN.md §"Compiled trial plans".
 
 use std::sync::Arc;
@@ -95,16 +98,14 @@ impl TrialPlan {
     ///
     /// `ctx.nonce` is ignored (each lane key takes its nonce from
     /// `nonces`); all rounds share `ctx.now_ms`. Outcomes are
-    /// bit-identical to calling [`TrialPlan::run_round`] once per nonce
-    /// in order, merging each round's VRT updates into `base_vrt`
-    /// between calls — except each round comes back already sorted
-    /// ascending (`run_round` emits lane order and leaves sorting to
-    /// `TrialOutcome`).
+    /// bit-identical to running the window scan once per nonce in order,
+    /// merging each round's VRT updates into `base_vrt` between calls —
+    /// except each round comes back already sorted ascending.
     ///
     /// # Panics
     /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`].
     pub(crate) fn run_rounds(
-        &mut self,
+        &self,
         base_vrt: &[TwoStateVrt],
         ctx: &TrialCtx,
         nonces: &[u64],
@@ -150,8 +151,8 @@ impl TrialPlan {
 
         // VRT lanes: sequential per-cell replay across the batch,
         // carrying the chain state from round to round. Draw order per
-        // (cell, round) matches run_round: observation first, then the
-        // failure draw only for in-band thresholds.
+        // (cell, round) matches the window scan: observation first, then
+        // the failure draw only for in-band thresholds.
         let mut vrt_planes = Vec::with_capacity(lanes.vrt_slot.len());
         let mut vrt_updates = Vec::with_capacity(lanes.vrt_slot.len());
         for ((slot, idx), pair) in lanes
@@ -171,7 +172,7 @@ impl TrialPlan {
                 let mut lane = np.push(*idx).stream();
                 let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
                 let thr = if in_low { thr_low } else { thr_high };
-                // Certain-fail consumes no uniform, matching the scalar
+                // Certain-fail consumes no uniform, matching the scan's
                 // draw count; only in-band thresholds draw.
                 let fails = if thr.to_bits() == CERTAIN_FAIL.to_bits() {
                     true
@@ -184,58 +185,58 @@ impl TrialPlan {
             vrt_planes.push(plane);
         }
 
+        // Size each round's vector from the mean failures per round (one
+        // popcount per plane — a per-bit exact count would cost as much
+        // as the expansion itself). Rounds are near-iid draws, so mean
+        // plus a 1/8 margin almost always avoids regrowth, and a rare
+        // outlier round just pays one amortized `Vec` doubling.
+        let popcount = |v: &[u64]| -> usize { v.iter().map(|p| num::idx(p.count_ones())).sum() };
+        let total = lanes.certain.len() * k + popcount(&planes) + popcount(&vrt_planes);
+        let per_round = total / k + total / (k * 8) + 8;
+        let mut rounds: Vec<Vec<u64>> =
+            (0..k).map(|_| Vec::with_capacity(per_round)).collect();
+
         // Expand bit-planes into per-round failure vectors, sorted. The
         // lane classes partition the window (a cell appears in exactly
-        // one of certain / prob / VRT), so gathering every failing lane
-        // into one `(index, plane)` array and sorting it *once per batch*
-        // makes each round's expansion emit indices in ascending order —
-        // 64 sorted rounds for the price of one ~n·log n sort, instead of
-        // the per-round `sort_unstable` the round-major path pays.
+        // one of certain / prob / VRT) and each is index-sorted, so one
+        // 3-way merge over them visits failing cells in ascending index
+        // order and every round's expansion comes out sorted.
         let full_mask = if k == MAX_BATCH_ROUNDS {
             u64::MAX
         } else {
             (1u64 << k) - 1
         };
-        let mut entries: Vec<(u64, u64)> =
-            Vec::with_capacity(lanes.certain.len() + planes.len() + vrt_planes.len());
-        entries.extend(lanes.certain.iter().map(|&idx| (idx, full_mask)));
-        entries.extend(
-            lanes
-                .prob_idx
-                .iter()
-                .zip(&planes)
-                .filter(|&(_, &plane)| plane != 0)
-                .map(|(&idx, &plane)| (idx, plane)),
-        );
-        entries.extend(
-            lanes
-                .vrt_idx
-                .iter()
-                .zip(&vrt_planes)
-                .filter(|&(_, &plane)| plane != 0)
-                .map(|(&idx, &plane)| (idx, plane)),
-        );
-        entries.sort_unstable_by_key(|&(idx, _)| idx);
-
-        // Size each round's vector from the mean failures per round (one
-        // popcount per entry — a per-bit exact count would cost as much
-        // as the expansion itself). Rounds are near-iid draws, so mean
-        // plus a 1/8 margin almost always avoids regrowth, and a rare
-        // outlier round just pays one amortized `Vec` doubling.
-        let total: usize = entries
+        let mut certain = lanes.certain.iter().map(|&idx| (idx, full_mask)).peekable();
+        let mut prob = lanes
+            .prob_idx
             .iter()
-            .map(|&(_, plane)| num::idx(plane.count_ones()))
-            .sum();
-        let per_round = total / k + total / (k * 8) + 8;
-        let mut rounds: Vec<Vec<u64>> =
-            (0..k).map(|_| Vec::with_capacity(per_round)).collect();
-        for &(idx, plane) in &entries {
+            .copied()
+            .zip(planes)
+            .filter(|&(_, plane)| plane != 0)
+            .peekable();
+        let mut vrt = lanes
+            .vrt_idx
+            .iter()
+            .copied()
+            .zip(vrt_planes)
+            .filter(|&(_, plane)| plane != 0)
+            .peekable();
+        loop {
+            // Cell indices lie below the chip density, so `u64::MAX`
+            // stands for an exhausted class.
+            let head = |e: Option<&(u64, u64)>| e.map_or(u64::MAX, |&(idx, _)| idx);
+            let (c, p, v) = (head(certain.peek()), head(prob.peek()), head(vrt.peek()));
+            let next = if c <= p && c <= v {
+                certain.next()
+            } else if p <= v {
+                prob.next()
+            } else {
+                vrt.next()
+            };
+            let Some((idx, plane)) = next else { break };
             expand_plane(plane, idx, &mut rounds);
         }
 
-        if let Some(last) = rounds.last() {
-            self.note_round_failures(last.len());
-        }
         BatchRounds {
             rounds,
             vrt_updates,
@@ -358,16 +359,15 @@ mod tests {
         SimulatedChip::new(cfg, 0xBC417)
     }
 
-    /// `run_round` emits lane order; the kernel emits sorted rounds.
-    /// Normalize the former for comparison.
-    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
-        v.sort_unstable();
-        v.dedup();
-        v
+    /// The pattern every plan here is compiled for.
+    fn pattern() -> DataPattern {
+        DataPattern::checkerboard()
     }
 
-    fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx) {
-        let pattern = DataPattern::checkerboard();
+    /// The plan under test, its trial context, and the candidate window
+    /// the reference scan covers at the same condition.
+    fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx, usize) {
+        let pattern = pattern();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
         let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
@@ -389,85 +389,83 @@ mod tests {
             now_ms: 250.0,
             low_mu_factor: chip.config().vrt_low_mu_factor,
         };
-        (plan, ctx)
+        (plan, ctx, chip.candidate_window(interval, temp))
+    }
+
+    /// Replays `nonces` through the reference scan on a copy of `chip`,
+    /// merging VRT updates between rounds: the sorted failures of every
+    /// round, and the copy's final VRT chain states.
+    fn reference_replay(
+        chip: &SimulatedChip,
+        ctx: &TrialCtx,
+        end: usize,
+        nonces: &[u64],
+    ) -> (Vec<Vec<u64>>, Vec<TwoStateVrt>) {
+        let mut chip = chip.clone();
+        let rounds = nonces
+            .iter()
+            .map(|&nonce| {
+                let round_ctx = TrialCtx { nonce, ..*ctx };
+                chip.reference_round_for_tests(pattern(), end, &round_ctx).0
+            })
+            .collect();
+        (rounds, chip.base_vrt_for_tests().to_vec())
     }
 
     #[test]
-    fn batch_matches_sequential_round_replay() {
+    fn batch_matches_sequential_reference_replay() {
         let chip = quick_chip();
-        let (mut plan_batch, ctx) = compile_pair(&chip);
-        let mut plan_seq = plan_batch.clone();
-
+        let (plan, ctx, end) = compile_pair(&chip);
         let nonces: Vec<u64> = (40..47).collect();
-        let batch = plan_batch.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
-        assert_eq!(batch.rounds.len(), nonces.len());
-
-        let mut base_vrt = chip.base_vrt_for_tests().to_vec();
-        for (round, nonce) in batch.rounds.iter().zip(&nonces) {
-            let round_ctx = TrialCtx {
-                nonce: *nonce,
-                ..ctx
-            };
-            let (fails, updates) = plan_seq.run_round(&base_vrt, &round_ctx);
-            assert_eq!(round, &sorted(fails), "nonce {nonce}");
-            for (slot, state) in updates {
-                *base_vrt.get_mut(num::idx(slot)).expect("slot") = state;
-            }
-        }
+        let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
+        let (want, base_vrt) = reference_replay(&chip, &ctx, end, &nonces);
+        assert_eq!(batch.rounds, want);
         // Final chain states match the merged sequential replay.
         for (slot, state) in &batch.vrt_updates {
             assert_eq!(base_vrt.get(num::idx(*slot)).expect("slot"), state);
         }
         assert_eq!(
             batch.vrt_updates.len(),
-            plan_batch.lanes.vrt_slot.len(),
+            plan.lanes.vrt_slot.len(),
             "one final state per VRT lane"
         );
     }
 
     #[test]
-    fn batch_of_one_equals_run_round() {
-        let chip = quick_chip();
-        let (mut plan_batch, ctx) = compile_pair(&chip);
-        let mut plan_seq = plan_batch.clone();
+    fn batch_of_one_equals_reference_scan() {
+        let mut chip = quick_chip();
+        let (plan, ctx, end) = compile_pair(&chip);
+        let mut batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &[99]);
         let round_ctx = TrialCtx { nonce: 99, ..ctx };
-        let (fails, updates) = plan_seq.run_round(chip.base_vrt_for_tests(), &round_ctx);
-        let mut batch = plan_batch.run_rounds(chip.base_vrt_for_tests(), &ctx, &[99]);
+        let (fails, mut updates) = chip.reference_round_for_tests(pattern(), end, &round_ctx);
         assert_eq!(batch.rounds.len(), 1);
-        assert_eq!(batch.rounds.pop().expect("one round"), sorted(fails));
+        assert_eq!(batch.rounds.pop().expect("one round"), fails);
+        // Plan lanes are index-ordered, the scan walks μ order: compare
+        // the chain updates slot by slot.
+        updates.sort_unstable_by_key(|&(slot, _)| slot);
+        batch.vrt_updates.sort_unstable_by_key(|&(slot, _)| slot);
         assert_eq!(batch.vrt_updates, updates);
     }
 
     #[test]
     fn full_width_batch_covers_all_64_bits() {
         let chip = quick_chip();
-        let (mut plan_batch, ctx) = compile_pair(&chip);
-        let mut plan_seq = plan_batch.clone();
+        let (plan, ctx, end) = compile_pair(&chip);
         let nonces: Vec<u64> = (1000..1064).collect();
-        let batch = plan_batch.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
+        let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
         assert_eq!(batch.rounds.len(), MAX_BATCH_ROUNDS);
-        // Spot-check the last round (bit 63) against a sequential replay.
-        let mut base_vrt = chip.base_vrt_for_tests().to_vec();
-        let mut last = Vec::new();
-        for nonce in &nonces {
-            let round_ctx = TrialCtx {
-                nonce: *nonce,
-                ..ctx
-            };
-            let (fails, updates) = plan_seq.run_round(&base_vrt, &round_ctx);
-            for (slot, state) in updates {
-                *base_vrt.get_mut(num::idx(slot)).expect("slot") = state;
-            }
-            last = fails;
-        }
-        assert_eq!(batch.rounds.last().expect("64 rounds"), &sorted(last));
+        // Every round, the last one (bit 63) included, against a
+        // sequential reference replay.
+        let (want, _) = reference_replay(&chip, &ctx, end, &nonces);
+        assert_eq!(batch.rounds, want);
+        assert!(!want.last().expect("64 rounds").is_empty());
     }
 
     #[test]
     #[should_panic(expected = "batch size")]
     fn rejects_oversized_batches() {
         let chip = quick_chip();
-        let (mut plan, ctx) = compile_pair(&chip);
+        let (plan, ctx, _) = compile_pair(&chip);
         let nonces: Vec<u64> = (0..65).collect();
         let _ = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
     }

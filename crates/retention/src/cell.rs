@@ -44,7 +44,7 @@ pub struct WeakCell {
 impl WeakCell {
     /// Number of the four neighbors (0..=4) whose stored value under
     /// `pattern` matches this cell's aggressor signature. The quantized
-    /// form of [`WeakCell::stress_under`]; the trial-plan engine packs this
+    /// form of [`WeakCell::stress_under`]; pattern lowerings pack this
     /// into a one-byte DPD lane.
     pub fn stress_matches(&self, pattern: DataPattern, geometry: ChipGeometry) -> u8 {
         let row_bits = u64::from(geometry.row_bits());

@@ -15,7 +15,7 @@ use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use crate::batch::MAX_BATCH_ROUNDS;
 use crate::cell::WeakCell;
 use crate::config::RetentionConfig;
-use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialEngine, TrialPlan};
+use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
 
 /// Hard clamp on per-cell σ (seconds) so candidate windowing stays tight.
@@ -157,8 +157,8 @@ impl<'a> IntoIterator for &'a TrialOutcome {
 ///
 /// When `cancelled` is false the outcomes are the complete run. When true
 /// they are a bit-identical prefix of what the uncancelled run would have
-/// produced — see the `_cancellable` entry points on [`SimulatedChip`]
-/// for the exact prefix guarantee each one makes.
+/// produced — see [`SimulatedChip::retention_trial_schedule`] for the
+/// exact prefix guarantee.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialTrials {
     /// Completed trial outcomes, in the entry point's usual order.
@@ -201,15 +201,14 @@ pub struct SimulatedChip {
     trial_nonce: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
-    /// Which engine `retention_trial` routes through.
-    engine: TrialEngine,
 }
 
-/// How one trial is served, resolved by `route_trial` before the scan.
+/// How one single trial is served, resolved by `route_trial`: the window
+/// scan (with the cached lowering at this position, if any) or the
+/// kernel on the cached plan at this position.
 enum TrialRoute {
-    Scalar,
-    Lowered(usize),
-    Compiled(usize),
+    Scan(Option<usize>),
+    Plan(usize),
 }
 
 impl SimulatedChip {
@@ -282,7 +281,6 @@ impl SimulatedChip {
             stream_base: seed,
             trial_nonce: 0,
             plan_cache: PlanCache::default(),
-            engine: TrialEngine::default(),
             cfg,
         };
         chip.rebuild_sort();
@@ -372,6 +370,12 @@ impl SimulatedChip {
     /// (`reaper-softmc`) owns time accounting. VRT arrivals are drawn for
     /// the wall-clock span since the last trial.
     ///
+    /// A condition seen for the first time runs the window scan (fed by
+    /// the pattern's lowering once the pattern recurs); its second
+    /// sighting compiles a plan, and every trial on a cached plan runs
+    /// through the bit-plane kernel as a batch of one. All routes are
+    /// bit-identical to [`SimulatedChip::retention_trial_reference`].
+    ///
     /// # Panics
     /// Panics if `interval` is not positive.
     pub fn retention_trial(
@@ -380,66 +384,90 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
+        self.single_trial(pattern, interval, temp, true)
+    }
+
+    /// [`SimulatedChip::retention_trial`] through the window scan without
+    /// a lowering, always: the reference every other trial path is checked
+    /// against. It consumes the same nonce and draws as the production
+    /// trial, so the two can be interleaved on one chip, and it leaves the
+    /// lowering and plan caches (sightings included) untouched.
+    ///
+    /// # Panics
+    /// Panics if `interval` is not positive.
+    pub fn retention_trial_reference(
+        &mut self,
+        pattern: DataPattern,
+        interval: Ms,
+        temp: Celsius,
+    ) -> TrialOutcome {
+        self.single_trial(pattern, interval, temp, false)
+    }
+
+    /// The body of both single-trial entry points; `use_caches == false`
+    /// forces the reference route.
+    fn single_trial(
+        &mut self,
+        pattern: DataPattern,
+        interval: Ms,
+        temp: Celsius,
+        use_caches: bool,
+    ) -> TrialOutcome {
         assert!(interval.is_positive(), "retention interval must be positive");
-        let t = interval.as_secs();
-        self.process_arrivals(t, temp);
-
-        let ms_scale = self.cfg.mu_temp_scale(temp);
-        let ss_scale = self.cfg.sigma_temp_scale(temp);
-        let end = candidate_window_end(&self.sort_keys, t, ms_scale, ss_scale);
-
-        let nonce = self.trial_nonce;
+        self.process_arrivals(interval.as_secs(), temp);
+        let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
         self.trial_nonce += 1;
 
-        // Route through the configured engine. Every engine is
-        // draw-for-draw identical (see crate::plan); only the amount of
-        // per-trial recomputation differs.
-        let route = self.route_trial(pattern, interval, temp);
-        let ctx = TrialCtx {
-            t_secs: t,
-            ms_scale,
-            ss_scale,
+        let route = if use_caches {
+            self.route_trial(pattern, interval, temp)
+        } else {
+            self.plan_cache.stats.scalar_trials += 1;
+            TrialRoute::Scan(None)
+        };
+        let (mut failures, vrt_updates) = match route {
+            TrialRoute::Plan(i) => {
+                let mut batch = self
+                    .plan_cache
+                    .plan_at(i)
+                    .run_rounds(&self.base_vrt, &ctx, &[ctx.nonce]);
+                let failures = batch
+                    .rounds
+                    .pop()
+                    .expect("invariant: one nonce in yields one round out");
+                (failures, batch.vrt_updates)
+            }
+            TrialRoute::Scan(lowering) => {
+                let end =
+                    candidate_window_end(&self.sort_keys, ctx.t_secs, ctx.ms_scale, ctx.ss_scale);
+                let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
+                self.scalar_window_scan(pattern, end, &ctx, lowering)
+            }
+        };
+        self.merge_vrt(vrt_updates);
+        self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut failures);
+        TrialOutcome::from_unsorted(failures)
+    }
+
+    /// The per-trial context at `(interval, temp)` for trial `nonce`.
+    fn trial_ctx(&self, interval: Ms, temp: Celsius, nonce: u64) -> TrialCtx {
+        TrialCtx {
+            t_secs: interval.as_secs(),
+            ms_scale: self.cfg.mu_temp_scale(temp),
+            ss_scale: self.cfg.sigma_temp_scale(temp),
             stream_base: self.stream_base,
             nonce,
             now_ms: self.now_ms,
             low_mu_factor: self.cfg.vrt_low_mu_factor,
-        };
-        let (mut failures, vrt_updates) = match route {
-            TrialRoute::Compiled(i) => {
-                if self.engine == TrialEngine::Batch {
-                    // The batch engine serves single trials as batches of
-                    // one through the bit-plane kernel.
-                    self.plan_cache.stats.batch_rounds += 1;
-                    let mut batch = self
-                        .plan_cache
-                        .plan_at_mut(i)
-                        .run_rounds(&self.base_vrt, &ctx, &[nonce]);
-                    let failures = batch
-                        .rounds
-                        .pop()
-                        .expect("invariant: one nonce in yields one round out");
-                    (failures, batch.vrt_updates)
-                } else {
-                    self.plan_cache
-                        .plan_at_mut(i)
-                        .run_round(&self.base_vrt, &ctx)
-                }
-            }
-            TrialRoute::Lowered(i) => {
-                self.plan_cache
-                    .lowering_at(i)
-                    .run_trial(&self.cells, &self.base_vrt, end, &ctx)
-            }
-            TrialRoute::Scalar => self.scalar_window_scan(pattern, end, &ctx),
-        };
-        for (i, state) in vrt_updates {
-            // lint: allow(panic) indices originate from base_vrt positions above
+        }
+    }
+
+    /// Writes advanced VRT chain states back. Each slot belongs to exactly
+    /// one cell, so the order of the updates never matters.
+    fn merge_vrt(&mut self, updates: Vec<(u32, TwoStateVrt)>) {
+        for (i, state) in updates {
+            // lint: allow(panic) indices originate from base_vrt positions
             self.base_vrt[num::idx(i)] = state;
         }
-
-        self.arrival_round(t, ms_scale, ss_scale, &mut failures);
-
-        TrialOutcome::from_unsorted(failures)
     }
 
     /// One round over the VRT-arrival cells: freshly arrived cells fail
@@ -473,9 +501,13 @@ impl SimulatedChip {
         }
     }
 
-    /// The original scalar window scan: recomputes polarity, stress, μ, σ,
-    /// z, and `phi(z)` per cell per trial. Kept as the baseline engine and
-    /// the reference the plan engines are verified against.
+    /// The window scan over the candidate window `[0, end)`: polarity,
+    /// stress, μ, σ, z and `phi(z)` per cell per trial. It serves single
+    /// trials whose condition has no plan yet, and without a lowering it
+    /// is the reference the kernel is verified against. A `lowering`
+    /// (built for `pattern`) supplies the polarity-active cells and their
+    /// stress levels, so the scan skips the rest; inactive cells never
+    /// open a hash lane either way, so the lowering changes no stream.
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
@@ -488,13 +520,44 @@ impl SimulatedChip {
         pattern: DataPattern,
         end: usize,
         ctx: &TrialCtx,
+        lowering: Option<&PatternLowering>,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         let geometry = self.cfg.geometry;
-        let base_vrt = &self.base_vrt;
-        let per_cell = |cell: &WeakCell| -> (Option<u64>, Option<(u32, TwoStateVrt)>) {
-            if cell.stored_bit(pattern, geometry) != cell.vulnerable_bit {
-                return (None, None);
+        let cells = &self.cells;
+        match lowering {
+            Some(low) => self.scan_lanes(ctx, low.active_prefix(end), |j| {
+                let (ord, lvl) = low.lane(j);
+                let cell = cells
+                    .get(ord)
+                    .expect("invariant: lowering ordinals index the cell array it was built from");
+                Some((cell, f64::from(lvl) / 4.0))
+            }),
+            None => {
+                // lint: allow(panic) end comes from partition_point, always <= len
+                let window = &cells[..end];
+                self.scan_lanes(ctx, window.len(), |j| {
+                    let cell = window.get(j).expect("invariant: j < window.len()");
+                    (cell.stored_bit(pattern, geometry) == cell.vulnerable_bit)
+                        .then(|| (cell, cell.stress_under(pattern, geometry)))
+                })
             }
+        }
+    }
+
+    /// The scan body over lanes `0..n`: `cell_at(j)` yields the j-th cell
+    /// and its DPD stress fraction, or `None` for a polarity-inactive cell.
+    /// Generic so each lane source compiles to its own branch-free loop.
+    fn scan_lanes<'c>(
+        &self,
+        ctx: &TrialCtx,
+        n: usize,
+        cell_at: impl Fn(usize) -> Option<(&'c WeakCell, f64)> + Sync,
+    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
+        let base_vrt = &self.base_vrt;
+        let per_cell = |j: usize| -> (Option<u64>, Option<(u32, TwoStateVrt)>) {
+            let Some((cell, stress)) = cell_at(j) else {
+                return (None, None);
+            };
             let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
             let mut vrt_update = None;
             let vrt_factor = match cell.vrt_index {
@@ -512,7 +575,6 @@ impl SimulatedChip {
                 }
                 None => 1.0,
             };
-            let stress = cell.stress_under(pattern, geometry);
             let mu = cell.effective_mu(ctx.ms_scale, stress, vrt_factor);
             let sigma = cell.sigma0 as f64 * ctx.ss_scale;
             let z = (ctx.t_secs - mu) / sigma;
@@ -523,22 +585,20 @@ impl SimulatedChip {
             (fails.then_some(cell.index), vrt_update)
         };
 
-        // lint: allow(panic) end comes from partition_point, always <= len
-        let window = &self.cells[..end];
         let mut failures = Vec::new();
         let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::new();
-        if window.len() < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            for cell in window {
-                let (fail, update) = per_cell(cell);
+        if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
+            for j in 0..n {
+                let (fail, update) = per_cell(j);
                 failures.extend(fail);
                 vrt_updates.extend(update);
             }
         } else {
-            let chunks = reaper_exec::par_chunk_map(window, 256, |_, chunk| {
+            let chunks = reaper_exec::par_index_map(n, 256, |range| {
                 let mut fails = Vec::new();
                 let mut updates = Vec::new();
-                for cell in chunk {
-                    let (fail, update) = per_cell(cell);
+                for j in range {
+                    let (fail, update) = per_cell(j);
                     fails.extend(fail);
                     updates.extend(update);
                 }
@@ -552,68 +612,85 @@ impl SimulatedChip {
         (failures, vrt_updates)
     }
 
-    /// Resolves which engine serves this trial, compiling/promoting cache
-    /// entries as the engine policy dictates (see [`TrialEngine`]).
+    /// One reference-scan round at `ctx` (no lowering) with its VRT
+    /// updates merged into the chip, for in-crate tests that check the
+    /// kernel against the scan directly. Returns the sorted failures and
+    /// the updates.
+    #[cfg(test)]
+    pub(crate) fn reference_round_for_tests(
+        &mut self,
+        pattern: DataPattern,
+        end: usize,
+        ctx: &TrialCtx,
+    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
+        let (failures, updates) = self.scalar_window_scan(pattern, end, ctx, None);
+        self.merge_vrt(updates.clone());
+        (TrialOutcome::from_unsorted(failures).into_vec(), updates)
+    }
+
+    /// Resolves how a single trial is served: a cached plan, a plan
+    /// compiled on this second sighting of the condition, or the window
+    /// scan — fed by a lowering when the pattern has one cached or is
+    /// itself seen for the second time.
     fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
-        if self.engine == TrialEngine::Scalar {
-            self.plan_cache.stats.scalar_trials += 1;
-            return TrialRoute::Scalar;
+        let key = PlanKey::new(pattern, interval, temp);
+        if let Some(i) = self.plan_cache.find_plan(&key) {
+            self.count_plan_trials(1);
+            return TrialRoute::Plan(i);
+        }
+        if self.plan_cache.note_plan_key(key) {
+            let i = self.compile_plan(pattern, interval, temp);
+            self.count_plan_trials(1);
+            return TrialRoute::Plan(i);
         }
 
-        // Compiled tier: exact (pattern, interval, temp) condition.
-        if matches!(
-            self.engine,
-            TrialEngine::Auto | TrialEngine::Compiled | TrialEngine::Batch
-        ) {
-            let key = PlanKey::new(pattern, interval, temp);
-            if let Some(i) = self.plan_cache.find_plan(&key) {
-                self.plan_cache.stats.plan_trials += 1;
-                return TrialRoute::Compiled(i);
-            }
-            let promote = matches!(self.engine, TrialEngine::Compiled | TrialEngine::Batch)
-                || self.plan_cache.note_plan_key(key);
-            if promote {
-                let plan = TrialPlan::compile(
-                    &self.cfg,
-                    &self.cells,
-                    &self.sort_keys,
-                    self.plan_cache.peek_lowering(pattern),
-                    pattern,
-                    interval,
-                    temp,
-                );
-                let i = self.plan_cache.insert_plan(plan);
-                self.plan_cache.stats.plans_compiled += 1;
-                self.plan_cache.stats.plan_trials += 1;
-                return TrialRoute::Compiled(i);
-            }
-        }
-
-        // Lowered tier: pattern-only lanes; survives the harness's
-        // per-trial temperature jitter.
+        // Pattern-only lanes survive the harness's per-trial temperature
+        // jitter, which keeps most conditions from ever recurring.
         if let Some(i) = self.plan_cache.find_lowering(pattern) {
             self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Lowered(i);
+            return TrialRoute::Scan(Some(i));
         }
-        let promote = self.engine == TrialEngine::Lowered || self.plan_cache.note_pattern(pattern);
-        if promote {
+        if self.plan_cache.note_pattern(pattern) {
             let lowering = PatternLowering::build(&self.cells, pattern, self.cfg.geometry);
             let i = self.plan_cache.insert_lowering(lowering);
             self.plan_cache.stats.lowerings_built += 1;
             self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Lowered(i);
+            return TrialRoute::Scan(Some(i));
         }
 
         self.plan_cache.stats.scalar_trials += 1;
-        TrialRoute::Scalar
+        TrialRoute::Scan(None)
     }
 
-    /// Runs `rounds` retention trials at one fixed condition through the
-    /// bit-plane batch kernel, returning one outcome per round in nonce
-    /// order. Bit-identical to calling [`SimulatedChip::retention_trial`]
-    /// `rounds` times (under any engine), but each full batch of
-    /// [`MAX_BATCH_ROUNDS`] visits every in-band lane once instead of
-    /// once per round.
+    /// Counts `k` trials served by the kernel on a compiled plan.
+    fn count_plan_trials(&mut self, k: u64) {
+        self.plan_cache.stats.plan_trials += k;
+        self.plan_cache.stats.batch_rounds += k;
+    }
+
+    /// Compiles the plan for a condition and caches it, returning its
+    /// cache position.
+    fn compile_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
+        let plan = TrialPlan::compile(
+            &self.cfg,
+            &self.cells,
+            &self.sort_keys,
+            self.plan_cache.peek_lowering(pattern),
+            pattern,
+            interval,
+            temp,
+        );
+        self.plan_cache.stats.plans_compiled += 1;
+        self.plan_cache.insert_plan(plan)
+    }
+
+    /// Runs `rounds` retention trials at one fixed condition, returning
+    /// one outcome per round in nonce order: a one-group
+    /// [`SimulatedChip::retention_trial_schedule`], so the same nonces,
+    /// the same kernel batches of up to [`MAX_BATCH_ROUNDS`] and the same
+    /// arrival replay. Bit-identical to calling
+    /// [`SimulatedChip::retention_trial`] `rounds` times; `rounds == 0`
+    /// runs nothing.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -624,183 +701,53 @@ impl SimulatedChip {
         temp: Celsius,
         rounds: u32,
     ) -> Vec<TrialOutcome> {
-        self.retention_trial_batches(pattern, interval, temp, rounds, MAX_BATCH_ROUNDS)
-    }
-
-    /// Like [`SimulatedChip::retention_trial_rounds`] with an explicit
-    /// per-pass batch cap (a testing/tuning knob): rounds are evaluated in
-    /// consecutive batches of at most `max_batch` nonces. The cap changes
-    /// wall-clock only, never outcomes.
-    ///
-    /// # Panics
-    /// Panics if `interval` is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_batches(
-        &mut self,
-        pattern: DataPattern,
-        interval: Ms,
-        temp: Celsius,
-        rounds: u32,
-        max_batch: usize,
-    ) -> Vec<TrialOutcome> {
-        let run =
-            self.retention_trial_batches_cancellable(pattern, interval, temp, rounds, max_batch, &CancelToken::new());
+        assert!(interval.is_positive(), "retention interval must be positive");
+        let schedule = vec![(pattern, interval, temp); num::idx_u64(u64::from(rounds))];
+        let run = self.retention_trial_schedule(&schedule, &CancelToken::new());
         debug_assert!(!run.cancelled, "a fresh token cannot be cancelled");
         run.outcomes
-    }
-
-    /// [`SimulatedChip::retention_trial_batches`] with a cooperative
-    /// [`CancelToken`], polled at every kernel-batch boundary — the
-    /// cancellation points of a racing profiling strategy. Cancellation
-    /// never lands mid-batch: the returned outcomes are a *prefix* of the
-    /// uncancelled run's rounds (in nonce order) and are bit-identical to
-    /// that prefix; [`PartialTrials::cancelled`] reports whether the run
-    /// stopped early.
-    ///
-    /// A cancelled run has still reserved all `rounds` trial nonces and may
-    /// have skipped VRT updates the abandoned rounds would have applied, so
-    /// the chip is *not* suitable for continuing a bit-identical sequence —
-    /// racing callers discard a cancelled lane's chip along with its
-    /// result, which is the intended use.
-    ///
-    /// # Panics
-    /// Panics if `interval` is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_batches_cancellable(
-        &mut self,
-        pattern: DataPattern,
-        interval: Ms,
-        temp: Celsius,
-        rounds: u32,
-        max_batch: usize,
-        cancel: &CancelToken,
-    ) -> PartialTrials {
-        assert!(interval.is_positive(), "retention interval must be positive");
-        assert!(
-            (1..=MAX_BATCH_ROUNDS).contains(&max_batch),
-            "max_batch must be in 1..={MAX_BATCH_ROUNDS}, got {max_batch}"
-        );
-        let t = interval.as_secs();
-        self.process_arrivals(t, temp);
-
-        let ms_scale = self.cfg.mu_temp_scale(temp);
-        let ss_scale = self.cfg.sigma_temp_scale(temp);
-        let ctx = TrialCtx {
-            t_secs: t,
-            ms_scale,
-            ss_scale,
-            stream_base: self.stream_base,
-            nonce: 0, // per-round nonces come from the batch
-            now_ms: self.now_ms,
-            low_mu_factor: self.cfg.vrt_low_mu_factor,
-        };
-
-        let plan = self.batch_plan(pattern, interval, temp);
-        let first_nonce = self.trial_nonce;
-        self.trial_nonce += u64::from(rounds);
-
-        let mut outcomes = Vec::with_capacity(num::idx_u64(u64::from(rounds)));
-        let mut cancelled = false;
-        let mut next = first_nonce;
-        let end_nonce = first_nonce + u64::from(rounds);
-        while next < end_nonce {
-            if cancel.is_cancelled() {
-                cancelled = true;
-                break;
-            }
-            let k = (end_nonce - next).min(num::to_u64(max_batch));
-            let nonces: Vec<u64> = (next..next + k).collect();
-            next += k;
-            let batch = self
-                .plan_cache
-                .plan_at_mut(plan)
-                .run_rounds(&self.base_vrt, &ctx, &nonces);
-            self.plan_cache.stats.plan_trials += k;
-            self.plan_cache.stats.batch_rounds += k;
-            for (i, state) in batch.vrt_updates {
-                // lint: allow(panic) indices originate from base_vrt positions above
-                self.base_vrt[num::idx(i)] = state;
-            }
-            // Arrival draws live on the sequential RNG: replay them per
-            // round in nonce order, after the kernel (which never touches
-            // that RNG), so the draw sequence matches a round-major loop.
-            // Kernel rounds arrive sorted; re-sort only when an arrival
-            // cell actually appended.
-            for mut failures in batch.rounds {
-                let kernel_len = failures.len();
-                self.arrival_round(t, ms_scale, ss_scale, &mut failures);
-                outcomes.push(if failures.len() == kernel_len {
-                    TrialOutcome::from_sorted(failures)
-                } else {
-                    TrialOutcome::from_unsorted(failures)
-                });
-            }
-        }
-        PartialTrials {
-            outcomes,
-            cancelled,
-        }
     }
 
     /// Runs a heterogeneous trial schedule through the batch kernel: one
     /// trial per `(pattern, interval, temp)` entry, outcomes in schedule
     /// order, bit-identical to a [`SimulatedChip::retention_trial`] loop
-    /// over the same entries.
+    /// over the same entries. Every condition gets a compiled plan, found
+    /// or compiled on the spot.
     ///
     /// Entries are grouped by exact condition (first-seen order) and each
-    /// group's trials run as batches of up to `max_batch`, keyed by their
-    /// original schedule-position nonces. The regrouping is outcome-safe:
-    /// per-(cell, nonce) hash lanes are order-independent; a VRT chain's
-    /// state can only transition on its *first* observation at the current
-    /// wall clock, and that observation carries the cell's globally
-    /// minimal activating nonce in both orders (any group processed
-    /// earlier that activated the cell would contain a smaller one);
-    /// and arrival-cell draws are replayed on the sequential RNG in
+    /// group's trials run as batches of up to [`MAX_BATCH_ROUNDS`], keyed
+    /// by their original schedule-position nonces. The regrouping is
+    /// outcome-safe: per-(cell, nonce) hash lanes are order-independent; a
+    /// VRT chain's state can only transition on its *first* observation at
+    /// the current wall clock, and that observation carries the cell's
+    /// globally minimal activating nonce in both orders (any group
+    /// processed earlier that activated the cell would contain a smaller
+    /// one); and arrival-cell draws are replayed on the sequential RNG in
     /// schedule order after all groups.
     ///
+    /// `cancel` is polled at every kernel-batch boundary; cancellation
+    /// never lands mid-batch. The returned outcomes are the longest
+    /// *schedule prefix* whose entries all completed, bit-identical to the
+    /// same prefix of the uncancelled run: per-(cell, nonce) kernel lanes
+    /// are position-independent, and arrival draws are replayed on the
+    /// sequential RNG in schedule order over exactly that prefix — the same
+    /// draws, in the same order, that the uncancelled run would have made
+    /// for it. Completed work from groups *past* the prefix is discarded.
+    /// [`PartialTrials::cancelled`] reports whether the run stopped early.
+    ///
+    /// A cancelled run has still reserved a nonce for every entry and may
+    /// have skipped VRT updates the abandoned batches would have applied,
+    /// so the chip is *not* suitable for continuing a bit-identical
+    /// sequence — racing callers discard a cancelled lane's chip along
+    /// with its result, which is the intended use.
+    ///
     /// # Panics
-    /// Panics if any interval is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
+    /// Panics if any interval is not positive.
     pub fn retention_trial_schedule(
         &mut self,
         schedule: &[(DataPattern, Ms, Celsius)],
-        max_batch: usize,
-    ) -> Vec<TrialOutcome> {
-        let run = self.retention_trial_schedule_cancellable(schedule, max_batch, &CancelToken::new());
-        debug_assert!(!run.cancelled, "a fresh token cannot be cancelled");
-        run.outcomes
-    }
-
-    /// [`SimulatedChip::retention_trial_schedule`] with a cooperative
-    /// [`CancelToken`], polled at every kernel-batch boundary (each
-    /// condition group's `TrialPlan::run_rounds` chunk). Cancellation
-    /// never lands mid-batch.
-    ///
-    /// The returned outcomes are the longest *schedule prefix* whose
-    /// entries all completed, bit-identical to the same prefix of the
-    /// uncancelled run: per-(cell, nonce) kernel lanes are position-
-    /// independent, and arrival draws are replayed on the sequential RNG
-    /// in schedule order over exactly that prefix — the same draws, in the
-    /// same order, that the uncancelled run would have made for it.
-    /// Completed work from groups *past* the prefix is discarded.
-    ///
-    /// As with the rounds form, a cancelled run leaves the chip's nonce
-    /// reservation and VRT state unsuitable for continuing a bit-identical
-    /// sequence; racing callers discard the cancelled lane's chip.
-    ///
-    /// # Panics
-    /// Panics if any interval is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_schedule_cancellable(
-        &mut self,
-        schedule: &[(DataPattern, Ms, Celsius)],
-        max_batch: usize,
         cancel: &CancelToken,
     ) -> PartialTrials {
-        assert!(
-            (1..=MAX_BATCH_ROUNDS).contains(&max_batch),
-            "max_batch must be in 1..={MAX_BATCH_ROUNDS}, got {max_batch}"
-        );
         let Some(&(_, first_interval, first_temp)) = schedule.first() else {
             return PartialTrials {
                 outcomes: Vec::new(),
@@ -843,20 +790,17 @@ impl SimulatedChip {
         let mut failures_by_pos: Vec<Option<Vec<u64>>> = vec![None; schedule.len()];
         let mut cancelled = false;
         'groups: for g in &groups {
-            let t = g.interval.as_secs();
-            let ms_scale = self.cfg.mu_temp_scale(g.temp);
-            let ss_scale = self.cfg.sigma_temp_scale(g.temp);
-            let ctx = TrialCtx {
-                t_secs: t,
-                ms_scale,
-                ss_scale,
-                stream_base: self.stream_base,
-                nonce: 0, // per-round nonces come from the batch
-                now_ms: self.now_ms,
-                low_mu_factor: self.cfg.vrt_low_mu_factor,
+            // Per-round nonces come from the batch.
+            let ctx = self.trial_ctx(g.interval, g.temp, 0);
+            // Asking for a batch at a condition *is* the recurrence
+            // signal single trials wait for, so compile unconditionally
+            // (and record the sighting for later single trials).
+            self.plan_cache.note_plan_key(g.key);
+            let plan = match self.plan_cache.find_plan(&g.key) {
+                Some(i) => i,
+                None => self.compile_plan(g.pattern, g.interval, g.temp),
             };
-            let plan = self.batch_plan(g.pattern, g.interval, g.temp);
-            for chunk in g.positions.chunks(max_batch) {
+            for chunk in g.positions.chunks(MAX_BATCH_ROUNDS) {
                 if cancel.is_cancelled() {
                     cancelled = true;
                     break 'groups;
@@ -865,17 +809,12 @@ impl SimulatedChip {
                     .iter()
                     .map(|&pos| first_nonce + num::to_u64(pos))
                     .collect();
-                let k = num::to_u64(chunk.len());
                 let batch = self
                     .plan_cache
-                    .plan_at_mut(plan)
+                    .plan_at(plan)
                     .run_rounds(&self.base_vrt, &ctx, &nonces);
-                self.plan_cache.stats.plan_trials += k;
-                self.plan_cache.stats.batch_rounds += k;
-                for (i, state) in batch.vrt_updates {
-                    // lint: allow(panic) indices originate from base_vrt positions above
-                    self.base_vrt[num::idx(i)] = state;
-                }
+                self.count_plan_trials(num::to_u64(chunk.len()));
+                self.merge_vrt(batch.vrt_updates);
                 for (&pos, fails) in chunk.iter().zip(batch.rounds) {
                     *failures_by_pos
                         .get_mut(pos)
@@ -895,7 +834,8 @@ impl SimulatedChip {
             .unwrap_or(schedule.len());
 
         // Replay arrivals on the sequential RNG in schedule order, over
-        // exactly the completed prefix.
+        // exactly the completed prefix. Kernel rounds arrive sorted;
+        // re-sort only when an arrival cell actually appended.
         let mut outcomes = Vec::with_capacity(completed);
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
             let mut failures = slot
@@ -920,41 +860,6 @@ impl SimulatedChip {
         }
     }
 
-    /// Finds or compiles the plan serving a batched run. The batched entry
-    /// points always use the compiled tier regardless of the configured
-    /// engine: asking for many rounds at one condition *is* the recurrence
-    /// signal the Auto engine otherwise waits for.
-    fn batch_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
-        let key = PlanKey::new(pattern, interval, temp);
-        self.plan_cache.note_plan_key(key);
-        if let Some(i) = self.plan_cache.find_plan(&key) {
-            return i;
-        }
-        let plan = TrialPlan::compile(
-            &self.cfg,
-            &self.cells,
-            &self.sort_keys,
-            self.plan_cache.peek_lowering(pattern),
-            pattern,
-            interval,
-            temp,
-        );
-        self.plan_cache.stats.plans_compiled += 1;
-        self.plan_cache.insert_plan(plan)
-    }
-
-    /// Selects the engine `retention_trial` routes through. The default is
-    /// [`TrialEngine::Auto`]; every engine produces bit-identical outcomes,
-    /// so this only trades compile-time against per-round work.
-    pub fn set_trial_engine(&mut self, engine: TrialEngine) {
-        self.engine = engine;
-    }
-
-    /// The currently configured trial engine.
-    pub fn trial_engine(&self) -> TrialEngine {
-        self.engine
-    }
-
     /// Routing/compilation counters since chip construction.
     pub fn plan_stats(&self) -> PlanStats {
         self.plan_cache.stats
@@ -975,7 +880,7 @@ impl SimulatedChip {
     }
 
     /// Number of candidate cells a trial at `(interval, temp)` scans —
-    /// the size of the sort-key window shared by all engines.
+    /// the size of the sort-key window the scan and plan compile share.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -1306,68 +1211,63 @@ mod tests {
     }
 
     #[test]
-    fn all_engines_produce_identical_outcomes() {
-        let engines = [
-            TrialEngine::Scalar,
-            TrialEngine::Lowered,
-            TrialEngine::Compiled,
-            TrialEngine::Batch,
-            TrialEngine::Auto,
-        ];
-        let mut transcripts = Vec::new();
-        for engine in engines {
+    fn every_route_matches_the_reference_scan() {
+        // Production trials walk scan → lowered scan → compile → plan hit
+        // as conditions recur (the jittered temperatures only ever reach
+        // the lowered scan); the reference always scans without a
+        // lowering. Transcripts must agree across time advances.
+        let run = |reference: bool| {
             let mut chip = SimulatedChip::new(quick_cfg(), 21);
-            chip.set_trial_engine(engine);
-            assert_eq!(chip.trial_engine(), engine);
             let mut transcript = Vec::new();
             for it in 0..3 {
                 for p in DataPattern::standard_set(it) {
-                    transcript.push(
-                        chip.retention_trial(p, Ms::new(1024.0), Celsius::new(60.0))
-                            .into_vec(),
-                    );
+                    for temp in [60.0, 60.0 + 0.01 * it as f64] {
+                        let temp = Celsius::new(temp);
+                        let out = if reference {
+                            chip.retention_trial_reference(p, Ms::new(1024.0), temp)
+                        } else {
+                            chip.retention_trial(p, Ms::new(1024.0), temp)
+                        };
+                        transcript.push(out.into_vec());
+                    }
                 }
                 chip.advance(Ms::from_hours(1.0));
             }
-            transcripts.push(transcript);
-        }
-        for t in &transcripts {
-            assert_eq!(t, &transcripts[0]);
-        }
+            (transcript, chip.plan_stats())
+        };
+        let (want, reference_stats) = run(true);
+        let (got, stats) = run(false);
+        assert_eq!(got, want);
+        assert_eq!(reference_stats.scalar_trials, want.len() as u64);
+        assert_eq!(reference_stats.plans_compiled + reference_stats.lowerings_built, 0);
+        assert!(stats.scalar_trials > 0 && stats.lowered_trials > 0 && stats.plan_trials > 0);
+        assert_eq!(stats.batch_rounds, stats.plan_trials);
     }
 
     #[test]
     fn batched_rounds_match_sequential_trials() {
         // The multi-round entry point must replicate a retention_trial
-        // loop bit-for-bit — across a time advance (VRT arrivals) and at
-        // every batch cap, including partial final batches.
+        // loop bit-for-bit — across a time advance (VRT arrivals) and
+        // across the 64-round plane boundary (a full batch plus a partial
+        // one).
         let p = DataPattern::checkerboard();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
-        let script = |chip: &mut SimulatedChip| {
-            chip.advance(Ms::from_hours(2.0));
-        };
+        let rounds = MAX_BATCH_ROUNDS as u32 + 6;
 
         let mut reference = SimulatedChip::new(quick_cfg(), 31);
-        script(&mut reference);
-        let want: Vec<TrialOutcome> = (0..10)
-            .map(|_| reference.retention_trial(p, interval, temp))
+        reference.advance(Ms::from_hours(2.0));
+        let want: Vec<TrialOutcome> = (0..rounds)
+            .map(|_| reference.retention_trial_reference(p, interval, temp))
             .collect();
 
-        for cap in [1, 3, MAX_BATCH_ROUNDS] {
-            let mut chip = SimulatedChip::new(quick_cfg(), 31);
-            script(&mut chip);
-            let got = chip.retention_trial_batches(p, interval, temp, 10, cap);
-            assert_eq!(got, want, "batch cap {cap}");
-            let s = chip.plan_stats();
-            assert_eq!(s.batch_rounds, 10);
-            assert_eq!(s.plan_trials, 10);
-        }
-
-        // And the convenience wrapper takes the full-width path.
         let mut chip = SimulatedChip::new(quick_cfg(), 31);
-        script(&mut chip);
-        assert_eq!(chip.retention_trial_rounds(p, interval, temp, 10), want);
+        chip.advance(Ms::from_hours(2.0));
+        assert_eq!(chip.retention_trial_rounds(p, interval, temp, rounds), want);
+        let s = chip.plan_stats();
+        assert_eq!((s.plans_compiled, s.plan_trials), (1, u64::from(rounds)));
+        assert_eq!(s.batch_rounds, s.plan_trials);
+        assert!(chip.retention_trial_rounds(p, interval, temp, 0).is_empty());
     }
 
     #[test]
@@ -1387,38 +1287,39 @@ mod tests {
         reference.advance(Ms::from_hours(1.0));
         let want: Vec<TrialOutcome> = schedule
             .iter()
-            .map(|&(p, i, c)| reference.retention_trial(p, i, c))
+            .map(|&(p, i, c)| reference.retention_trial_reference(p, i, c))
             .collect();
 
-        for cap in [2, MAX_BATCH_ROUNDS] {
-            let mut chip = SimulatedChip::new(quick_cfg(), 32);
-            chip.advance(Ms::from_hours(1.0));
-            let got = chip.retention_trial_schedule(&schedule, cap);
-            assert_eq!(got, want, "batch cap {cap}");
-        }
+        let mut chip = SimulatedChip::new(quick_cfg(), 32);
+        chip.advance(Ms::from_hours(1.0));
+        let got = chip.retention_trial_schedule(&schedule, &CancelToken::new());
+        assert!(!got.cancelled);
+        assert_eq!(got.outcomes, want);
 
         // Degenerate schedule.
         let mut chip = SimulatedChip::new(quick_cfg(), 32);
-        assert!(chip.retention_trial_schedule(&[], 8).is_empty());
+        let run = chip.retention_trial_schedule(&[], &CancelToken::new());
+        assert!(run.outcomes.is_empty() && !run.cancelled);
     }
 
     #[test]
-    fn auto_engine_promotes_on_second_sighting() {
+    fn single_trials_compile_on_second_sighting() {
         let mut chip = SimulatedChip::new(quick_cfg(), 22);
         let p = DataPattern::checkerboard();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
 
-        // First sighting: nothing cached yet, trial runs scalar.
+        // First sighting: nothing cached yet, trial runs the scan.
         let _ = chip.retention_trial(p, interval, temp);
         let s = chip.plan_stats();
         assert_eq!((s.scalar_trials, s.lowered_trials, s.plan_trials), (1, 0, 0));
 
-        // Second sighting of the exact condition: compiled.
+        // Second sighting of the exact condition: compiled, and served by
+        // the kernel as a batch of one.
         let _ = chip.retention_trial(p, interval, temp);
         let s = chip.plan_stats();
         assert_eq!(s.plans_compiled, 1);
-        assert_eq!(s.plan_trials, 1);
+        assert_eq!((s.plan_trials, s.batch_rounds), (1, 1));
 
         // Third: plan-cache hit, no recompile.
         let _ = chip.retention_trial(p, interval, temp);

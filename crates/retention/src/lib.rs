@@ -71,7 +71,7 @@ pub use batch::MAX_BATCH_ROUNDS;
 pub use cell::WeakCell;
 pub use chip::{PartialTrials, SimulatedChip, TrialOutcome};
 pub use delta::{DeltaApplyError, DeltaCodecError, ProfileDelta};
-pub use plan::{PlanStats, TrialEngine};
+pub use plan::PlanStats;
 pub use config::RetentionConfig;
 pub use population::ChipPopulation;
 pub use spd::SpdRecord;

@@ -1,25 +1,31 @@
-//! Compiled trial plans: a structure-of-arrays batch engine for the
-//! retention-trial hot path.
+//! Cached trial state: pattern lowerings and compiled trial plans.
 //!
 //! Every experiment reduces to running many retention trials at a fixed
-//! condition. The scalar path in [`crate::chip::SimulatedChip::retention_trial`]
-//! recomputes, per trial and per candidate cell: the stored-bit polarity
-//! gate, the DPD stress fraction (six `bit_at` evaluations), the effective
-//! μ/σ/z, and the erf-backed `phi(z)`. None of that depends on the trial
-//! nonce — only the uniform draws do. This module factors the invariant
-//! work out into two cacheable tiers:
+//! condition. The window scan in [`crate::chip`] recomputes, per trial and
+//! per candidate cell: the stored-bit polarity gate, the DPD stress
+//! fraction (six `bit_at` evaluations), the effective μ/σ/z, and the
+//! erf-backed `phi(z)`. None of that depends on the trial nonce — only the
+//! uniform draws do. This module factors the invariant work out into two
+//! cacheable tiers:
 //!
 //! * [`PatternLowering`] — keyed by *pattern only*. Packs the
 //!   polarity-active cell ordinals and their quantized DPD stress levels
 //!   (matches-of-4 ∈ 0..=4) into flat lanes. Temperature- and
 //!   time-independent, so it survives the harness's per-trial thermal
-//!   jitter and `advance` calls.
+//!   jitter and `advance` calls. It feeds the window scan (which then
+//!   skips the polarity and stress work) and plan compilation.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
 //!   candidate window all the way to per-cell integer thresholds
-//!   `ceil(phi(z) · 2⁵³)`; a round is then a branch-light linear scan that
-//!   draws one 53-bit uniform per in-band cell and compares it against the
-//!   cached threshold — no erf, no struct chasing, no VRT copy for non-VRT
-//!   cells.
+//!   `ceil(phi(z) · 2⁵³)`, stored in index-sorted lanes that the
+//!   bit-plane kernel ([`crate::batch`]) runs — no erf, no struct chasing,
+//!   no VRT copy for non-VRT cells.
+//!
+//! A single trial whose condition is seen for the first time runs the
+//! window scan (with a lowering once its pattern recurs); a recurring
+//! condition compiles a plan on its second sighting, and every later
+//! trial at it runs through the kernel as a batch of one. The multi-round
+//! entry points compile unconditionally: asking for many rounds at one
+//! condition is itself the recurrence signal.
 //!
 //! # Lifecycle
 //!
@@ -32,63 +38,42 @@
 //!
 //! # Determinism contract
 //!
-//! Both engines are **bit-identical** to the scalar path. Per cell they
+//! The kernel is **bit-identical** to the window scan. Per cell both
 //! construct the same hash lane `stream([stream_base, TRIAL_DOMAIN, nonce,
 //! cell.index])`, make the same draws in the same order (VRT observation
 //! first, then the failure draw only when `z` is in band), and compute
 //! μ, σ, z with the exact same floating-point expression order, so the
-//! cached threshold decides exactly as `next_f64() < phi(z)` would on the
-//! scalar path. Outcomes are merged through `TrialOutcome::from_unsorted`
-//! and per-slot VRT writes, both order-independent — hence identical at
-//! any thread count. See DESIGN.md §"Compiled trial plans".
+//! cached threshold decides exactly as `next_f64() < phi(z)` would in the
+//! scan. Because every hash lane is keyed by its own (cell, nonce), lane
+//! order is outcome-neutral; outcomes are sorted and VRT writes are
+//! per-slot — hence identical at any thread count. See DESIGN.md
+//! §"Compiled trial plans".
 
 use std::sync::Arc;
 
 use reaper_analysis::special::phi;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use reaper_exec::num;
-use reaper_exec::rng::stream;
 
 use crate::batch::u53_threshold;
 use crate::cell::WeakCell;
-use crate::chip::{candidate_window_end, PAR_MIN_CELLS, TRIAL_DOMAIN, Z_CUTOFF};
+use crate::chip::{candidate_window_end, Z_CUTOFF};
 use crate::config::RetentionConfig;
-use crate::vrt::TwoStateVrt;
 
-/// Which engine [`crate::SimulatedChip::retention_trial`] routes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrialEngine {
-    /// Adaptive: first sighting of a pattern (or full condition) runs the
-    /// cheaper tier and records the key; a second sighting promotes it —
-    /// recurring conditions get compiled plans, one-shot conditions never
-    /// pay a compile they cannot amortize.
-    #[default]
-    Auto,
-    /// Always the original scalar window scan (baseline / comparison).
-    Scalar,
-    /// Always the pattern-lowered scan (no per-condition plan).
-    Lowered,
-    /// Always compile (or fetch) a full `TrialPlan` for the condition.
-    Compiled,
-    /// Always compile a plan and serve trials through the bit-plane batch
-    /// kernel ([`crate::batch`]): single trials run as batches of one,
-    /// and the multi-round entry points evaluate up to
-    /// [`crate::MAX_BATCH_ROUNDS`] rounds per cell per pass.
-    Batch,
-}
-
-/// Counters describing how trials were routed; see
+/// Counters describing how trials were served; see
 /// [`crate::SimulatedChip::plan_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanStats {
-    /// Trials served by the scalar window scan.
+    /// Window-scan trials run without a lowering, reference trials
+    /// ([`crate::SimulatedChip::retention_trial_reference`]) included.
     pub scalar_trials: u64,
-    /// Trials served by a [`PatternLowering`].
+    /// Window-scan trials fed by a [`PatternLowering`].
     pub lowered_trials: u64,
-    /// Trials served by a compiled [`TrialPlan`].
+    /// Trials served by the bit-plane kernel on a compiled [`TrialPlan`].
     pub plan_trials: u64,
-    /// Rounds evaluated through the bit-plane batch kernel (a subset of
-    /// `plan_trials`: every batched round also uses a compiled plan).
+    /// Rounds evaluated through the bit-plane kernel. Every plan trial
+    /// runs there, so this always equals `plan_trials`; kept so existing
+    /// readers of the counter keep working.
     pub batch_rounds: u64,
     /// Pattern lowerings constructed (including prewarms).
     pub lowerings_built: u64,
@@ -122,8 +107,8 @@ impl PlanKey {
     }
 }
 
-/// Per-trial scalar context threaded through the lowered engine: everything
-/// a trial needs besides the cell lanes themselves.
+/// Per-trial scalar context shared by the window scan and the kernel:
+/// everything a trial needs besides the cell lanes themselves.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TrialCtx {
     pub(crate) t_secs: f64,
@@ -167,94 +152,24 @@ impl PatternLowering {
 
     /// Number of active lanes whose ordinal falls inside the candidate
     /// window `[0, end)`.
-    fn active_prefix(&self, end: usize) -> usize {
+    pub(crate) fn active_prefix(&self, end: usize) -> usize {
         self.ord.partition_point(|&o| num::idx(o) < end)
     }
 
-    /// One trial through the lowered lanes. Draw-for-draw identical to the
-    /// scalar window scan: polarity-inactive cells never open a hash lane
-    /// there either, so skipping them changes no stream.
-    pub(crate) fn run_trial(
-        &self,
-        cells: &[WeakCell],
-        base_vrt: &[TwoStateVrt],
-        end: usize,
-        ctx: &TrialCtx,
-    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        let n = self.active_prefix(end);
-        let per_active = |j: usize| -> (Option<u64>, Option<(u32, TwoStateVrt)>) {
-            let ord = self
-                .ord
-                .get(j)
-                .expect("invariant: j < active_prefix <= ord.len()");
-            let cell = cells
-                .get(num::idx(*ord))
-                .expect("invariant: lowering ordinals index the cell array it was built from");
-            let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
-            let mut vrt_update = None;
-            let vrt_factor = match cell.vrt_index {
-                Some(i) => {
-                    let mut vrt = *base_vrt
-                        .get(num::idx(i))
-                        .expect("invariant: vrt_index values are positions pushed into base_vrt");
-                    let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
-                    vrt_update = Some((i, vrt));
-                    if in_low {
-                        ctx.low_mu_factor
-                    } else {
-                        1.0
-                    }
-                }
-                None => 1.0,
-            };
-            let lvl = self
-                .lvl
-                .get(j)
-                .expect("invariant: lvl lane is parallel to ord");
-            let stress = f64::from(*lvl) / 4.0;
-            let mu = cell.effective_mu(ctx.ms_scale, stress, vrt_factor);
-            let sigma = cell.sigma0 as f64 * ctx.ss_scale;
-            let z = (ctx.t_secs - mu) / sigma;
-            if z < -Z_CUTOFF {
-                return (None, vrt_update);
-            }
-            let fails = z > Z_CUTOFF || lane.next_f64() < phi(z);
-            (fails.then_some(cell.index), vrt_update)
-        };
-
-        let mut failures = Vec::new();
-        let mut vrt_updates = Vec::new();
-        if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            for j in 0..n {
-                let (fail, update) = per_active(j);
-                failures.extend(fail);
-                vrt_updates.extend(update);
-            }
-        } else {
-            let chunks = reaper_exec::par_index_map(n, 256, |range| {
-                let mut fails = Vec::new();
-                let mut updates = Vec::new();
-                for j in range {
-                    let (fail, update) = per_active(j);
-                    fails.extend(fail);
-                    updates.extend(update);
-                }
-                (fails, updates)
-            });
-            for (fails, updates) in chunks {
-                failures.extend(fails);
-                vrt_updates.extend(updates);
-            }
-        }
-        (failures, vrt_updates)
+    /// Lane `j`: the cell's ordinal in the μ-sorted cell array and its DPD
+    /// stress level (matches-of-4).
+    pub(crate) fn lane(&self, j: usize) -> (usize, u8) {
+        let ord = self.ord.get(j).expect("invariant: j < active_prefix <= ord.len()");
+        let lvl = self.lvl.get(j).expect("invariant: lvl lane is parallel to ord");
+        (num::idx(*ord), *lvl)
     }
 }
 
 /// Sentinel threshold: the cell cannot fail at this condition/state
-/// (`z < −Z_CUTOFF`; the scalar path performs no failure draw).
+/// (`z < −Z_CUTOFF`; the window scan performs no failure draw).
 pub(crate) const CERTAIN_PASS: f64 = -1.0;
 /// Sentinel threshold: the cell always fails at this condition/state
-/// (`z > Z_CUTOFF`; the scalar path performs no failure draw).
+/// (`z > Z_CUTOFF`; the window scan performs no failure draw).
 pub(crate) const CERTAIN_FAIL: f64 = 2.0;
 
 /// The per-state failure threshold with sentinel encoding. In-band values
@@ -271,13 +186,17 @@ fn threshold_of(z: f64) -> f64 {
 
 /// The compiled SoA lanes of a [`TrialPlan`].
 ///
-/// Kept behind an `Arc` on the plan: the pooled fan-out under the round
-/// scans (`reaper_exec::par_index_map_pooled`) hands work to persistent
-/// threads that outlive the caller, and the workspace denies
-/// `unsafe_code`, so the lanes must be shareable with a `'static`
-/// lifetime. The lanes are immutable after compilation, so sharing them
-/// is free of aliasing hazards; only the plan's bookkeeping (`fail_hint`)
-/// lives outside the `Arc`.
+/// Kept behind an `Arc` on the plan: the pooled fan-out under the kernel
+/// (`reaper_exec::par_index_map_pooled`) hands work to persistent threads
+/// that outlive the caller, and the workspace denies `unsafe_code`, so the
+/// lanes must be shareable with a `'static` lifetime. The lanes are
+/// immutable after compilation, so sharing them is free of aliasing
+/// hazards.
+///
+/// Each lane class is sorted ascending by cell index, so the kernel
+/// emits sorted rounds by merging the three classes instead of sorting.
+/// Lane order is outcome-neutral: every hash lane is keyed by its own
+/// (cell, nonce) and every VRT lane owns its chain slot.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct PlanLanes {
     /// Non-VRT cells with `z > Z_CUTOFF`: fail every round, no draw.
@@ -298,10 +217,10 @@ pub(crate) struct PlanLanes {
 /// Tier 2: a fully compiled plan for one `(pattern, interval, temp)`.
 ///
 /// Non-VRT cells are resolved at compile time into three classes: certain
-/// pass (dropped — no lane, no draw, exactly like the scalar path),
-/// certain fail (index appended verbatim each round), and in-band (one
+/// pass (dropped — no lane, no draw, exactly like the window scan),
+/// certain fail (index emitted verbatim each round), and in-band (one
 /// uniform draw against the cached `phi(z)`). VRT cells keep both per-state
-/// thresholds and are observed every round, exactly like the scalar path.
+/// thresholds and are observed every round, exactly like the window scan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrialPlan {
     pub(crate) key: PlanKey,
@@ -310,12 +229,6 @@ pub(crate) struct TrialPlan {
     end: usize,
     /// The immutable compiled lanes, shared with pooled fan-outs.
     pub(crate) lanes: Arc<PlanLanes>,
-    /// Failure count of this plan's most recent round — the capacity
-    /// guess for the next round's failure vector. Seeded with the static
-    /// `certain + in-band/8 + vrt` heuristic at compile time; reusing the
-    /// previous round's actual count stops high-failure conditions from
-    /// reallocating every round.
-    fail_hint: usize,
 }
 
 impl TrialPlan {
@@ -337,8 +250,9 @@ impl TrialPlan {
         let geometry = cfg.geometry;
         let end = candidate_window_end(sort_keys, t, ms_scale, ss_scale);
 
-        let mut lanes = PlanLanes::default();
-
+        let mut certain = Vec::new();
+        let mut prob: Vec<(u64, u64)> = Vec::new();
+        let mut vrt: Vec<(u64, u32, [f64; 2])> = Vec::new();
         let mut add = |cell: &WeakCell, lvl: u8| {
             let stress = f64::from(lvl) / 4.0;
             let sigma = cell.sigma0 as f64 * ss_scale;
@@ -346,22 +260,25 @@ impl TrialPlan {
                 Some(slot) => {
                     let mu_high = cell.effective_mu(ms_scale, stress, 1.0);
                     let mu_low = cell.effective_mu(ms_scale, stress, cfg.vrt_low_mu_factor);
-                    lanes.vrt_slot.push(slot);
-                    lanes.vrt_idx.push(cell.index);
-                    lanes.vrt_thr.push(threshold_of((t - mu_high) / sigma));
-                    lanes.vrt_thr.push(threshold_of((t - mu_low) / sigma));
+                    vrt.push((
+                        cell.index,
+                        slot,
+                        [
+                            threshold_of((t - mu_high) / sigma),
+                            threshold_of((t - mu_low) / sigma),
+                        ],
+                    ));
                 }
                 None => {
                     let mu = cell.effective_mu(ms_scale, stress, 1.0);
                     let z = (t - mu) / sigma;
                     if z > Z_CUTOFF {
-                        lanes.certain.push(cell.index);
+                        certain.push(cell.index);
                     } else if z >= -Z_CUTOFF {
-                        lanes.prob_idx.push(cell.index);
-                        lanes.prob_thr_u.push(u53_threshold(phi(z)));
+                        prob.push((cell.index, u53_threshold(phi(z))));
                     }
-                    // z < -Z_CUTOFF: certain pass, dropped — the scalar
-                    // path opens a lane but draws nothing for these, so
+                    // z < -Z_CUTOFF: certain pass, dropped — the scan
+                    // opens a lane but draws nothing for these, so
                     // skipping the lane entirely changes no stream.
                 }
             }
@@ -370,12 +287,12 @@ impl TrialPlan {
         match lowering {
             Some(low) => {
                 debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
-                let n = low.active_prefix(end);
-                for (ord, lvl) in low.ord.iter().zip(&low.lvl).take(n) {
+                for j in 0..low.active_prefix(end) {
+                    let (ord, lvl) = low.lane(j);
                     let cell = cells
-                        .get(num::idx(*ord))
+                        .get(ord)
                         .expect("invariant: lowering ordinals index the cell array it was built from");
-                    add(cell, *lvl);
+                    add(cell, lvl);
                 }
             }
             None => {
@@ -386,131 +303,42 @@ impl TrialPlan {
                 }
             }
         }
-        let fail_hint = lanes.certain.len() + lanes.prob_idx.len() / 8 + lanes.vrt_idx.len();
+
+        // Cells were visited in sort-key order; store each class by index.
+        certain.sort_unstable();
+        prob.sort_unstable_by_key(|&(idx, _)| idx);
+        vrt.sort_unstable_by_key(|&(idx, ..)| idx);
+        let (prob_idx, prob_thr_u) = prob.into_iter().unzip();
+        let lanes = PlanLanes {
+            certain,
+            prob_idx,
+            prob_thr_u,
+            vrt_slot: vrt.iter().map(|&(_, slot, _)| slot).collect(),
+            vrt_idx: vrt.iter().map(|&(idx, ..)| idx).collect(),
+            vrt_thr: vrt.iter().flat_map(|&(.., thr)| thr).collect(),
+        };
         Self {
             key: PlanKey::new(pattern, interval, temp),
             end,
             lanes: Arc::new(lanes),
-            fail_hint,
         }
     }
 
-    /// The lane-shape invariants the round loops rely on: parallel lanes
-    /// have equal lengths and the three lane classes fit inside the
-    /// candidate window they partition. Checked via `debug_assert!`.
+    /// The lane invariants the kernel relies on: parallel lanes have equal
+    /// lengths, the three lane classes fit inside the candidate window
+    /// they partition, and each class is strictly ascending by cell index.
+    /// Checked via `debug_assert!`.
     pub(crate) fn lanes_consistent(&self) -> bool {
         let lanes = &self.lanes;
         let n = lanes.prob_idx.len();
+        let ascending = |v: &[u64]| v.is_sorted_by(|a, b| a < b);
         n == lanes.prob_thr_u.len()
             && lanes.vrt_slot.len() == lanes.vrt_idx.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
             && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.end
-    }
-
-    /// One round: extend with the certain failures, draw one uniform per
-    /// in-band lane, then observe the VRT chains. Bit-identical to the
-    /// scalar window scan at this condition.
-    pub(crate) fn run_round(
-        &mut self,
-        base_vrt: &[TwoStateVrt],
-        ctx: &TrialCtx,
-    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        debug_assert!(self.lanes_consistent(), "plan SoA lanes out of sync");
-        let lanes = &self.lanes;
-        let mut failures = Vec::with_capacity(self.fail_hint + self.fail_hint / 8 + 4);
-        failures.extend_from_slice(&lanes.certain);
-
-        // In-band non-VRT lanes: the branch-light hot scan. One hash lane,
-        // one draw, one compare per cell.
-        let n = lanes.prob_idx.len();
-        if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            scan_prob_range(lanes, ctx, 0..n, &mut failures);
-        } else {
-            // Fan out through the persistent pool: the shared lanes ride
-            // an Arc clone and the ctx a copy, satisfying the pool's
-            // 'static bound without touching unsafe.
-            let shared = Arc::clone(&self.lanes);
-            let ctx_c = *ctx;
-            let chunks = reaper_exec::par_index_map_pooled(
-                n,
-                256,
-                Arc::new(move |range: core::ops::Range<usize>| {
-                    let mut out = Vec::new();
-                    scan_prob_range(&shared, &ctx_c, range, &mut out);
-                    out
-                }),
-            );
-            for chunk in chunks {
-                failures.extend(chunk);
-            }
-        }
-
-        // VRT lanes: the chain is observed (and its advanced copy merged
-        // back by the caller) every round, exactly like the scalar path;
-        // the state selects which precompiled threshold applies.
-        let mut vrt_updates = Vec::with_capacity(lanes.vrt_slot.len());
-        for ((slot, idx), pair) in lanes
-            .vrt_slot
-            .iter()
-            .zip(&lanes.vrt_idx)
-            .zip(lanes.vrt_thr.chunks_exact(2))
-        {
-            let [thr_high, thr_low]: [f64; 2] = pair
-                .try_into()
-                .expect("invariant: vrt_thr holds two thresholds per cell");
-            let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, *idx]);
-            let mut vrt = *base_vrt
-                .get(num::idx(*slot))
-                .expect("invariant: plan VRT slots are positions pushed into base_vrt");
-            let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
-            vrt_updates.push((*slot, vrt));
-            let thr = if in_low { thr_low } else { thr_high };
-            // Certain-fail consumes no uniform (matching the scalar draw
-            // count); only in-band thresholds draw.
-            let fails = if thr.to_bits() == CERTAIN_FAIL.to_bits() {
-                true
-            } else {
-                thr.to_bits() != CERTAIN_PASS.to_bits() && lane.next_f64() < thr
-            };
-            if fails {
-                failures.push(*idx);
-            }
-        }
-        self.fail_hint = failures.len();
-        (failures, vrt_updates)
-    }
-
-    /// Records the failure count of a kernel-evaluated round so the next
-    /// capacity guess tracks reality (the batch kernel sizes its own
-    /// vectors from exact popcounts but keeps the hint warm for any
-    /// single-round call that follows).
-    pub(crate) fn note_round_failures(&mut self, count: usize) {
-        self.fail_hint = count;
-    }
-}
-
-/// The single-round in-band scan over `prob` lane range `range`,
-/// appending failing cell indices to `out`. Free function (not a
-/// closure) so the inline and pooled dispatch paths share one body.
-fn scan_prob_range(
-    lanes: &PlanLanes,
-    ctx: &TrialCtx,
-    range: core::ops::Range<usize>,
-    out: &mut Vec<u64>,
-) {
-    let idx_lane = lanes
-        .prob_idx
-        .get(range.clone())
-        .expect("invariant: scan ranges are within [0, len)");
-    let thr_lane = lanes
-        .prob_thr_u
-        .get(range)
-        .expect("invariant: prob lanes are index-aligned");
-    for (&idx, &thr_u) in idx_lane.iter().zip(thr_lane) {
-        let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, idx]);
-        if (lane.next_u64() >> 11) < thr_u {
-            out.push(idx);
-        }
+            && ascending(&lanes.certain)
+            && ascending(&lanes.prob_idx)
+            && ascending(&lanes.vrt_idx)
     }
 }
 
@@ -518,13 +346,13 @@ fn scan_prob_range(
 const PLAN_CAP: usize = 16;
 /// Pattern lowerings kept per chip.
 const LOWERING_CAP: usize = 16;
-/// First-sighting records kept per chip (Auto promotion bookkeeping).
+/// First-sighting records kept per chip (second-sighting promotion).
 const SEEN_CAP: usize = 64;
 
-/// Per-chip cache of lowerings and compiled plans, plus the Auto engine's
-/// first-sighting bookkeeping. All lookups are linear scans over short
-/// `Vec`s — deterministic iteration order (lint rule D1) and faster than
-/// any map at these sizes. Recency is tracked with a logical tick, never
+/// Per-chip cache of lowerings and compiled plans, plus the first-sighting
+/// bookkeeping that promotes a recurring key on its second sighting. All
+/// lookups are linear scans over short `Vec`s — deterministic iteration
+/// order (lint rule D1) and faster than any map at these sizes. Recency is tracked with a logical tick, never
 /// wall-clock time (lint rule D2).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCache {
@@ -603,11 +431,9 @@ impl PlanCache {
         self.plans.len() - 1
     }
 
-    /// Mutable plan access for round execution (`run_round`/`run_rounds`
-    /// update the plan's failure-capacity hint as a side effect).
-    pub(crate) fn plan_at_mut(&mut self, i: usize) -> &mut TrialPlan {
+    pub(crate) fn plan_at(&self, i: usize) -> &TrialPlan {
         self.plans
-            .get_mut(i)
+            .get(i)
             .map(|(_, p)| p)
             .expect("invariant: plan indices come from find/insert with no eviction in between")
     }
@@ -668,7 +494,7 @@ mod tests {
         assert_eq!(threshold_of(4.5), CERTAIN_FAIL);
         let t = threshold_of(0.0);
         assert!((t - 0.5).abs() < 1e-12);
-        // boundary values stay in-band, matching the scalar strict compares
+        // boundary values stay in-band, matching the scan's strict compares
         assert!(threshold_of(-Z_CUTOFF) > 0.0 && threshold_of(-Z_CUTOFF) < 1.0);
         assert!(threshold_of(Z_CUTOFF) > 0.0 && threshold_of(Z_CUTOFF) < 1.0);
     }
@@ -735,6 +561,48 @@ mod tests {
     }
 
     #[test]
+    fn compiled_lane_classes_are_index_sorted() {
+        // The kernel merges the three classes into sorted rounds, so each
+        // must come out of compile strictly ascending by cell index —
+        // although compile visits cells in sort-key order. Several
+        // conditions, with and without a lowering, on a chip with VRT
+        // cells so every class is populated.
+        let chip = quick_chip();
+        let mut populated = [false; 3];
+        for (pattern, interval_ms, temp_c) in [
+            (DataPattern::checkerboard(), 1024.0, 60.0),
+            (DataPattern::solid1(), 2048.0, 70.0),
+            (DataPattern::random(5), 4096.0, 75.0),
+        ] {
+            let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
+            for lowering in [None, Some(&low)] {
+                let plan = TrialPlan::compile(
+                    chip.config(),
+                    chip.cells(),
+                    chip.sort_keys_for_tests(),
+                    lowering,
+                    pattern,
+                    Ms::new(interval_ms),
+                    Celsius::new(temp_c),
+                );
+                let lanes = &plan.lanes;
+                for (class, idx) in [&lanes.certain, &lanes.prob_idx, &lanes.vrt_idx]
+                    .into_iter()
+                    .enumerate()
+                {
+                    assert!(
+                        idx.windows(2).all(|w| w[0] < w[1]),
+                        "lane class {class} not index-sorted at {interval_ms} ms / {temp_c} °C"
+                    );
+                    populated[class] |= idx.len() > 1;
+                }
+                assert!(plan.lanes_consistent());
+            }
+        }
+        assert_eq!(populated, [true; 3], "every lane class must be exercised");
+    }
+
+    #[test]
     fn eviction_takes_min_tick_and_breaks_ties_by_insertion_order() {
         // Distinct ticks: the smallest goes, wherever it sits.
         let mut entries = vec![("b", 7u64), ("a", 3), ("c", 9)];
@@ -798,14 +666,14 @@ mod tests {
         let pi = cache.insert_plan(plan);
         let li = cache.insert_lowering(low);
         assert!(cache.find_plan(&key).is_some());
-        assert_eq!(cache.plan_at_mut(pi).key, key);
+        assert_eq!(cache.plan_at(pi).key, key);
         assert!(cache.find_lowering(pat).is_some());
         assert_eq!(cache.lowering_at(li).pattern, pat);
 
         // Plans leave only through LRU eviction: a plan hit when the cache
         // is full outlives the older entries, then goes once it is the
         // least recently used. Nothing invalidates it.
-        let plan = cache.plan_at_mut(pi).clone();
+        let plan = cache.plan_at(pi).clone();
         for i in 0..2 * PLAN_CAP as u64 {
             if i == PLAN_CAP as u64 - 1 {
                 assert!(

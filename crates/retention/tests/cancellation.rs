@@ -1,70 +1,65 @@
-//! Prefix bit-identity of the cancellable trial entry points: whatever a
+//! Prefix bit-identity of the cancellable trial schedule: whatever a
 //! cancelled run returns must be an exact prefix of the uncancelled run's
 //! outcomes, and a pre-cancelled token must stop the run before any
 //! kernel batch executes.
 
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
 use reaper_exec::cancel::CancelToken;
-use reaper_retention::{RetentionConfig, SimulatedChip};
+use reaper_retention::{RetentionConfig, SimulatedChip, MAX_BATCH_ROUNDS};
 
 fn small_chip(seed: u64) -> SimulatedChip {
     let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 64);
     SimulatedChip::new(cfg, seed)
 }
 
+/// `n` trials at one fixed condition, as a schedule.
+fn fixed_schedule(n: usize) -> Vec<(DataPattern, Ms, Celsius)> {
+    vec![(DataPattern::checkerboard(), Ms::new(2048.0), Celsius::new(45.0)); n]
+}
+
 #[test]
-fn pre_cancelled_rounds_run_produces_nothing() {
+fn pre_cancelled_run_produces_nothing() {
     let mut chip = small_chip(7);
     let token = CancelToken::new();
     token.cancel();
-    let run = chip.retention_trial_batches_cancellable(
-        DataPattern::checkerboard(),
-        Ms::new(2048.0),
-        Celsius::new(45.0),
-        12,
-        4,
-        &token,
-    );
+    let run = chip.retention_trial_schedule(&fixed_schedule(12), &token);
     assert!(run.cancelled);
     assert!(run.outcomes.is_empty(), "no batch may run after a pre-cancel");
 }
 
 #[test]
-fn mid_run_cancellation_returns_a_bit_identical_rounds_prefix() {
-    // Reference: the full uncancelled run.
+fn mid_run_cancellation_returns_a_bit_identical_prefix_of_whole_batches() {
+    // Reference: the full uncancelled run, three kernel batches long.
+    let n = 2 * MAX_BATCH_ROUNDS + 8;
     let mut reference = small_chip(7);
     let full = reference.retention_trial_rounds(
         DataPattern::checkerboard(),
         Ms::new(2048.0),
         Celsius::new(45.0),
-        16,
+        u32::try_from(n).expect("small"),
     );
-    assert_eq!(full.len(), 16);
+    assert_eq!(full.len(), n);
 
     // Cancelled run: a helper thread races the kernel; wherever the stop
-    // lands, the result must be an exact prefix, in whole batches of 4.
+    // lands, the result must be an exact prefix, in whole batches.
     let mut chip = small_chip(7);
     let token = CancelToken::new();
     let canceller = {
         let token = token.clone();
         std::thread::spawn(move || token.cancel())
     };
-    let run = chip.retention_trial_batches_cancellable(
-        DataPattern::checkerboard(),
-        Ms::new(2048.0),
-        Celsius::new(45.0),
-        16,
-        4,
-        &token,
-    );
+    let run = chip.retention_trial_schedule(&fixed_schedule(n), &token);
     canceller.join().expect("canceller thread");
-    assert_eq!(run.outcomes.len() % 4, 0, "cancellation lands on batch boundaries");
+    assert!(
+        run.outcomes.len().is_multiple_of(MAX_BATCH_ROUNDS) || run.outcomes.len() == n,
+        "cancellation lands on batch boundaries"
+    );
     assert_eq!(
         run.outcomes.as_slice(),
         &full[..run.outcomes.len()],
         "cancelled outcomes must be a bit-identical prefix"
     );
-    assert_eq!(run.cancelled, run.outcomes.len() < 16);
+    assert_eq!(run.cancelled, run.outcomes.len() < n);
 }
 
 #[test]
@@ -81,7 +76,7 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
         .collect();
 
     let mut reference = small_chip(11);
-    let full = reference.retention_trial_schedule(&schedule, 3);
+    let full = reference.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes;
     assert_eq!(full.len(), 12);
 
     let mut chip = small_chip(11);
@@ -90,7 +85,7 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
         let token = token.clone();
         std::thread::spawn(move || token.cancel())
     };
-    let run = chip.retention_trial_schedule_cancellable(&schedule, 3, &token);
+    let run = chip.retention_trial_schedule(&schedule, &token);
     canceller.join().expect("canceller thread");
     assert_eq!(
         run.outcomes.as_slice(),
@@ -98,17 +93,4 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
         "cancelled schedule outcomes must be a bit-identical prefix"
     );
     assert_eq!(run.cancelled, run.outcomes.len() < 12);
-}
-
-#[test]
-fn uncancelled_cancellable_run_matches_the_plain_entry_point() {
-    let schedule: Vec<_> = (0..8)
-        .map(|_| (DataPattern::checkerboard(), Ms::new(1024.0), Celsius::new(45.0)))
-        .collect();
-    let mut a = small_chip(3);
-    let mut b = small_chip(3);
-    let plain = a.retention_trial_schedule(&schedule, 5);
-    let run = b.retention_trial_schedule_cancellable(&schedule, 5, &CancelToken::new());
-    assert!(!run.cancelled);
-    assert_eq!(run.outcomes, plain);
 }

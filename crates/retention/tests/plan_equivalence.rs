@@ -1,26 +1,27 @@
-//! Property test: the trial-plan engines are bit-identical to the scalar
-//! path.
+//! Property test: every trial path is bit-identical to the reference
+//! window scan.
 //!
 //! Random (vendor, seed, trial script) triples are replayed on fresh chips
-//! through every [`TrialEngine`] at 1 and 4 worker threads, and the full
-//! outcome transcripts must be byte-equal to the scalar single-thread
-//! reference. The same scripts are then replayed through the multi-round
-//! batch entry point at batch caps 1, 7, and 64 — covering single-round
-//! batches, partial planes, and full 64-bit planes — and must match the
-//! same reference byte for byte. Scripts include repeated conditions (so
-//! the Auto engine promotes through scalar → compile → cache-hit within
-//! one run), occasional 60–70-round repeat bursts (so batched replays
-//! cross the 64-round plane boundary mid-step), time advances (VRT chain
-//! evolution + Poisson arrival merges, with compiled plans kept across
-//! them), and condition changes (multiple live plans per chip).
+//! through `retention_trial_reference` at 1 and 4 worker threads, through
+//! the production `retention_trial` at 1 and 4 threads, and through the
+//! multi-round `retention_trial_rounds` form (each step's repeats as one
+//! call) at 1 and 4 threads. Every transcript must be byte-equal to the
+//! single-thread reference. Scripts include repeated conditions (so
+//! production trials walk scan → compile → cache hit within one run),
+//! occasional 60- and 66-round repeat bursts (so the rounds form fills a
+//! near-full 64-bit plane and crosses the plane boundary mid-step), time
+//! advances (VRT chain evolution + Poisson arrival merges, with compiled
+//! plans kept across them), and condition changes (multiple live plans
+//! per chip).
 //!
 //! `reaper_exec::set_thread_count` mutates process-global state, so — per
 //! the workspace convention — exactly one test in this binary touches it.
-//! The schedule-equivalence test below runs at the default thread count.
+//! The other tests run at the default thread count.
 
 use proptest::prelude::*;
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
-use reaper_retention::{RetentionConfig, SimulatedChip, TrialEngine};
+use reaper_exec::cancel::CancelToken;
+use reaper_retention::{PlanStats, RetentionConfig, SimulatedChip, TrialOutcome};
 
 const VENDORS: [Vendor; 3] = [Vendor::A, Vendor::B, Vendor::C];
 const INTERVALS_MS: [f64; 4] = [512.0, 1024.0, 2048.0, 3000.0];
@@ -28,9 +29,6 @@ const TEMPS_C: [f64; 3] = [45.0, 60.0, 70.0];
 /// Hours advanced before a step: 0 keeps the clock still, the others let
 /// VRT chains and arrivals evolve under plans compiled before the step.
 const ADVANCES_H: [f64; 3] = [0.0, 0.5, 2.0];
-/// Batch caps replayed against the scalar reference: single-round
-/// batches, a partial plane, and the full 64-bit plane.
-const BATCH_CAPS: [usize; 3] = [1, 7, 64];
 
 /// One trial-script step: indices into the tables above, plus a repeat
 /// code (see [`repeats_of`]).
@@ -49,8 +47,7 @@ fn pattern_of(code: u64) -> DataPattern {
 
 /// Maps a repeat code to a repeat count: mostly 1–2 (cheap, exercises
 /// plan promotion), occasionally 60 or 66 — a near-full plane, and one
-/// that forces a 64-cap batched replay to split the step across two
-/// bit-planes.
+/// that forces the rounds form to split the step across two bit-planes.
 fn repeats_of(code: u64) -> u64 {
     if code >= 10 {
         code * 6
@@ -78,36 +75,24 @@ fn apply_step(
     (pattern, interval, temp, repeats_of(repeat_code))
 }
 
-/// Replays `steps` on a fresh chip with the given engine and thread count,
-/// returning the concatenated failure transcripts.
+/// How a script's trials are submitted.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    /// `retention_trial_reference`, one call per trial.
+    Reference,
+    /// `retention_trial`, one call per trial.
+    Single,
+    /// `retention_trial_rounds`, one call per step.
+    Rounds,
+}
+
+/// Replays `steps` on a fresh chip through `path` at the given thread
+/// count, returning the concatenated failure transcripts.
 fn run_script(
     cfg: &RetentionConfig,
     seed: u64,
-    engine: TrialEngine,
+    path: Path,
     threads: usize,
-    steps: &[Step],
-) -> Vec<Vec<u64>> {
-    reaper_exec::set_thread_count(Some(threads));
-    let mut chip = SimulatedChip::new(cfg.clone(), seed);
-    chip.set_trial_engine(engine);
-    let mut transcript = Vec::new();
-    for step in steps {
-        let (pattern, interval, temp, repeats) = apply_step(&mut chip, step);
-        for _ in 0..repeats {
-            transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
-        }
-    }
-    transcript
-}
-
-/// Replays `steps` on a fresh chip through the multi-round batch entry
-/// point: each step's repeats are submitted as one
-/// `retention_trial_batches` call with the given per-pass cap.
-fn run_script_batched(
-    cfg: &RetentionConfig,
-    seed: u64,
-    threads: usize,
-    max_batch: usize,
     steps: &[Step],
 ) -> Vec<Vec<u64>> {
     reaper_exec::set_thread_count(Some(threads));
@@ -115,9 +100,22 @@ fn run_script_batched(
     let mut transcript = Vec::new();
     for step in steps {
         let (pattern, interval, temp, repeats) = apply_step(&mut chip, step);
-        let rounds = u32::try_from(repeats).unwrap_or(u32::MAX);
-        for outcome in chip.retention_trial_batches(pattern, interval, temp, rounds, max_batch) {
-            transcript.push(outcome.into_vec());
+        match path {
+            Path::Reference | Path::Single => {
+                for _ in 0..repeats {
+                    let outcome = match path {
+                        Path::Reference => chip.retention_trial_reference(pattern, interval, temp),
+                        _ => chip.retention_trial(pattern, interval, temp),
+                    };
+                    transcript.push(outcome.into_vec());
+                }
+            }
+            Path::Rounds => {
+                let rounds = u32::try_from(repeats).unwrap_or(u32::MAX);
+                for outcome in chip.retention_trial_rounds(pattern, interval, temp, rounds) {
+                    transcript.push(outcome.into_vec());
+                }
+            }
         }
     }
     transcript
@@ -127,7 +125,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn every_engine_matches_scalar_bit_for_bit(
+    fn every_path_matches_the_reference_bit_for_bit(
         seed in 0u64..10_000,
         vendor_i in 0usize..3,
         steps in proptest::collection::vec(
@@ -136,34 +134,18 @@ proptest! {
         ),
     ) {
         let cfg = RetentionConfig::for_vendor(VENDORS[vendor_i]).with_capacity_scale(1, 64);
-        let reference = run_script(&cfg, seed, TrialEngine::Scalar, 1, &steps);
+        let reference = run_script(&cfg, seed, Path::Reference, 1, &steps);
         prop_assert!(
             reference.iter().any(|t| !t.is_empty()),
             "degenerate script: no step produced failures"
         );
-        for engine in [
-            TrialEngine::Scalar,
-            TrialEngine::Auto,
-            TrialEngine::Lowered,
-            TrialEngine::Compiled,
-            TrialEngine::Batch,
-        ] {
+        for path in [Path::Reference, Path::Single, Path::Rounds] {
             for threads in [1usize, 4] {
-                let got = run_script(&cfg, seed, engine, threads, &steps);
+                let got = run_script(&cfg, seed, path, threads, &steps);
                 prop_assert_eq!(
                     &got, &reference,
-                    "transcript diverged: engine {:?}, {} thread(s), vendor {:?}, seed {}",
-                    engine, threads, VENDORS[vendor_i], seed
-                );
-            }
-        }
-        for max_batch in BATCH_CAPS {
-            for threads in [1usize, 4] {
-                let got = run_script_batched(&cfg, seed, threads, max_batch, &steps);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "batched transcript diverged: cap {}, {} thread(s), vendor {:?}, seed {}",
-                    max_batch, threads, VENDORS[vendor_i], seed
+                    "transcript diverged: {:?} path, {} thread(s), vendor {:?}, seed {}",
+                    path, threads, VENDORS[vendor_i], seed
                 );
             }
         }
@@ -172,9 +154,8 @@ proptest! {
 }
 
 /// The heterogeneous-schedule entry point must match a sequential
-/// `retention_trial` loop over the same entries, at every batch cap.
-/// Runs at the default thread count (the proptest above owns this
-/// binary's one `set_thread_count` slot).
+/// reference loop over the same entries. Runs at the default thread count
+/// (the proptest above owns this binary's one `set_thread_count` slot).
 #[test]
 fn schedule_matches_sequential_loop() {
     let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);
@@ -191,51 +172,156 @@ fn schedule_matches_sequential_loop() {
     reference_chip.advance(Ms::from_hours(1.0));
     let reference: Vec<Vec<u64>> = schedule
         .iter()
-        .map(|&(p, i, t)| reference_chip.retention_trial(p, i, t).into_vec())
+        .map(|&(p, i, t)| reference_chip.retention_trial_reference(p, i, t).into_vec())
         .collect();
     assert!(
         reference.iter().any(|t| !t.is_empty()),
         "degenerate schedule: no entry produced failures"
     );
 
-    for max_batch in BATCH_CAPS {
-        let mut chip = SimulatedChip::new(cfg.clone(), 4242);
-        chip.advance(Ms::from_hours(1.0));
-        let got: Vec<Vec<u64>> = chip
-            .retention_trial_schedule(&schedule, max_batch)
-            .into_iter()
-            .map(|o| o.into_vec())
-            .collect();
-        assert_eq!(got, reference, "schedule diverged at cap {max_batch}");
+    let mut chip = SimulatedChip::new(cfg, 4242);
+    chip.advance(Ms::from_hours(1.0));
+    let run = chip.retention_trial_schedule(&schedule, &CancelToken::new());
+    assert!(!run.cancelled);
+    let got: Vec<Vec<u64>> = run.outcomes.into_iter().map(|o| o.into_vec()).collect();
+    assert_eq!(got, reference);
+}
+
+/// Advances a chip in 8 h steps, one reference trial per step, until a
+/// VRT arrival is active, so the trials that follow merge arrival cells.
+fn advance_until_arrival(
+    chip: &mut SimulatedChip,
+    pattern: DataPattern,
+    interval: Ms,
+    temp: Celsius,
+) -> Vec<Vec<u64>> {
+    let mut transcript = Vec::new();
+    while chip.arrival_count() == 0 {
+        assert!(transcript.len() < 64, "no VRT arrival after 64 advances");
+        chip.advance(Ms::from_hours(8.0));
+        transcript.push(chip.retention_trial_reference(pattern, interval, temp).into_vec());
     }
+    transcript
+}
+
+/// Counter growth between two `plan_stats` snapshots.
+fn stats_delta(before: PlanStats, after: PlanStats) -> [u64; 6] {
+    [
+        after.scalar_trials - before.scalar_trials,
+        after.lowered_trials - before.lowered_trials,
+        after.plan_trials - before.plan_trials,
+        after.batch_rounds - before.batch_rounds,
+        after.plans_compiled - before.plans_compiled,
+        after.invalidations - before.invalidations,
+    ]
 }
 
 /// Compiled plans are never invalidated: a plan compiled before the first
 /// clock step serves every trial through advances and VRT arrivals with
-/// no recompile, byte-equal to a scalar replay of the same script.
+/// no recompile, byte-equal to a reference replay of the same script.
 #[test]
 fn plans_survive_advances_and_arrivals() {
     let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);
     let pattern = DataPattern::checkerboard();
     let (interval, temp) = (Ms::new(2048.0), Celsius::new(60.0));
-    let run = |engine| {
+    let run = |reference: bool| {
         let mut chip = SimulatedChip::new(cfg.clone(), 4343);
-        chip.set_trial_engine(engine);
-        let mut transcript = vec![chip.retention_trial(pattern, interval, temp).into_vec()];
+        let trial = |chip: &mut SimulatedChip| {
+            if reference {
+                chip.retention_trial_reference(pattern, interval, temp)
+            } else {
+                chip.retention_trial(pattern, interval, temp)
+            }
+        };
+        // The rounds form compiles on first sight.
+        let mut transcript: Vec<Vec<u64>> = if reference {
+            vec![trial(&mut chip).into_vec()]
+        } else {
+            chip.retention_trial_rounds(pattern, interval, temp, 1)
+                .into_iter()
+                .map(|o| o.into_vec())
+                .collect()
+        };
         while chip.arrival_count() == 0 {
             assert!(transcript.len() <= 64, "no VRT arrival after 64 advances");
             chip.advance(Ms::from_hours(8.0));
-            transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
+            transcript.push(trial(&mut chip).into_vec());
         }
-        transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
+        transcript.push(trial(&mut chip).into_vec());
         (transcript, chip.plan_stats())
     };
-    let (transcript, stats) = run(TrialEngine::Compiled);
+    let (transcript, stats) = run(false);
     assert_eq!(
         stats.plans_compiled, 1,
         "a clock step or an arrival recompiled the plan"
     );
     assert_eq!(stats.plan_trials, transcript.len() as u64);
     assert_eq!(stats.invalidations, 0);
-    assert_eq!(transcript, run(TrialEngine::Scalar).0);
+    assert_eq!(transcript, run(true).0);
+}
+
+/// Runs `route` on `chip` and the reference trials for `conditions` on
+/// `reference`; the outcomes must match and `chip`'s counters must grow by
+/// `delta` (scalar, lowered, plan, batch rounds, plans compiled,
+/// invalidations).
+fn check_route(
+    label: &str,
+    chip: &mut SimulatedChip,
+    reference: &mut SimulatedChip,
+    conditions: &[(DataPattern, Ms, Celsius)],
+    delta: [u64; 6],
+    route: impl FnOnce(&mut SimulatedChip) -> Vec<TrialOutcome>,
+) {
+    let before = chip.plan_stats();
+    let got = route(chip);
+    assert_eq!(stats_delta(before, chip.plan_stats()), delta, "{label}: counters");
+    let want: Vec<TrialOutcome> = conditions
+        .iter()
+        .map(|&(p, i, t)| reference.retention_trial_reference(p, i, t))
+        .collect();
+    assert_eq!(got, want, "{label}: outcomes");
+}
+
+/// With VRT arrivals active, each production route — a first-sighting
+/// scan, a plan compiled on second sighting, a cached-plan single trial,
+/// a rounds call, and a lowered scan — equals the reference trial for
+/// trial, and each lands on its documented `PlanStats` counter.
+#[test]
+fn every_route_matches_the_reference_with_arrivals_active() {
+    let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);
+    let (p, q) = (DataPattern::checkerboard(), DataPattern::row_stripe());
+    let interval = Ms::new(2048.0);
+    let (temp, jittered) = (Celsius::new(60.0), Celsius::new(60.01));
+
+    let mut reference = SimulatedChip::new(cfg.clone(), 4444);
+    let mut chip = SimulatedChip::new(cfg, 4444);
+    let prefix = advance_until_arrival(&mut reference, p, interval, temp);
+    assert_eq!(advance_until_arrival(&mut chip, p, interval, temp), prefix);
+    assert!(chip.arrival_count() > 0);
+
+    let at = |pattern, temp| (pattern, interval, temp);
+    let single = |chip: &mut SimulatedChip| vec![chip.retention_trial(p, interval, temp)];
+    let (c, r) = (&mut chip, &mut reference);
+    check_route("first sighting", c, r, &[at(p, temp)], [1, 0, 0, 0, 0, 0], single);
+    check_route("second sighting", c, r, &[at(p, temp)], [0, 0, 1, 1, 1, 0], single);
+    check_route("cached plan", c, r, &[at(p, temp)], [0, 0, 1, 1, 0, 0], single);
+    check_route("rounds", c, r, &[at(p, temp); 70], [0, 0, 70, 70, 0, 0], |chip| {
+        chip.retention_trial_rounds(p, interval, temp, 70)
+    });
+    // A recurring pattern under a jittered temperature never recurs as a
+    // condition: its second sighting runs the lowered scan.
+    check_route(
+        "lowered",
+        c,
+        r,
+        &[at(q, temp), at(q, jittered)],
+        [1, 1, 0, 0, 0, 0],
+        |chip| {
+            vec![
+                chip.retention_trial(q, interval, temp),
+                chip.retention_trial(q, interval, jittered),
+            ]
+        },
+    );
+    assert!(chip.arrival_count() > 0, "arrivals stayed active throughout");
 }

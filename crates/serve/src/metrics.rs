@@ -105,7 +105,7 @@ pub struct ServiceMetrics {
     pub jobs_deduped: AtomicU64,
     /// Jobs whose execution failed (validation race or worker panic).
     pub jobs_failed: AtomicU64,
-    /// Profile reads served from the result cache.
+    /// Profile reads served from the profile store.
     pub cache_hits: AtomicU64,
     /// Profile reads that found the job done but its bytes evicted.
     pub cache_misses: AtomicU64,

@@ -23,11 +23,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
-echo "== bench-trial: plan-vs-scalar equality (property + smoke) =="
+echo "== bench-trial: every trial path vs. the reference scan (property + smoke) =="
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --smoke
 
-echo "== bench-trial: thread-scaling gate (compiled + batch, 4t >= 1t) =="
+echo "== bench-trial: thread-scaling gate (single + rounds, 4t >= 1t) =="
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --gate --json=target/trial_gate.json
 
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="
@@ -68,8 +68,8 @@ cargo test --release -q --offline -p reaper-portfolio
 echo "== bench-portfolio: racing gate (<=1.05x best solo, < sequential grid) =="
 cargo run --release -q --offline --example portfolio_bench -- --gate
 
-echo "== benchmark: repro_drift smoke (goldens + byte-identical passes) =="
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --smoke
+echo "== benchmark: repro_drift + service_jobs smoke (goldens, byte-identical passes, direct job re-execution) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --workload service_jobs --smoke
 
 echo "== smoke: headline experiment (quick scale) =="
 cargo run --release --offline -p reaper-conformance --bin experiments -- headline --quick
