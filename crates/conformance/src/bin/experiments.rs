@@ -62,10 +62,12 @@ fn json_escape(s: &str) -> String {
 }
 
 /// Machine-readable perf trajectory: per-experiment wall-clock and row
-/// counts, plus the run configuration.
+/// counts, plus the run configuration and the host's core count.
 fn render_json(results: &[Completed], scale: Scale, threads: usize, total_ms: f64) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
+    out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"total_wall_ms\": {total_ms:.3},\n"));
     out.push_str("  \"experiments\": [\n");

@@ -309,7 +309,7 @@ fn expand_plane(plane: u64, idx: u64, rounds: &mut [Vec<u64>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::SimulatedChip;
+    use crate::chip::{SimulatedChip, Window};
     use crate::config::RetentionConfig;
     use crate::plan::PatternLowering;
     use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
@@ -364,9 +364,9 @@ mod tests {
         DataPattern::checkerboard()
     }
 
-    /// The plan under test, its trial context, and the candidate window
-    /// the reference scan covers at the same condition.
-    fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx, usize) {
+    /// The plan under test, its trial context, and the trial window the
+    /// reference scan covers at the same condition.
+    fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx, Window) {
         let pattern = pattern();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
@@ -374,7 +374,7 @@ mod tests {
         let plan = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.sort_keys_for_tests(),
+            chip.window(interval, temp),
             Some(&low),
             pattern,
             interval,
@@ -389,7 +389,7 @@ mod tests {
             now_ms: 250.0,
             low_mu_factor: chip.config().vrt_low_mu_factor,
         };
-        (plan, ctx, chip.candidate_window(interval, temp))
+        (plan, ctx, chip.window(interval, temp))
     }
 
     /// Replays `nonces` through the reference scan on a copy of `chip`,
@@ -398,7 +398,7 @@ mod tests {
     fn reference_replay(
         chip: &SimulatedChip,
         ctx: &TrialCtx,
-        end: usize,
+        window: &Window,
         nonces: &[u64],
     ) -> (Vec<Vec<u64>>, Vec<TwoStateVrt>) {
         let mut chip = chip.clone();
@@ -406,7 +406,7 @@ mod tests {
             .iter()
             .map(|&nonce| {
                 let round_ctx = TrialCtx { nonce, ..*ctx };
-                chip.reference_round_for_tests(pattern(), end, &round_ctx).0
+                chip.reference_round_for_tests(pattern(), window, &round_ctx).0
             })
             .collect();
         (rounds, chip.base_vrt_for_tests().to_vec())
@@ -415,10 +415,10 @@ mod tests {
     #[test]
     fn batch_matches_sequential_reference_replay() {
         let chip = quick_chip();
-        let (plan, ctx, end) = compile_pair(&chip);
+        let (plan, ctx, window) = compile_pair(&chip);
         let nonces: Vec<u64> = (40..47).collect();
         let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
-        let (want, base_vrt) = reference_replay(&chip, &ctx, end, &nonces);
+        let (want, base_vrt) = reference_replay(&chip, &ctx, &window, &nonces);
         assert_eq!(batch.rounds, want);
         // Final chain states match the merged sequential replay.
         for (slot, state) in &batch.vrt_updates {
@@ -434,13 +434,13 @@ mod tests {
     #[test]
     fn batch_of_one_equals_reference_scan() {
         let mut chip = quick_chip();
-        let (plan, ctx, end) = compile_pair(&chip);
+        let (plan, ctx, window) = compile_pair(&chip);
         let mut batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &[99]);
         let round_ctx = TrialCtx { nonce: 99, ..ctx };
-        let (fails, mut updates) = chip.reference_round_for_tests(pattern(), end, &round_ctx);
+        let (fails, mut updates) = chip.reference_round_for_tests(pattern(), &window, &round_ctx);
         assert_eq!(batch.rounds.len(), 1);
         assert_eq!(batch.rounds.pop().expect("one round"), fails);
-        // Plan lanes are index-ordered, the scan walks μ order: compare
+        // Plan lanes are index-ordered, the scan walks window order: compare
         // the chain updates slot by slot.
         updates.sort_unstable_by_key(|&(slot, _)| slot);
         batch.vrt_updates.sort_unstable_by_key(|&(slot, _)| slot);
@@ -450,13 +450,13 @@ mod tests {
     #[test]
     fn full_width_batch_covers_all_64_bits() {
         let chip = quick_chip();
-        let (plan, ctx, end) = compile_pair(&chip);
+        let (plan, ctx, window) = compile_pair(&chip);
         let nonces: Vec<u64> = (1000..1064).collect();
         let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
         assert_eq!(batch.rounds.len(), MAX_BATCH_ROUNDS);
         // Every round, the last one (bit 63) included, against a
         // sequential reference replay.
-        let (want, _) = reference_replay(&chip, &ctx, end, &nonces);
+        let (want, _) = reference_replay(&chip, &ctx, &window, &nonces);
         assert_eq!(batch.rounds, want);
         assert!(!want.last().expect("64 rounds").is_empty());
     }

@@ -85,6 +85,22 @@ impl WeakCell {
         self.mu0 as f64 * mu_temp_scale * (1.0 - self.dpd_strength as f64 * stress) * vrt_factor
     }
 
+    /// The trial z-score `(t − μ_eff)/σ_eff` at `t_secs` seconds: the one
+    /// expression the window scan, plan compilation and
+    /// [`WeakCell::fail_probability`] share, so they agree bit for bit.
+    pub(crate) fn z_score(
+        &self,
+        t_secs: f64,
+        mu_temp_scale: f64,
+        sigma_temp_scale: f64,
+        stress: f64,
+        vrt_factor: f64,
+    ) -> f64 {
+        let mu = self.effective_mu(mu_temp_scale, stress, vrt_factor);
+        let sigma = self.sigma0 as f64 * sigma_temp_scale;
+        (t_secs - mu) / sigma
+    }
+
     /// Failure probability on a single retention trial of `t_secs` seconds.
     ///
     /// `mu_temp_scale`/`sigma_temp_scale` come from
@@ -102,9 +118,7 @@ impl WeakCell {
         stress: f64,
         vrt_factor: f64,
     ) -> f64 {
-        let mu = self.effective_mu(mu_temp_scale, stress, vrt_factor);
-        let sigma = self.sigma0 as f64 * sigma_temp_scale;
-        phi((t_secs - mu) / sigma)
+        phi(self.z_score(t_secs, mu_temp_scale, sigma_temp_scale, stress, vrt_factor))
     }
 
     /// Worst-case single-trial failure probability at the given temperature

@@ -2,6 +2,7 @@
 //! trials.
 
 use std::collections::BTreeSet;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +19,12 @@ use crate::config::RetentionConfig;
 use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
 
-/// Hard clamp on per-cell σ (seconds) so candidate windowing stays tight.
-/// Fig. 6b: the overwhelming majority of cells sit well under 200 ms.
+/// Hard clamp on per-cell σ (seconds). Fig. 6b: the overwhelming
+/// majority of cells sit well under 200 ms. The cap bounds the σ any cell
+/// can bring to a trial, so it sizes the window cuts in
+/// [`window_ranges`]: the VRT segment's whole reach, and the non-VRT
+/// segment's extra reach when σ scales faster than μ (`ss > ms`, below
+/// the reference temperature).
 const SIGMA_CAP_SECS: f64 = 0.35;
 
 /// Smallest materialized base retention μ (seconds). Cells below this would
@@ -39,35 +44,86 @@ pub(crate) const TRIAL_DOMAIN: u64 = 0x5245_4150_4552_0001; // "REAPER" 01
 /// is too small to amortize thread spawn cost.
 pub(crate) const PAR_MIN_CELLS: usize = 512;
 
-/// Upper bound (exclusive) of the candidate window in sort-key order:
-/// cells whose best-case (lowest) effective μ can come within
-/// `Z_CUTOFF`·σ_cap of the trial interval. The single definition shared by
-/// the trial path, the ground-truth path, and plan compilation, so the
-/// window math cannot drift between them.
-pub(crate) fn candidate_window_end(
+/// A trial window: two ranges of the cell array, a prefix of the non-VRT
+/// segment followed by a prefix of the VRT segment (see
+/// [`window_ranges`]).
+pub(crate) type Window = [Range<usize>; 2];
+
+/// The σ-cap cut in sort-key order: a cell whose worst-case effective μ
+/// is at or past it stays more than `Z_CUTOFF`·σ_cap above the interval.
+fn sigma_cap_cut(t_secs: f64, ms_scale: f64, ss_scale: f64) -> f64 {
+    (t_secs + Z_CUTOFF * SIGMA_CAP_SECS * ss_scale) / ms_scale
+}
+
+/// The cells a trial at `(t_secs, ms_scale, ss_scale)` visits, as ranges
+/// of the two-segment cell array whose VRT segment starts at `vrt_start`.
+/// The single definition shared by the window scan, plan compilation and
+/// [`SimulatedChip::candidate_window`], so the window math cannot drift
+/// between them.
+///
+/// * **Non-VRT segment**, ordered by the live key `sort_key − Z_CUTOFF·σ0`.
+///   A cell's worst-case z (full DPD stress) reaches `−Z_CUTOFF` only if
+///   `ms·sort_key − Z_CUTOFF·σ0·ss ≤ t`, that is
+///   `ms·live_key ≤ t + Z_CUTOFF·σ0·(ss − ms) ≤ t + Z_CUTOFF·σ_cap·max(0, ss − ms)`.
+///   Every cell past that cut has z < `−Z_CUTOFF` at every stress level,
+///   so the scan would open its hash lane and draw nothing: dropping it
+///   changes no stream. A few ulps of the magnitudes involved absorb the
+///   rounding of the keys, the cut and the scan's z.
+/// * **VRT segment**, ordered by `sort_key` and cut by the σ-cap rule
+///   [`sigma_cap_cut`]. A VRT cell in the window has its chain observed
+///   and advanced, so the set of VRT cells a trial visits is part of its
+///   outcome and keeps the σ-cap membership.
+pub(crate) fn window_ranges(
     sort_keys: &[f64],
+    vrt_start: usize,
     t_secs: f64,
     ms_scale: f64,
     ss_scale: f64,
-) -> usize {
-    let cut = (t_secs + Z_CUTOFF * SIGMA_CAP_SECS * ss_scale) / ms_scale;
-    sort_keys.partition_point(|&k| k < cut)
+) -> Window {
+    let (plain, vrt) = sort_keys.split_at(vrt_start);
+    let reach = Z_CUTOFF * SIGMA_CAP_SECS;
+    let live_cut = (t_secs + reach * (ss_scale - ms_scale).max(0.0)) / ms_scale;
+    let slack = 16.0 * f64::EPSILON * (live_cut + reach * (1.0 + ss_scale / ms_scale));
+    let plain_end = plain.partition_point(|&k| k < live_cut + slack);
+    let cap_cut = sigma_cap_cut(t_secs, ms_scale, ss_scale);
+    let vrt_end = vrt_start + vrt.partition_point(|&k| k < cap_cut);
+    [0..plain_end, vrt_start..vrt_end]
 }
 
-/// Stable-sorts `keys` ascending and applies the same permutation to
-/// `items`, in place. Byte-identical ordering to stable-sorting `(key,
-/// item)` pairs by key — equal keys keep their original relative order —
-/// without draining either buffer.
+/// Number of cells in `window`.
+pub(crate) fn window_len(window: &Window) -> usize {
+    window.iter().map(ExactSizeIterator::len).sum()
+}
+
+/// Position `j` of `window`'s two ranges taken in order.
+pub(crate) fn window_position(window: &Window, j: usize) -> usize {
+    let [first, second] = window;
+    if j < first.len() {
+        first.start + j
+    } else {
+        second.start + (j - first.len())
+    }
+}
+
+/// Stable-sorts `(segment, key)` pairs ascending — `segment(item)` is the
+/// primary key, `false` first — and applies the same permutation to
+/// `keys` and `items`, in place. Byte-identical ordering to stable-sorting
+/// `(segment, key, item)` triples by `(segment, key)` — equal pairs keep
+/// their original relative order — without draining either buffer.
 ///
 /// # Panics
 /// Panics if any key comparison is unordered (NaN keys).
-fn stable_cosort_by_key<T>(keys: &mut [f64], items: &mut [T]) {
+fn stable_cosort_by_key<T>(keys: &mut [f64], items: &mut [T], segment: impl Fn(&T) -> bool) {
     debug_assert_eq!(keys.len(), items.len());
     let mut order: Vec<u32> = (0..num::to_u32(keys.len())).collect();
     order.sort_by(|&a, &b| {
-        let (ka, kb) = (keys.get(num::idx(a)), keys.get(num::idx(b)));
-        ka.partial_cmp(&kb)
-            .expect("invariant: sort keys are finite products of finite cell params")
+        let (a, b) = (num::idx(a), num::idx(b));
+        let seg = |i: usize| segment(items.get(i).expect("invariant: order indexes items"));
+        seg(a).cmp(&seg(b)).then_with(|| {
+            keys.get(a)
+                .partial_cmp(&keys.get(b))
+                .expect("invariant: sort keys are finite products of finite cell params")
+        })
     });
     // Apply the permutation by cycle-chasing: positions below `i` already
     // hold their final element, so following the chain through them finds
@@ -175,11 +231,15 @@ pub struct PartialTrials {
 #[derive(Debug, Clone)]
 pub struct SimulatedChip {
     cfg: RetentionConfig,
-    /// Weak cells sorted ascending by `sort_key` = worst-case effective μ at
-    /// the reference temperature.
+    /// Weak cells in two segments: non-VRT cells ascending by their live
+    /// key `sort_key − Z_CUTOFF·σ0`, then VRT cells ascending by
+    /// `sort_key` (worst-case effective μ at the reference temperature).
+    /// See [`window_ranges`].
     cells: Vec<WeakCell>,
-    /// Sort keys parallel to `cells`.
+    /// Window keys parallel to `cells`.
     sort_keys: Vec<f64>,
+    /// Start of the VRT segment of `cells`.
+    vrt_start: usize,
     /// Two-state processes for base cells with `vrt_index`.
     base_vrt: Vec<TwoStateVrt>,
     /// VRT-arrived failing cells (paper §5.3 steady-state accumulation).
@@ -271,6 +331,7 @@ impl SimulatedChip {
 
         let mut chip = Self {
             sort_keys: Vec::new(),
+            vrt_start: 0,
             cells,
             base_vrt,
             arrivals: Vec::new(),
@@ -296,16 +357,39 @@ impl SimulatedChip {
         cell.mu0 as f64 * (1.0 - cell.dpd_strength as f64) * vrt_factor
     }
 
+    /// A cell's key within its window segment: the live key
+    /// `sort_key − Z_CUTOFF·σ0` for a non-VRT cell, `sort_key` for a VRT
+    /// cell (see [`window_ranges`]).
+    fn window_key_of(cfg: &RetentionConfig, cell: &WeakCell) -> f64 {
+        let key = Self::sort_key_of(cfg, cell);
+        match cell.vrt_index {
+            Some(_) => key,
+            None => key - Z_CUTOFF * cell.sigma0 as f64,
+        }
+    }
+
     fn rebuild_sort(&mut self) {
         // Reuse both existing buffers: refill the key vector in place and
         // co-sort it with the cell vector through one stable index
-        // permutation, instead of draining into a transient pair vector
-        // and re-collecting two fresh allocations.
+        // permutation, with the segment as the primary key, instead of
+        // building the segments in fresh vectors.
         let cfg = &self.cfg;
         self.sort_keys.clear();
         self.sort_keys
-            .extend(self.cells.iter().map(|c| Self::sort_key_of(cfg, c)));
-        stable_cosort_by_key(&mut self.sort_keys, &mut self.cells);
+            .extend(self.cells.iter().map(|c| Self::window_key_of(cfg, c)));
+        stable_cosort_by_key(&mut self.sort_keys, &mut self.cells, |c| c.vrt_index.is_some());
+        self.vrt_start = self.cells.partition_point(|c| c.vrt_index.is_none());
+    }
+
+    /// The trial window at `(interval, temp)`.
+    pub(crate) fn window(&self, interval: Ms, temp: Celsius) -> Window {
+        window_ranges(
+            &self.sort_keys,
+            self.vrt_start,
+            interval.as_secs(),
+            self.cfg.mu_temp_scale(temp),
+            self.cfg.sigma_temp_scale(temp),
+        )
     }
 
     /// The chip's configuration.
@@ -321,13 +405,6 @@ impl SimulatedChip {
     /// All materialized base weak cells (unspecified order).
     pub fn cells(&self) -> &[WeakCell] {
         &self.cells
-    }
-
-    /// The sort-key vector parallel to [`SimulatedChip::cells`]; exposed
-    /// for in-crate tests that compile plans directly.
-    #[cfg(test)]
-    pub(crate) fn sort_keys_for_tests(&self) -> &[f64] {
-        &self.sort_keys
     }
 
     /// The VRT chain vector; exposed for in-crate tests that run plans
@@ -437,10 +514,9 @@ impl SimulatedChip {
                 (failures, batch.vrt_updates)
             }
             TrialRoute::Scan(lowering) => {
-                let end =
-                    candidate_window_end(&self.sort_keys, ctx.t_secs, ctx.ms_scale, ctx.ss_scale);
+                let window = self.window(interval, temp);
                 let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
-                self.scalar_window_scan(pattern, end, &ctx, lowering)
+                self.scalar_window_scan(pattern, &window, &ctx, lowering)
             }
         };
         self.merge_vrt(vrt_updates);
@@ -489,9 +565,7 @@ impl SimulatedChip {
                 continue;
             }
             if a.vrt.observe(now_ms, rng) {
-                let mu = a.cell.effective_mu(ms_scale, 1.0, 1.0);
-                let sigma = a.cell.sigma0 as f64 * ss_scale;
-                let z = (t_secs - mu) / sigma;
+                let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
                 if z > Z_CUTOFF
                     || (z > -Z_CUTOFF && rng.random::<f64>() < reaper_analysis::special::phi(z))
                 {
@@ -501,13 +575,13 @@ impl SimulatedChip {
         }
     }
 
-    /// The window scan over the candidate window `[0, end)`: polarity,
-    /// stress, μ, σ, z and `phi(z)` per cell per trial. It serves single
-    /// trials whose condition has no plan yet, and without a lowering it
-    /// is the reference the kernel is verified against. A `lowering`
-    /// (built for `pattern`) supplies the polarity-active cells and their
-    /// stress levels, so the scan skips the rest; inactive cells never
-    /// open a hash lane either way, so the lowering changes no stream.
+    /// The window scan over the cells of `window`: polarity, stress, μ,
+    /// σ, z and `phi(z)` per cell per trial. It serves single trials whose
+    /// condition has no plan yet, and without a lowering it is the
+    /// reference the kernel is verified against. A `lowering` (built for
+    /// `pattern`) supplies the polarity-active cells and their stress
+    /// levels, so the scan skips the rest; inactive cells never open a
+    /// hash lane either way, so the lowering changes no stream.
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
@@ -518,44 +592,42 @@ impl SimulatedChip {
     fn scalar_window_scan(
         &self,
         pattern: DataPattern,
-        end: usize,
+        window: &Window,
         ctx: &TrialCtx,
         lowering: Option<&PatternLowering>,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         let geometry = self.cfg.geometry;
         let cells = &self.cells;
         match lowering {
-            Some(low) => self.scan_lanes(ctx, low.active_prefix(end), |j| {
+            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), |j| {
                 let (ord, lvl) = low.lane(j);
                 let cell = cells
                     .get(ord)
                     .expect("invariant: lowering ordinals index the cell array it was built from");
                 Some((cell, f64::from(lvl) / 4.0))
             }),
-            None => {
-                // lint: allow(panic) end comes from partition_point, always <= len
-                let window = &cells[..end];
-                self.scan_lanes(ctx, window.len(), |j| {
-                    let cell = window.get(j).expect("invariant: j < window.len()");
-                    (cell.stored_bit(pattern, geometry) == cell.vulnerable_bit)
-                        .then(|| (cell, cell.stress_under(pattern, geometry)))
-                })
-            }
+            None => self.scan_lanes(ctx, window, |i| {
+                let cell = cells.get(i).expect("invariant: window ranges lie inside the cell array");
+                (cell.stored_bit(pattern, geometry) == cell.vulnerable_bit)
+                    .then(|| (cell, cell.stress_under(pattern, geometry)))
+            }),
         }
     }
 
-    /// The scan body over lanes `0..n`: `cell_at(j)` yields the j-th cell
-    /// and its DPD stress fraction, or `None` for a polarity-inactive cell.
-    /// Generic so each lane source compiles to its own branch-free loop.
+    /// The scan body over the positions of `lanes` (cells or lowering
+    /// lanes): `cell_at(i)` yields the cell at position `i` and its DPD
+    /// stress fraction, or `None` for a polarity-inactive cell. Generic so
+    /// each lane source compiles to its own loop.
     fn scan_lanes<'c>(
         &self,
         ctx: &TrialCtx,
-        n: usize,
+        lanes: &Window,
         cell_at: impl Fn(usize) -> Option<(&'c WeakCell, f64)> + Sync,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
+        let n = window_len(lanes);
         let base_vrt = &self.base_vrt;
         let per_cell = |j: usize| -> (Option<u64>, Option<(u32, TwoStateVrt)>) {
-            let Some((cell, stress)) = cell_at(j) else {
+            let Some((cell, stress)) = cell_at(window_position(lanes, j)) else {
                 return (None, None);
             };
             let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
@@ -575,9 +647,7 @@ impl SimulatedChip {
                 }
                 None => 1.0,
             };
-            let mu = cell.effective_mu(ctx.ms_scale, stress, vrt_factor);
-            let sigma = cell.sigma0 as f64 * ctx.ss_scale;
-            let z = (ctx.t_secs - mu) / sigma;
+            let z = cell.z_score(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, stress, vrt_factor);
             if z < -Z_CUTOFF {
                 return (None, vrt_update);
             }
@@ -585,8 +655,12 @@ impl SimulatedChip {
             (fails.then_some(cell.index), vrt_update)
         };
 
+        // The VRT range bounds the chain updates, so that vector never
+        // regrows while `failures` does (regrowing both in lockstep
+        // fragments the heap of long drift runs).
+        let [_, vrt_lanes] = lanes;
         let mut failures = Vec::new();
-        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::new();
+        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
         if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
             for j in 0..n {
                 let (fail, update) = per_cell(j);
@@ -620,10 +694,10 @@ impl SimulatedChip {
     pub(crate) fn reference_round_for_tests(
         &mut self,
         pattern: DataPattern,
-        end: usize,
+        window: &Window,
         ctx: &TrialCtx,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        let (failures, updates) = self.scalar_window_scan(pattern, end, ctx, None);
+        let (failures, updates) = self.scalar_window_scan(pattern, window, ctx, None);
         self.merge_vrt(updates.clone());
         (TrialOutcome::from_unsorted(failures).into_vec(), updates)
     }
@@ -674,7 +748,7 @@ impl SimulatedChip {
         let plan = TrialPlan::compile(
             &self.cfg,
             &self.cells,
-            &self.sort_keys,
+            self.window(interval, temp),
             self.plan_cache.peek_lowering(pattern),
             pattern,
             interval,
@@ -879,20 +953,16 @@ impl SimulatedChip {
         }
     }
 
-    /// Number of candidate cells a trial at `(interval, temp)` scans —
-    /// the size of the sort-key window the scan and plan compile share.
+    /// Number of cells a trial at `(interval, temp)` visits — the live
+    /// window the scan and plan compile share: the non-VRT cells whose
+    /// worst-case z can reach `−Z_CUTOFF`, plus the VRT cells within
+    /// `Z_CUTOFF`·σ_cap of the interval (see [`window_ranges`]).
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
     pub fn candidate_window(&self, interval: Ms, temp: Celsius) -> usize {
         assert!(interval.is_positive(), "interval must be positive");
-        let t = interval.as_secs();
-        candidate_window_end(
-            &self.sort_keys,
-            t,
-            self.cfg.mu_temp_scale(temp),
-            self.cfg.sigma_temp_scale(temp),
-        )
+        window_len(&self.window(interval, temp))
     }
 
     /// Draws Poisson VRT arrivals for the wall-clock span since the last
@@ -901,7 +971,8 @@ impl SimulatedChip {
         let elapsed_hours = (self.now_ms - self.last_arrival_ms) / 3.6e6;
         self.last_arrival_ms = self.now_ms;
         if elapsed_hours <= 0.0 {
-            self.arrivals.retain(|a| a.is_active(self.now_ms));
+            // The previous call already retired arrivals at this same
+            // clock, which never runs backwards.
             return;
         }
         let rate = self.cfg.vrt_arrival_rate_per_hour(t_secs, temp);
@@ -975,12 +1046,18 @@ impl SimulatedChip {
         let t = interval.as_secs();
         let ms_scale = self.cfg.mu_temp_scale(temp);
         let ss_scale = self.cfg.sigma_temp_scale(temp);
-        let end = candidate_window_end(&self.sort_keys, t, ms_scale, ss_scale);
+        let cut = sigma_cap_cut(t, ms_scale, ss_scale);
 
-        // lint: allow(panic) end comes from partition_point, always <= len
-        let mut out: Vec<u64> = self.cells[..end]
+        // The σ-cap membership over every cell, whatever trial windows
+        // visit: a non-VRT cell beyond the live window cannot fail a trial
+        // but can still clear a small `min_prob`.
+        let mut out: Vec<u64> = self
+            .cells
             .iter()
             .filter(|c| {
+                if Self::sort_key_of(&self.cfg, c) >= cut {
+                    return false;
+                }
                 let vrt_factor = if c.vrt_index.is_some() {
                     self.cfg.vrt_low_mu_factor
                 } else {
@@ -1181,32 +1258,37 @@ mod tests {
 
     #[test]
     fn stable_cosort_matches_pair_sort_reference() {
-        // Duplicate keys included: stability must keep original order.
-        let ref_keys = [3.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0, 1.0];
+        // Duplicate keys included, within and across segments: stability
+        // must keep original order, and the segment must dominate the key.
+        let ref_keys = [3.0, 1.0, 2.0, 1.0, 3.0, 0.5, 2.0, 1.0, 0.25];
         let ref_items: Vec<u64> = (0..ref_keys.len() as u64).collect();
+        let segment = |item: &u64| item.is_multiple_of(3);
 
-        let mut paired: Vec<(f64, u64)> = ref_keys
+        let mut triples: Vec<(bool, f64, u64)> = ref_keys
             .iter()
             .copied()
             .zip(ref_items.iter().copied())
+            .map(|(k, i)| (segment(&i), k, i))
             .collect();
-        paired.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        triples.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite"));
 
         let mut keys = ref_keys.to_vec();
         let mut items = ref_items;
-        stable_cosort_by_key(&mut keys, &mut items);
+        stable_cosort_by_key(&mut keys, &mut items, segment);
 
-        let (want_keys, want_items): (Vec<f64>, Vec<u64>) = paired.into_iter().unzip();
+        let want_keys: Vec<f64> = triples.iter().map(|t| t.1).collect();
+        let want_items: Vec<u64> = triples.iter().map(|t| t.2).collect();
         assert_eq!(keys, want_keys);
         assert_eq!(items, want_items);
+        assert_eq!(items.partition_point(|i| !segment(i)), 6);
 
         // Degenerate sizes.
         let mut k: Vec<f64> = vec![];
         let mut v: Vec<u64> = vec![];
-        stable_cosort_by_key(&mut k, &mut v);
+        stable_cosort_by_key(&mut k, &mut v, segment);
         let mut k = vec![7.0];
         let mut v = vec![9u64];
-        stable_cosort_by_key(&mut k, &mut v);
+        stable_cosort_by_key(&mut k, &mut v, segment);
         assert_eq!((k, v), (vec![7.0], vec![9]));
     }
 
@@ -1363,6 +1445,125 @@ mod tests {
         assert!(w_short <= w_long);
         assert!(w_short <= w_hot);
         assert!(w_long <= chip.cells().len());
+    }
+
+    /// The σ-cap window cut of today's rule, written out independently of
+    /// [`sigma_cap_cut`].
+    fn cap_cut(chip: &SimulatedChip, interval: Ms, temp: Celsius) -> f64 {
+        let cfg = chip.config();
+        (interval.as_secs() + Z_CUTOFF * SIGMA_CAP_SECS * cfg.sigma_temp_scale(temp))
+            / cfg.mu_temp_scale(temp)
+    }
+
+    #[test]
+    fn live_window_drops_only_cells_that_cannot_fail() {
+        // Three vendors at 1/16 and full capacity, 64 ms to 8 s, below, at
+        // and above the reference temperature (below it σ scales faster
+        // than μ, the `ss > ms` term of the live cut).
+        let (mut dropped, mut live_cells, mut cap_cells) = (0usize, 0usize, 0usize);
+        let mut sigma_faster = false;
+        for vendor in Vendor::ALL {
+            for den in [16, 1] {
+                let cfg = RetentionConfig::for_vendor(vendor).with_capacity_scale(1, den);
+                let chip = SimulatedChip::new(cfg.clone(), 0x5EC7 + den);
+                let cells = chip.cells();
+                assert!(cells.iter().take(chip.vrt_start).all(|c| c.vrt_index.is_none()));
+                assert!(cells.iter().skip(chip.vrt_start).all(|c| c.vrt_index.is_some()));
+                let ref_temp = cfg.ref_temp.degrees();
+                for interval_ms in [64.0, 256.0, 1024.0, 2048.0, 4096.0, 8192.0] {
+                    for temp_c in [ref_temp - 10.0, ref_temp, ref_temp + 10.0] {
+                        let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
+                        let (t, ms, ss) =
+                            (interval.as_secs(), cfg.mu_temp_scale(temp), cfg.sigma_temp_scale(temp));
+                        sigma_faster |= ss > ms;
+                        let window = chip.window(interval, temp);
+                        let [plain, vrt] = window.clone();
+                        assert_eq!((plain.start, vrt.start), (0, chip.vrt_start));
+
+                        // Every non-VRT cell past the live cut passes with no
+                        // draw at every stress level, under the scan's exact z.
+                        for cell in &cells[plain.end..chip.vrt_start] {
+                            for lvl in 0..=4u8 {
+                                let z = cell.z_score(t, ms, ss, f64::from(lvl) / 4.0, 1.0);
+                                assert!(
+                                    z < -Z_CUTOFF,
+                                    "{vendor:?} 1/{den} {interval_ms} ms {temp_c} °C: cell {} \
+                                     outside the window has z = {z} at stress {lvl}/4",
+                                    cell.index
+                                );
+                            }
+                        }
+                        dropped += chip.vrt_start - plain.end;
+
+                        // The VRT cells in the window are exactly the σ-cap set.
+                        let cut = cap_cut(&chip, interval, temp);
+                        let in_rule = |c: &&WeakCell| SimulatedChip::sort_key_of(&cfg, c) < cut;
+                        let mut want: Vec<u64> = cells
+                            .iter()
+                            .filter(|c| c.vrt_index.is_some())
+                            .filter(in_rule)
+                            .map(|c| c.index)
+                            .collect();
+                        let mut got: Vec<u64> = cells[vrt].iter().map(|c| c.index).collect();
+                        want.sort_unstable();
+                        got.sort_unstable();
+                        assert_eq!(got, want, "{vendor:?} 1/{den} {interval_ms} ms {temp_c} °C");
+
+                        live_cells += window_len(&window);
+                        cap_cells += cells.iter().filter(in_rule).count();
+                    }
+                }
+            }
+        }
+        assert!(sigma_faster, "the grid must cover ss > ms");
+        assert!(dropped > 0 && live_cells < cap_cells, "the live window must be tighter");
+    }
+
+    #[test]
+    fn failing_set_keeps_the_sigma_cap_membership() {
+        // Brute force over every cell with today's σ-cap rule, arrivals
+        // included. At a tiny `min_prob` it admits non-VRT cells outside
+        // the live window, which no trial visits.
+        let mut chip = SimulatedChip::new(quick_cfg(), 17);
+        chip.advance(Ms::from_hours(6.0));
+        let _ = chip.retention_trial(DataPattern::random(3), Ms::new(2048.0), Celsius::new(60.0));
+        assert!(chip.arrival_count() > 0);
+        let cfg = chip.config().clone();
+        let mut beyond_live = 0;
+        for (interval_ms, temp_c) in [(1024.0, 60.0), (2048.0, 50.0), (3072.0, 70.0)] {
+            let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
+            let (t, ms, ss) = (interval.as_secs(), cfg.mu_temp_scale(temp), cfg.sigma_temp_scale(temp));
+            let cut = cap_cut(&chip, interval, temp);
+            let live_end = chip.window(interval, temp)[0].end;
+            for min_prob in [1e-9, 0.01, 0.5] {
+                let mut want: Vec<u64> = chip
+                    .cells()
+                    .iter()
+                    .filter(|c| {
+                        let low = if c.vrt_index.is_some() { cfg.vrt_low_mu_factor } else { 1.0 };
+                        SimulatedChip::sort_key_of(&cfg, c) < cut
+                            && c.worst_case_fail_probability(t, ms, ss, low) >= min_prob
+                    })
+                    .map(|c| c.index)
+                    .chain(
+                        chip.arrivals
+                            .iter()
+                            .filter(|a| a.is_active(chip.now_ms))
+                            .filter(|a| a.cell.worst_case_fail_probability(t, ms, ss, 1.0) >= min_prob)
+                            .map(|a| a.cell.index),
+                    )
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                let got = chip.failing_set_worst_case(interval, temp, min_prob);
+                assert_eq!(got, want, "{interval_ms} ms {temp_c} °C min_prob {min_prob}");
+                beyond_live += chip.cells()[live_end..chip.vrt_start]
+                    .iter()
+                    .filter(|c| got.binary_search(&c.index).is_ok())
+                    .count();
+            }
+        }
+        assert!(beyond_live > 0, "expected members outside the live window");
     }
 
     #[test]

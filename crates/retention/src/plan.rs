@@ -15,7 +15,7 @@
 //!   jitter and `advance` calls. It feeds the window scan (which then
 //!   skips the polarity and stress work) and plan compilation.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
-//!   candidate window all the way to per-cell integer thresholds
+//!   trial window all the way to per-cell integer thresholds
 //!   `ceil(phi(z) · 2⁵³)`, stored in index-sorted lanes that the
 //!   bit-plane kernel ([`crate::batch`]) runs — no erf, no struct chasing,
 //!   no VRT copy for non-VRT cells.
@@ -30,7 +30,7 @@
 //! # Lifecycle
 //!
 //! compile → run rounds → evict. A plan reads only the chip's immutable
-//! cell array, sort keys and config plus its own `(pattern, interval,
+//! cell array, window keys and config plus its own `(pattern, interval,
 //! temp)`; VRT chain state is read live from the chip on every round, and
 //! VRT-arrival cells are handled outside the plans. Nothing a clock step
 //! or an arrival changes is baked into a plan, so plans live across
@@ -57,7 +57,7 @@ use reaper_exec::num;
 
 use crate::batch::u53_threshold;
 use crate::cell::WeakCell;
-use crate::chip::{candidate_window_end, Z_CUTOFF};
+use crate::chip::{window_len, Window, Z_CUTOFF};
 use crate::config::RetentionConfig;
 
 /// Counters describing how trials were served; see
@@ -121,11 +121,11 @@ pub(crate) struct TrialCtx {
 }
 
 /// Tier 1: pattern-dependent, condition-independent lowering. For one data
-/// pattern, the ascending ordinals (into the μ-sorted cell array) of the
-/// polarity-active cells and their quantized DPD stress levels.
+/// pattern, the ascending ordinals (into the window-ordered cell array) of
+/// the polarity-active cells and their quantized DPD stress levels.
 ///
-/// Because the ordinals are ascending, the candidate window `[0, end)`
-/// maps to a prefix of the lanes via one `partition_point`.
+/// Because the ordinals are ascending, each of a trial window's two cell
+/// ranges maps to one range of lanes via two `partition_point`s.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PatternLowering {
     pub(crate) pattern: DataPattern,
@@ -150,16 +150,18 @@ impl PatternLowering {
         Self { pattern, ord, lvl }
     }
 
-    /// Number of active lanes whose ordinal falls inside the candidate
-    /// window `[0, end)`.
-    pub(crate) fn active_prefix(&self, end: usize) -> usize {
-        self.ord.partition_point(|&o| num::idx(o) < end)
+    /// The lane ranges whose ordinals fall inside the two cell ranges of
+    /// `window`: a prefix of the non-VRT cells' lanes and a prefix of the
+    /// VRT cells' lanes.
+    pub(crate) fn active_lanes(&self, window: &Window) -> Window {
+        let lanes_below = |end: usize| self.ord.partition_point(|&o| num::idx(o) < end);
+        window.clone().map(|cells| lanes_below(cells.start)..lanes_below(cells.end))
     }
 
-    /// Lane `j`: the cell's ordinal in the μ-sorted cell array and its DPD
-    /// stress level (matches-of-4).
+    /// Lane `j`: the cell's ordinal in the window-ordered cell array and
+    /// its DPD stress level (matches-of-4).
     pub(crate) fn lane(&self, j: usize) -> (usize, u8) {
-        let ord = self.ord.get(j).expect("invariant: j < active_prefix <= ord.len()");
+        let ord = self.ord.get(j).expect("invariant: active lanes lie inside ord");
         let lvl = self.lvl.get(j).expect("invariant: lvl lane is parallel to ord");
         (num::idx(*ord), *lvl)
     }
@@ -224,21 +226,23 @@ pub(crate) struct PlanLanes {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrialPlan {
     pub(crate) key: PlanKey,
-    /// Candidate-window bound the plan was compiled for (consistency
-    /// checks; the lanes already encode it).
-    end: usize,
+    /// Number of cells in the trial window the plan was compiled for
+    /// (consistency checks; the lanes already encode it).
+    window_cells: usize,
     /// The immutable compiled lanes, shared with pooled fan-outs.
     pub(crate) lanes: Arc<PlanLanes>,
 }
 
 impl TrialPlan {
-    /// Compiles the plan. When a [`PatternLowering`] for the same pattern
-    /// is available its packed lanes shortcut the polarity/stress scan;
-    /// with or without one the resulting plan is identical.
+    /// Compiles the plan over `window`, the chip's trial window at
+    /// `(interval, temp)` ([`crate::chip::window_ranges`]). When a
+    /// [`PatternLowering`] for the same pattern is available its packed
+    /// lanes shortcut the polarity/stress scan; with or without one the
+    /// resulting plan is identical.
     pub(crate) fn compile(
         cfg: &RetentionConfig,
         cells: &[WeakCell],
-        sort_keys: &[f64],
+        window: Window,
         lowering: Option<&PatternLowering>,
         pattern: DataPattern,
         interval: Ms,
@@ -248,30 +252,22 @@ impl TrialPlan {
         let ms_scale = cfg.mu_temp_scale(temp);
         let ss_scale = cfg.sigma_temp_scale(temp);
         let geometry = cfg.geometry;
-        let end = candidate_window_end(sort_keys, t, ms_scale, ss_scale);
 
         let mut certain = Vec::new();
         let mut prob: Vec<(u64, u64)> = Vec::new();
-        let mut vrt: Vec<(u64, u32, [f64; 2])> = Vec::new();
+        // The window's VRT range bounds the VRT lanes (see the scan).
+        let [_, vrt_cells] = &window;
+        let mut vrt: Vec<(u64, u32, [f64; 2])> = Vec::with_capacity(vrt_cells.len());
         let mut add = |cell: &WeakCell, lvl: u8| {
             let stress = f64::from(lvl) / 4.0;
-            let sigma = cell.sigma0 as f64 * ss_scale;
+            let z = |vrt_factor| cell.z_score(t, ms_scale, ss_scale, stress, vrt_factor);
             match cell.vrt_index {
                 Some(slot) => {
-                    let mu_high = cell.effective_mu(ms_scale, stress, 1.0);
-                    let mu_low = cell.effective_mu(ms_scale, stress, cfg.vrt_low_mu_factor);
-                    vrt.push((
-                        cell.index,
-                        slot,
-                        [
-                            threshold_of((t - mu_high) / sigma),
-                            threshold_of((t - mu_low) / sigma),
-                        ],
-                    ));
+                    let thr = [z(1.0), z(cfg.vrt_low_mu_factor)].map(threshold_of);
+                    vrt.push((cell.index, slot, thr));
                 }
                 None => {
-                    let mu = cell.effective_mu(ms_scale, stress, 1.0);
-                    let z = (t - mu) / sigma;
+                    let z = z(1.0);
                     if z > Z_CUTOFF {
                         certain.push(cell.index);
                     } else if z >= -Z_CUTOFF {
@@ -287,7 +283,7 @@ impl TrialPlan {
         match lowering {
             Some(low) => {
                 debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
-                for j in 0..low.active_prefix(end) {
+                for j in low.active_lanes(&window).into_iter().flatten() {
                     let (ord, lvl) = low.lane(j);
                     let cell = cells
                         .get(ord)
@@ -296,7 +292,10 @@ impl TrialPlan {
                 }
             }
             None => {
-                for cell in cells.iter().take(end) {
+                for i in window.clone().into_iter().flatten() {
+                    let cell = cells
+                        .get(i)
+                        .expect("invariant: window ranges lie inside the cell array");
                     if cell.stored_bit(pattern, geometry) == cell.vulnerable_bit {
                         add(cell, cell.stress_matches(pattern, geometry));
                     }
@@ -304,7 +303,7 @@ impl TrialPlan {
             }
         }
 
-        // Cells were visited in sort-key order; store each class by index.
+        // Cells were visited in window-key order; store each class by index.
         certain.sort_unstable();
         prob.sort_unstable_by_key(|&(idx, _)| idx);
         vrt.sort_unstable_by_key(|&(idx, ..)| idx);
@@ -319,14 +318,14 @@ impl TrialPlan {
         };
         Self {
             key: PlanKey::new(pattern, interval, temp),
-            end,
+            window_cells: window_len(&window),
             lanes: Arc::new(lanes),
         }
     }
 
     /// The lane invariants the kernel relies on: parallel lanes have equal
-    /// lengths, the three lane classes fit inside the candidate window
-    /// they partition, and each class is strictly ascending by cell index.
+    /// lengths, the three lane classes fit inside the trial window they
+    /// partition, and each class is strictly ascending by cell index.
     /// Checked via `debug_assert!`.
     pub(crate) fn lanes_consistent(&self) -> bool {
         let lanes = &self.lanes;
@@ -335,7 +334,7 @@ impl TrialPlan {
         n == lanes.prob_thr_u.len()
             && lanes.vrt_slot.len() == lanes.vrt_idx.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
-            && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.end
+            && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.window_cells
             && ascending(&lanes.certain)
             && ascending(&lanes.prob_idx)
             && ascending(&lanes.vrt_idx)
@@ -519,11 +518,15 @@ mod tests {
             }
         }
         assert_eq!(k, low.ord.len());
-        // ordinals ascending => window prefix is exact
-        let end = chip.cells().len() / 3;
-        let n = low.active_prefix(end);
-        assert!(low.ord.iter().take(n).all(|&o| num::idx(o) < end));
-        assert!(low.ord.iter().skip(n).all(|&o| num::idx(o) >= end));
+        // ordinals ascending => each window range maps to exactly the
+        // lanes whose ordinals it holds
+        let window = chip.window(Ms::new(1024.0), Celsius::new(60.0));
+        let lanes = low.active_lanes(&window);
+        for (cells, lanes) in window.iter().zip(&lanes) {
+            let in_cells = |&o: &u32| cells.contains(&num::idx(o));
+            assert!(low.ord.get(lanes.clone()).expect("lanes").iter().all(in_cells));
+            assert_eq!(low.ord.iter().filter(|o| in_cells(o)).count(), lanes.len());
+        }
     }
 
     #[test]
@@ -536,7 +539,7 @@ mod tests {
         let direct = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.sort_keys_for_tests(),
+            chip.window(interval, temp),
             None,
             pattern,
             interval,
@@ -545,7 +548,7 @@ mod tests {
         let via_lowering = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.sort_keys_for_tests(),
+            chip.window(interval, temp),
             Some(&low),
             pattern,
             interval,
@@ -556,7 +559,7 @@ mod tests {
         // the three classes partition the polarity-active window
         let lanes = &direct.lanes;
         let n_lanes = lanes.certain.len() + lanes.prob_idx.len() + lanes.vrt_idx.len();
-        assert!(n_lanes <= direct.end);
+        assert!(n_lanes <= direct.window_cells);
         assert!(!lanes.prob_idx.is_empty(), "expected in-band cells");
     }
 
@@ -564,7 +567,7 @@ mod tests {
     fn compiled_lane_classes_are_index_sorted() {
         // The kernel merges the three classes into sorted rounds, so each
         // must come out of compile strictly ascending by cell index —
-        // although compile visits cells in sort-key order. Several
+        // although compile visits cells in window-key order. Several
         // conditions, with and without a lowering, on a chip with VRT
         // cells so every class is populated.
         let chip = quick_chip();
@@ -576,14 +579,15 @@ mod tests {
         ] {
             let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
             for lowering in [None, Some(&low)] {
+                let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
                 let plan = TrialPlan::compile(
                     chip.config(),
                     chip.cells(),
-                    chip.sort_keys_for_tests(),
+                    chip.window(interval, temp),
                     lowering,
                     pattern,
-                    Ms::new(interval_ms),
-                    Celsius::new(temp_c),
+                    interval,
+                    temp,
                 );
                 let lanes = &plan.lanes;
                 for (class, idx) in [&lanes.certain, &lanes.prob_idx, &lanes.vrt_idx]
@@ -652,7 +656,7 @@ mod tests {
         let plan = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.sort_keys_for_tests(),
+            chip.window(Ms::new(512.0), Celsius::new(45.0)),
             None,
             reaper_dram_model::DataPattern::solid0(),
             Ms::new(512.0),
@@ -713,7 +717,7 @@ mod tests {
             let plan = TrialPlan::compile(
                 chip.config(),
                 chip.cells(),
-                chip.sort_keys_for_tests(),
+                chip.window(Ms::new(512.0), Celsius::new(45.0)),
                 None,
                 reaper_dram_model::DataPattern::random(i as u64),
                 Ms::new(512.0),

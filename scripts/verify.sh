@@ -68,8 +68,8 @@ cargo test --release -q --offline -p reaper-portfolio
 echo "== bench-portfolio: racing gate (<=1.05x best solo, < sequential grid) =="
 cargo run --release -q --offline --example portfolio_bench -- --gate
 
-echo "== benchmark: repro_drift + service_jobs smoke (goldens, byte-identical passes, direct job re-execution) =="
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --workload service_jobs --smoke
+echo "== benchmark: repro_drift + repro_static + service_jobs smoke (goldens, byte-identical passes, direct job re-execution) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --workload repro_static --workload service_jobs --smoke
 
 echo "== smoke: headline experiment (quick scale) =="
 cargo run --release --offline -p reaper-conformance --bin experiments -- headline --quick
