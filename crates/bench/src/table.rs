@@ -2,8 +2,8 @@
 
 /// How much work an experiment run should do.
 ///
-/// `Quick` keeps each experiment in the seconds range (used by tests and
-/// Criterion benches); `Full` approaches the paper's methodology (368-chip
+/// `Quick` keeps each experiment in the seconds range (used by tests,
+/// goldens and the repository benchmark); `Full` approaches the paper's methodology (368-chip
 /// populations, 800-iteration campaigns, 20 workload mixes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {

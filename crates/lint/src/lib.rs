@@ -18,8 +18,9 @@
 //! * **C1 `lossy-cast`** — no bare `as` integer casts in hot-path crates.
 //!
 //! Rule scopes live in `lint.toml` at the workspace root; per-site
-//! escapes are `// lint: allow(<rule>) <reason>` comments, which the
-//! binary cross-checks so a stale allowlist cannot accumulate.
+//! escapes are `// lint: allow(<rule>) <reason>` comments. The binary
+//! cross-checks both the markers and `lint.toml`'s `allow-files`
+//! entries, so a stale allowlist cannot accumulate.
 
 // Deny-wall escapes (DESIGN.md §"Static analysis & determinism
 // invariants"): `reaper-lint` enforces the finer-grained forms of these
@@ -137,7 +138,9 @@ struct ScannedFile {
 /// (D1/D2/P1/C1), the workspace-wide concurrency rules (L1–L4), and the
 /// marker cross-checks (M0 bare, M1 stale). Suppression happens here,
 /// centrally, so every `// lint: allow` marker's usage is accounted for
-/// — a marker that no longer suppresses anything is itself a finding.
+/// — a marker that no longer suppresses anything is itself a finding,
+/// and so is a `lint.toml` `allow-files` entry that names no scanned
+/// file.
 pub fn run_workspace(root: &Path) -> Result<Report, ScanError> {
     let cfg_path = root.join("lint.toml");
     let cfg_text = std::fs::read_to_string(&cfg_path)
@@ -256,6 +259,32 @@ pub fn run_workspace(root: &Path) -> Result<Report, ScanError> {
             });
         }
     }
+    // M1 for the config too: an `allow-files` entry naming no scanned
+    // file excuses nothing, and would silently exempt a file later
+    // created at that path.
+    for entry in &cfg.wall_clock_allow_files {
+        if by_rel.contains_key(entry.as_str()) {
+            continue;
+        }
+        let quoted = format!("\"{entry}\"");
+        let line = cfg_text
+            .lines()
+            .position(|l| l.trim_start().starts_with("allow-files") && l.contains(&quoted))
+            .map_or(1, |i| u32::try_from(i + 1).unwrap_or(u32::MAX));
+        report.diagnostics.push(Diagnostic {
+            rule_id: "M1",
+            rule_name: "stale-allowance",
+            file: "lint.toml".to_string(),
+            line,
+            col: 1,
+            message: format!(
+                "stale `[rules.wall-clock] allow-files` entry `{entry}` — no scanned \
+                 file has that path"
+            ),
+            help: "delete the entry (or point it at the file's new path)".to_string(),
+            notes: Vec::new(),
+        });
+    }
     report
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule_id).cmp(&(&b.file, b.line, b.col, b.rule_id)));
@@ -290,7 +319,7 @@ mod tests {
         let bin = classify("crates/conformance/src/bin/experiments.rs").expect("in scope");
         assert_eq!(bin.kind, FileKind::BinSrc);
 
-        let bench = classify("crates/bench/benches/figures.rs").expect("in scope");
+        let bench = classify("crates/demo/benches/throughput.rs").expect("in scope");
         assert_eq!(bench.kind, FileKind::TestCode);
 
         let root = classify("src/lib.rs").expect("in scope");

@@ -297,6 +297,39 @@ fn m1_temp_workspace_flags_only_the_stale_marker() {
 }
 
 #[test]
+fn m1_flags_allow_files_entries_that_name_no_scanned_file() {
+    // One `allow-files` entry excuses a live clock read; the other names
+    // a file that is gone and must be reported against lint.toml.
+    let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join("m1_allow_files_ws");
+    let src_dir = root.join("crates/demo/src");
+    std::fs::create_dir_all(&src_dir).expect("mk temp workspace");
+    std::fs::write(
+        root.join("lint.toml"),
+        "# \"examples/deleted.rs\" is mentioned here too\n[rules.wall-clock]\n\
+         allow-files = [\"crates/demo/src/lib.rs\", \"examples/deleted.rs\"]\n",
+    )
+    .expect("write lint.toml");
+    std::fs::write(
+        src_dir.join("lib.rs"),
+        "pub fn now() -> std::time::Instant {\n    std::time::Instant::now()\n}\n",
+    )
+    .expect("write lib.rs");
+
+    let report = run_workspace(&root).expect("scan temp workspace");
+    let rendered: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        report.diagnostics.len(),
+        1,
+        "only the stale entry is a finding:\n{}",
+        rendered.join("\n")
+    );
+    let d = &report.diagnostics[0];
+    assert_eq!((d.rule_id, d.rule_name), ("M1", "stale-allowance"));
+    assert_eq!((d.file.as_str(), d.line), ("lint.toml", 3), "{d}");
+    assert!(d.message.contains("examples/deleted.rs"), "{d}");
+}
+
+#[test]
 fn live_workspace_lock_graph_is_actually_populated() {
     // Guard against the analyzer silently resolving nothing: the real
     // serve/exec sources must yield the known lock identities.

@@ -1,9 +1,18 @@
 //! The racing determinism contract, property-tested: the portfolio's
 //! winner and returned profile are byte-identical across thread counts
 //! {1, 4}, candidate orderings, and prior states, and agree with a
-//! sequential run-every-candidate reference.
+//! sequential run-every-candidate reference. One plain test pins the
+//! race's logical cost against its solo baselines at a fixed operating
+//! point.
 
-#![allow(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)]
+// Logical costs are sums of whole-millisecond pass costs, exact in f64,
+// so the pinned figures compare with `==`.
+#![allow(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    clippy::float_cmp
+)]
 
 use proptest::prelude::*;
 
@@ -11,7 +20,8 @@ use reaper_core::{PatternSet, ReachConditions, TargetConditions};
 use reaper_dram_model::{Celsius, Ms, Vendor};
 use reaper_exec::set_thread_count;
 use reaper_portfolio::{
-    Portfolio, PriorStore, RaceOutcome, RaceTarget, SoloRun, Strategy, StrategySpec,
+    Portfolio, PortfolioRequest, PriorStore, RaceOutcome, RaceTarget, SoloRun, Strategy,
+    StrategySpec,
 };
 
 fn portfolio(seed: u64, coverage_goal: f64) -> Portfolio {
@@ -62,6 +72,17 @@ fn priors_from(mut code: u64) -> PriorStore {
     store
 }
 
+/// The cheapest candidate that met the target solo, ties broken by the
+/// intrinsic key — the oracle a race can at most tie.
+fn best_met_solo(solos: &[SoloRun]) -> Option<&SoloRun> {
+    solos.iter().filter(|s| s.met).min_by(|a, b| {
+        a.cost
+            .as_ms()
+            .total_cmp(&b.cost.as_ms())
+            .then_with(|| a.spec.sort_key().cmp(&b.spec.sort_key()))
+    })
+}
+
 /// Runs the race under an explicit thread count, restoring the default
 /// afterwards even on panic.
 fn race_at(threads: usize, p: &Portfolio, order: &[usize]) -> RaceOutcome {
@@ -93,16 +114,7 @@ proptest! {
         let solos: Vec<SoloRun> = (0..n).map(|i| p.run_solo(i)).collect();
         let reference = p.run();
 
-        let best_solo = solos
-            .iter()
-            .filter(|s| s.met)
-            .min_by(|a, b| {
-                a.cost
-                    .as_ms()
-                    .total_cmp(&b.cost.as_ms())
-                    .then_with(|| a.spec.sort_key().cmp(&b.spec.sort_key()))
-            });
-        if let Some(best) = best_solo {
+        if let Some(best) = best_met_solo(&solos) {
             prop_assert!(reference.target_met);
             prop_assert_eq!(reference.winner, best.spec);
             prop_assert_eq!(reference.winner_cost, best.cost);
@@ -160,4 +172,49 @@ proptest! {
             prop_assert_eq!(&raced, &reference);
         }
     }
+}
+
+#[test]
+fn race_costs_at_most_five_percent_over_the_best_solo_and_far_below_the_grid() {
+    // Standard patterns and a tight false-positive budget that the
+    // aggressive reach lanes blow through within their first iteration,
+    // so the brute-force control lane wins over many passes while the
+    // race cancels the six losers at their pass boundaries. Every cost
+    // is logical (`CostModel` pass accounting), so every number here is
+    // a function of the seed.
+    let mut request = PortfolioRequest::example(7);
+    request.rounds = 40;
+    request.capacity_den = 8;
+    request.coverage_goal = 0.97;
+    request.max_fpr = 0.5;
+    let p = request.to_portfolio().expect("valid request");
+    let n = p.candidates().len();
+
+    let solos: Vec<SoloRun> = (0..n).map(|i| p.run_solo(i)).collect();
+    let grid_ms: f64 = solos.iter().map(|s| s.cost.as_ms()).sum();
+    let best = best_met_solo(&solos).expect("some candidate meets the target");
+
+    let order: Vec<usize> = (0..n).collect();
+    let race = race_at(1, &p, &order);
+    for _ in 0..2 {
+        assert_eq!(race_at(1, &p, &order), race, "race must repeat bit-identically");
+    }
+    let race_4t = race_at(4, &p, &order);
+    assert_eq!(race_4t, race, "race outcome must be thread-count invariant");
+    assert_eq!(race_4t.profile.to_bytes(), race.profile.to_bytes());
+
+    let makespan_ms = race.makespan.as_ms();
+    assert!(
+        makespan_ms <= 1.05 * best.cost.as_ms(),
+        "makespan {makespan_ms} ms exceeds 1.05x the best solo {} ms",
+        best.cost.as_ms()
+    );
+    assert!(makespan_ms < grid_ms, "makespan {makespan_ms} ms >= grid {grid_ms} ms");
+
+    // The numbers EXPERIMENTS.md quotes.
+    assert_eq!(race.winner, best.spec);
+    assert_eq!(makespan_ms, 14_252.0);
+    assert_eq!(best.cost.as_ms(), 13_716.0);
+    assert_eq!(grid_ms, 3_917_556.0);
+    assert_eq!(race.cancelled_lanes(), 6);
 }

@@ -9,19 +9,23 @@
 //! `poll(2)` event loop (unix) — which must be indistinguishable on
 //! the wire.
 //!
-//! Everything lives in ONE `#[test]` because
+//! The protocol suite lives in ONE `#[test]` because
 //! `reaper_exec::set_thread_count` is process-global and cargo runs the
-//! `#[test]` fns of one binary concurrently.
+//! `#[test]` fns of one binary concurrently. The delta-bandwidth test is
+//! a second, single-worker `#[test]` whose byte counts are a pure
+//! function of its seed.
 
 // Test code may panic on failure; clippy's in-tests knobs do not cover
 // non-`#[test]` helper fns in integration-test binaries.
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
+use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use reaper_core::{FailureProfile, ProfilingRequest};
+use reaper_exec::rng::SplitMix64;
 use reaper_portfolio::{LaneStatus, PortfolioRequest, Strategy};
 use reaper_serve::http;
 use reaper_serve::json::Value;
@@ -440,4 +444,86 @@ fn streaming_endpoints_conform_at_one_and_four_workers() {
             portfolio_race_conformance(workers, model);
         }
     }
+}
+
+/// One churn step: remove `n/2` existing cells, add `n/2` fresh ones.
+fn churn(cells: &mut BTreeSet<u64>, n: usize, rng: &mut SplitMix64) {
+    let removes = n / 2;
+    for _ in 0..removes {
+        let len = cells.len();
+        let pick = usize::try_from(rng.next_u64()).unwrap_or(usize::MAX) % len;
+        let victim = *cells.iter().nth(pick).expect("nonempty set has an nth element");
+        cells.remove(&victim);
+    }
+    let mut added = 0;
+    while added < n - removes {
+        if cells.insert(rng.next_u64() % 1_000_000_000) {
+            added += 1;
+        }
+    }
+}
+
+#[test]
+fn delta_fetches_stay_under_a_tenth_of_full_fetches_at_one_percent_churn() {
+    // A subscriber that keeps up: after every re-profiling push it
+    // fetches `delta?since=<prev>` and, for comparison, the full
+    // profile. The chain must outlive the run, so this measures codec
+    // bandwidth, not compaction resyncs.
+    const EPOCHS: u64 = 20;
+    const CELLS: usize = 20_000;
+    const CHURN_CELLS: usize = CELLS / 100;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        compact_max_deltas: usize::try_from(EPOCHS).expect("small") + 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::new(server.local_addr());
+    let job = client.submit(&quick_request(7777)).expect("submit").job_id;
+    client
+        .wait_for_profile(&job, poll(), 1500)
+        .expect("job finishes");
+
+    // Re-base the log on a dense seeded snapshot so the churn rate is
+    // exact and the full-profile size is realistic.
+    let mut rng = SplitMix64::new(0x0DE17A);
+    let mut cells: BTreeSet<u64> = BTreeSet::new();
+    while cells.len() < CELLS {
+        cells.insert(rng.next_u64() % 1_000_000_000);
+    }
+    let seed_push = client
+        .push_epoch(&job, &FailureProfile::from_cells(cells.iter().copied()).to_bytes())
+        .expect("seed push");
+    let mut prev_epoch = seed_push.epoch;
+
+    let mut delta_bytes = 0usize;
+    let mut full_bytes = 0usize;
+    for _ in 0..EPOCHS {
+        churn(&mut cells, CHURN_CELLS, &mut rng);
+        let push = client
+            .push_epoch(&job, &FailureProfile::from_cells(cells.iter().copied()).to_bytes())
+            .expect("push epoch");
+        assert!(push.changed, "churned snapshot must move the head");
+        match client.delta_since(&job, prev_epoch).expect("delta fetch") {
+            DeltaFetch::Chain { bytes, epoch, .. } => {
+                assert_eq!(epoch, push.epoch);
+                delta_bytes += bytes.len();
+            }
+            other => panic!("tracking client must get a chain, got {other:?}"),
+        }
+        match client.profile_conditional(&job, None).expect("full fetch") {
+            ProfileFetch::Fresh { bytes, .. } => full_bytes += bytes.len(),
+            other => panic!("unconditional GET must serve bytes, got {other:?}"),
+        }
+        prev_epoch = push.epoch;
+    }
+    server.shutdown();
+
+    // The bandwidth ceiling, then the exact totals EXPERIMENTS.md quotes
+    // (every byte count is a deterministic function of the seed).
+    assert!(
+        delta_bytes * 10 < full_bytes,
+        "delta GETs must stay under 10% of full GETs: {delta_bytes} vs {full_bytes}"
+    );
+    assert_eq!((delta_bytes, full_bytes), (15_838, 1_088_690));
 }

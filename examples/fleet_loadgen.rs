@@ -2,9 +2,8 @@
 //!
 //! Three phases, one report (`--out BENCH_fleet.json`):
 //!
-//! 1. **Single-node baseline** — one `reaper-serve` instance, the same
-//!    cache-hit read loop as `serve_loadgen` (the BENCH_serve.json
-//!    scenario).
+//! 1. **Single-node baseline** — one `reaper-serve` instance under a
+//!    closed-loop cache-hit read loop over a few resident profiles.
 //! 2. **Fleet scenario** — N shards behind the router. The keyspace is
 //!    a population of one million simulated chips whose access ranks
 //!    are Zipf-skewed (log-uniform, s≈1) onto the resident profiles;
@@ -179,8 +178,8 @@ mod fleet_loadgen {
         args
     }
 
-    /// Phase 1: single-node closed-loop cache-hit reads (the
-    /// BENCH_serve.json scenario), returning requests/second.
+    /// Phase 1: single-node closed-loop cache-hit reads, returning
+    /// requests/second.
     fn single_node_baseline(seconds: u64, threads: usize) -> f64 {
         let server = Server::start(ServerConfig::default()).expect("bind baseline server");
         let addr = server.local_addr();

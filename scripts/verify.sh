@@ -33,21 +33,15 @@ cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --gate --j
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="
 cargo test --release -q --offline -p reaper-serve --test smoke
 
-echo "== service: bounded load run =="
-cargo run --release -q --offline --example serve_loadgen -- --seconds 5 --threads 4
-
-echo "== serve-delta: codec fuzz (RPF1 + RPD1 decoders never panic) =="
+echo "== service: codec fuzz (RPF1 + RPD1 decoders never panic) =="
 cargo test --release -q --offline -p reaper-core --test rpf1_fuzz
 cargo test --release -q --offline -p reaper-retention --test delta_codec
 
-echo "== serve-delta: epoch-log compaction equivalence (byte-identical prefixes) =="
+echo "== service: epoch-log compaction equivalence (byte-identical prefixes) =="
 cargo test --release -q --offline -p reaper-serve --test epoch_log
 
-echo "== serve-delta: protocol conformance (ETag/304, delta, watch; 1 + 4 workers) =="
+echo "== service: protocol conformance (ETag/304, delta, watch; 1 + 4 workers) + delta bandwidth (< 10% of full bytes at 1% churn) =="
 cargo test --release -q --offline -p reaper-serve --test conformance
-
-echo "== serve-delta: bandwidth gate (delta GETs < 10% of full bytes at 1% churn) =="
-cargo run --release -q --offline --example serve_delta_bench -- --epochs 20 --gate
 
 echo "== fleet: rendezvous routing properties =="
 cargo test --release -q --offline -p reaper-fleet --test routing
@@ -61,15 +55,15 @@ cargo test --release -q --offline -p reaper-fleet --test failover
 echo "== fleet: loadgen gate (aggregate throughput + connection ladder) =="
 cargo run --release -q --offline --example fleet_loadgen -- --seconds 3 --gate
 
-echo "== portfolio: race determinism (threads x orderings x priors) =="
+echo "== portfolio: race determinism + logical cost (threads x orderings x priors; <=1.05x best solo, < sequential grid) =="
 cargo test --release -q --offline -p reaper-exec cancel
-cargo test --release -q --offline -p reaper-portfolio
+cargo test --release -q --offline -p reaper-portfolio --lib --test determinism
 
-echo "== bench-portfolio: racing gate (<=1.05x best solo, < sequential grid) =="
-cargo run --release -q --offline --example portfolio_bench -- --gate
+echo "== portfolio: race wall-time speedup (4 threads vs 1, enforced on >= 4 cores) =="
+cargo test --release -q --offline -p reaper-portfolio --test race_speedup
 
-echo "== benchmark: repro_drift + repro_static + service_jobs smoke (goldens, byte-identical passes, direct job re-execution) =="
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --workload repro_static --workload service_jobs --smoke
+echo "== benchmark: four-workload smoke (goldens, byte-identical passes, direct job re-execution, fleet byte equality) =="
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --workload repro_drift --workload repro_static --workload service_jobs --workload fleet_mixed --smoke
 
 echo "== smoke: headline experiment (quick scale) =="
 cargo run --release --offline -p reaper-conformance --bin experiments -- headline --quick
