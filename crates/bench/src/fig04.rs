@@ -6,11 +6,12 @@
 //! measurement window spread across simulated wall-clock time.
 
 use reaper_analysis::fit::PowerLawFit;
+use reaper_core::merge_sorted_union;
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
 use reaper_retention::{RetentionConfig, SimulatedChip};
 
 use crate::table::{fmt_f, Scale, Table};
-use crate::util::{dram_temp, merge_sorted_union};
+use crate::util::dram_temp;
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Table {
@@ -51,7 +52,7 @@ pub fn run(scale: Scale) -> Table {
             }
             // Measurement: spread iterations over wall-clock hours.
             let step = Ms::from_hours(measure_hours / measure_iters as f64);
-            let mut new_cells = 0u64;
+            let mut new_cells = 0usize;
             for it in 0..measure_iters {
                 chip.advance(step);
                 for p in DataPattern::standard_set(warmup_iters + it) {

@@ -57,42 +57,6 @@ pub fn profile_union(
     )
 }
 
-/// Merges the ascending, duplicate-free `cells` (a trial's
-/// [`reaper_retention::TrialOutcome::into_vec`]) into the ascending,
-/// duplicate-free set `seen`, in place, and returns how many of `cells`
-/// were new.
-///
-/// A branch-free forward pass over both sets compacts the new cells to
-/// the front of `cells`, reusing the trial's own buffer. `seen` then
-/// grows by exactly that many slots and is filled from the end: each new
-/// cell's insertion point is a binary search, and the run of old cells
-/// above it moves up in one `copy_within`. Once a profile has warmed up,
-/// nearly every trial adds a few cells to a set many times its size, so
-/// the cost is one compare per cell plus one block move of `seen`.
-pub fn merge_sorted_union(seen: &mut Vec<u64>, mut cells: Vec<u64>) -> u64 {
-    let (mut i, mut j, mut fresh) = (0, 0, 0);
-    while i < seen.len() && j < cells.len() {
-        let (s, c) = (seen[i], cells[j]);
-        // `fresh <= j`, so this only overwrites cells already visited.
-        cells[fresh] = c;
-        fresh += usize::from(c < s);
-        i += usize::from(s <= c);
-        j += usize::from(c <= s);
-    }
-    cells.copy_within(j.., fresh);
-    cells.truncate(fresh + cells.len() - j);
-
-    let mut end = seen.len();
-    seen.resize(end + cells.len(), 0);
-    for (k, &cell) in cells.iter().enumerate().rev() {
-        let pos = seen[..end].partition_point(|&s| s < cell);
-        seen.copy_within(pos..end, pos + k + 1);
-        seen[pos + k] = cell;
-        end = pos;
-    }
-    num::to_u64(cells.len())
-}
-
 /// Builds a harness around a chip clone at the given ambient.
 pub fn harness_for(chip: &SimulatedChip, ambient: Celsius, seed: u64) -> TestHarness {
     TestHarness::new(chip.clone(), ambient, seed)
@@ -222,51 +186,6 @@ mod tests {
     fn representative_chip_is_vendor_b() {
         let chip = representative_chip(Scale::Quick);
         assert_eq!(chip.config().vendor, Vendor::B);
-    }
-
-    #[test]
-    fn merge_sorted_union_matches_btreeset() {
-        use reaper_exec::rng::stream;
-        use std::collections::BTreeSet;
-        // A sorted, duplicate-free draw of up to `max_len` cells from
-        // `0..span`: small spans force repeats and interleaving across
-        // calls, large ones give near-disjoint sets.
-        let sorted_cells = |rng: &mut reaper_exec::rng::SplitMix64, span: u64, max_len: u64| {
-            let len = rng.next_u64() % (max_len + 1);
-            let set: BTreeSet<u64> = (0..len).map(|_| rng.next_u64() % span).collect();
-            set.into_iter().collect::<Vec<u64>>()
-        };
-        for seed in 0..200u64 {
-            let mut rng = stream(&[0x5EE7, seed]);
-            let span = [1u64, 8, 64, 1 << 20][(seed % 4) as usize];
-            let mut seen = Vec::new();
-            let mut reference = BTreeSet::new();
-            for call in 0..12u64 {
-                let cells = match call % 4 {
-                    0 => Vec::new(),
-                    // Every other cell already seen: all repeats.
-                    1 => reference.iter().copied().step_by(2).collect(),
-                    // Disjoint: strictly above everything seen so far.
-                    2 => {
-                        let base = reference.last().map_or(0, |&m| m + 1);
-                        sorted_cells(&mut rng, span, 16)
-                            .iter()
-                            .map(|c| c + base)
-                            .collect()
-                    }
-                    // Interleaved with the existing set.
-                    _ => sorted_cells(&mut rng, span, 48),
-                };
-                let want = cells.iter().filter(|&&c| reference.insert(c)).count() as u64;
-                assert_eq!(
-                    merge_sorted_union(&mut seen, cells),
-                    want,
-                    "seed {seed} call {call}"
-                );
-                let same = seen.iter().copied().eq(reference.iter().copied());
-                assert!(same, "seed {seed} call {call}");
-            }
-        }
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub mod tradeoff;
 pub use conditions::{ReachConditions, TargetConditions};
 pub use ecc::EccStrength;
 pub use metrics::ProfileMetrics;
-pub use profile::{FailureProfile, ProfileCodecError};
+pub use profile::{merge_sorted_union, FailureProfile, ProfileCodecError};
 // The streaming-delta types appear in `FailureProfile`'s API
 // (`delta_to` / `apply_delta`), so re-export them at the root alongside
 // the profile they act on.

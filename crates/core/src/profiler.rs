@@ -11,7 +11,7 @@ use reaper_retention::SimulatedChip;
 use reaper_softmc::TestHarness;
 
 use crate::conditions::{ReachConditions, TargetConditions};
-use crate::profile::FailureProfile;
+use crate::profile::{merge_sorted_union, FailureProfile};
 
 /// Which data patterns each profiling iteration writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -271,23 +271,23 @@ impl Profiler {
             .chip_mut()
             .prewarm_lowerings(&self.patterns.stable_patterns());
 
-        let mut profile = FailureProfile::new();
+        // The union accumulates as a sorted vector, merged per trial; the
+        // profile is built from it once, at the end.
+        let mut seen = Vec::new();
         let mut iterations = Vec::with_capacity(num::idx(self.iterations));
         for it in 0..self.iterations {
             let mut stats = IterationStats::default();
             for pattern in self.patterns.for_iteration(u64::from(it)) {
-                let outcome = harness.pattern_trial(pattern, self.interval);
-                for &cell in outcome.failures() {
-                    if profile.insert(cell) {
-                        stats.new_unique += 1;
-                    } else {
-                        stats.repeats += 1;
-                    }
-                }
+                let failures = harness.pattern_trial(pattern, self.interval).into_vec();
+                let found = failures.len();
+                let new_unique = merge_sorted_union(&mut seen, failures);
+                stats.new_unique += new_unique;
+                stats.repeats += found - new_unique;
             }
-            stats.cumulative = profile.len();
+            stats.cumulative = seen.len();
             iterations.push(stats);
         }
+        let profile = FailureProfile::from_cells(seen);
 
         if let Some(restore) = self.restore_ambient {
             harness.set_ambient(restore);
@@ -331,13 +331,11 @@ impl Profiler {
                 schedule.push((pattern, interval, dram_temp));
             }
         }
-        let mut profile = FailureProfile::new();
+        let mut seen = Vec::new();
         for outcome in chip.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes {
-            for &cell in outcome.failures() {
-                profile.insert(cell);
-            }
+            merge_sorted_union(&mut seen, outcome.into_vec());
         }
-        profile
+        FailureProfile::from_cells(seen)
     }
 
     /// Runs until the profile covers at least `coverage_goal` of

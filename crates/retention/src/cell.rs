@@ -6,9 +6,64 @@
 //! experiments sweep. Strong cells — the overwhelming majority — never fail
 //! in-range and are not materialized.
 
+use std::sync::LazyLock;
+
 use reaper_dram_model::{ChipGeometry, DataPattern};
 use reaper_analysis::special::phi;
 use reaper_exec::num;
+
+use crate::chip::Z_CUTOFF;
+
+/// Interpolation-table nodes per unit of z. The table covers the band
+/// `|z| ≤ Z_CUTOFF` in which the scan makes a failure draw.
+const PHI_TABLE_STEPS: f64 = 512.0;
+/// Number of table intervals over `[−Z_CUTOFF, Z_CUTOFF]`.
+const PHI_TABLE_LEN: usize = 4096;
+
+/// The certification margin ε of [`below_phi`]: a strict bound on
+/// `|phi_approx(z) − phi(z)|` over the table's range. Linear
+/// interpolation at 1/512 spacing is off by at most `h²/8 · max|Φ''|
+/// ≈ 1.2e-7`; the tests pin the bound with a Lipschitz sweep.
+const PHI_EPS: f64 = 2e-6;
+
+/// `phi` at the table nodes `z_k = −Z_CUTOFF + k / PHI_TABLE_STEPS`.
+static PHI_TABLE: LazyLock<Vec<f64>> = LazyLock::new(|| {
+    (0..=PHI_TABLE_LEN)
+        .map(|k| phi(k as f64 / PHI_TABLE_STEPS - Z_CUTOFF))
+        .collect()
+});
+
+/// The table-interpolated `Φ̃(z)`, or `None` outside
+/// `[−Z_CUTOFF, Z_CUTOFF]` (NaN included).
+fn phi_approx(z: f64) -> Option<f64> {
+    if !(-Z_CUTOFF..=Z_CUTOFF).contains(&z) {
+        return None;
+    }
+    let x = (z + Z_CUTOFF) * PHI_TABLE_STEPS;
+    #[allow(clippy::cast_possible_truncation)]
+    // lint: allow(lossy-cast) x lies in [0, 4096]: its floor is a small non-negative integer
+    let k = (x as usize).min(PHI_TABLE_LEN - 1);
+    let (lo, hi) = match PHI_TABLE.get(k..=k + 1) {
+        Some(&[lo, hi]) => (lo, hi),
+        _ => return None,
+    };
+    Some(lo + (x - k as f64) * (hi - lo))
+}
+
+/// The failure decision `u < phi(z)` of one in-band draw, certified: it
+/// compares `u` with the table value `Φ̃(z)` and evaluates `phi` only
+/// when `u` lies within [`PHI_EPS`] of it. Since `|Φ̃(z) − phi(z)| <
+/// PHI_EPS` on the table's range, `u < Φ̃(z) − ε` implies `u < phi(z)`
+/// and `u > Φ̃(z) + ε` implies `u > phi(z)`: the answer is exactly
+/// `u < phi(z)`, bit for bit, at a table lookup's cost for all but a
+/// ~4e-6 fraction of draws. The crate's one `u < Φ(z)` decision.
+pub(crate) fn below_phi(u: f64, z: f64) -> bool {
+    match phi_approx(z) {
+        Some(approx) if u < approx - PHI_EPS => true,
+        Some(approx) if u > approx + PHI_EPS => false,
+        _ => u < phi(z),
+    }
+}
 
 /// One weak cell's retention phenotype.
 ///
@@ -42,28 +97,35 @@ pub struct WeakCell {
 }
 
 impl WeakCell {
+    /// The cell's row and column: one `index / row_bits` divmod.
+    fn row_col(&self, geometry: ChipGeometry) -> (u64, u32) {
+        let row_bits = u64::from(geometry.row_bits());
+        (self.index / row_bits, num::u64_to_u32(self.index % row_bits))
+    }
+
+    /// Matches-of-4 of the neighbours of `(row, col)` against the
+    /// aggressor signature. Neighbours wrap around the chip's edges by
+    /// compare, not by modulo: `row` and `col` lie inside the geometry.
+    fn stress_at(&self, pattern: DataPattern, geometry: ChipGeometry, row: u64, col: u32) -> u8 {
+        let (last_row, last_col) = (geometry.total_rows() - 1, geometry.row_bits() - 1);
+        let north = pattern.bit_at(if row == 0 { last_row } else { row - 1 }, col);
+        let south = pattern.bit_at(if row == last_row { 0 } else { row + 1 }, col);
+        let west = pattern.bit_at(row, if col == 0 { last_col } else { col - 1 });
+        let east = pattern.bit_at(row, if col == last_col { 0 } else { col + 1 });
+        // Bit i of `stored` is neighbour i's value, in signature order.
+        let stored =
+            u8::from(north) | u8::from(south) << 1 | u8::from(west) << 2 | u8::from(east) << 3;
+        let mismatches = (stored ^ self.dpd_signature) & 0b1111;
+        4 - u8::try_from(mismatches.count_ones()).expect("invariant: a 4-bit mask has at most 4 ones")
+    }
+
     /// Number of the four neighbors (0..=4) whose stored value under
     /// `pattern` matches this cell's aggressor signature. The quantized
     /// form of [`WeakCell::stress_under`]; pattern lowerings pack this
     /// into a one-byte DPD lane.
     pub fn stress_matches(&self, pattern: DataPattern, geometry: ChipGeometry) -> u8 {
-        let row_bits = u64::from(geometry.row_bits());
-        let total_rows = geometry.total_rows();
-        let row = self.index / row_bits;
-        let col = num::u64_to_u32(self.index % row_bits);
-
-        let north = pattern.bit_at((row + total_rows - 1) % total_rows, col);
-        let south = pattern.bit_at((row + 1) % total_rows, col);
-        let west = pattern.bit_at(row, (col + geometry.row_bits() - 1) % geometry.row_bits());
-        let east = pattern.bit_at(row, (col + 1) % geometry.row_bits());
-
-        let neighbors = [north, south, west, east];
-        let matches = neighbors
-            .iter()
-            .enumerate()
-            .filter(|&(i, &bit)| bit == ((self.dpd_signature >> i) & 1 == 1))
-            .count();
-        u8::try_from(matches).expect("invariant: at most four neighbors can match")
+        let (row, col) = self.row_col(geometry);
+        self.stress_at(pattern, geometry, row, col)
     }
 
     /// DPD stress fraction in `[0, 1]` for this cell under `pattern`:
@@ -75,8 +137,18 @@ impl WeakCell {
 
     /// The bit this cell stores under `pattern`.
     pub fn stored_bit(&self, pattern: DataPattern, geometry: ChipGeometry) -> bool {
-        let row_bits = u64::from(geometry.row_bits());
-        pattern.bit_at(self.index / row_bits, num::u64_to_u32(self.index % row_bits))
+        let (row, col) = self.row_col(geometry);
+        pattern.bit_at(row, col)
+    }
+
+    /// The polarity gate and DPD stress under `pattern` from one divmod:
+    /// [`WeakCell::stress_matches`] when the cell stores its vulnerable
+    /// bit, `None` when it cannot fail. The window scan, pattern lowering
+    /// and plan compile all gate cells through this.
+    pub(crate) fn active_stress(&self, pattern: DataPattern, geometry: ChipGeometry) -> Option<u8> {
+        let (row, col) = self.row_col(geometry);
+        (pattern.bit_at(row, col) == self.vulnerable_bit)
+            .then(|| self.stress_at(pattern, geometry, row, col))
     }
 
     /// Effective CDF mean in seconds given a temperature μ-scale factor, a
@@ -226,6 +298,104 @@ mod tests {
         let c = test_cell(2.0);
         assert!(!c.stored_bit(DataPattern::solid0(), g));
         assert!(c.stored_bit(DataPattern::solid1(), g));
+    }
+
+    #[test]
+    fn phi_table_error_is_certified_below_eps() {
+        // Sweep z over [−4, 4] with grid step δ = 2⁻¹⁹, a divisor of the
+        // table spacing, so each grid interval lies inside one linear
+        // piece and the finite differences are the pieces' exact slopes.
+        // Any z lies within δ of a grid point g, so
+        // |Φ̃(z) − phi(z)| ≤ |Φ̃(g) − phi(g)| + δ·(L_Φ̃ + L_phi): the bound
+        // below then holds on the whole range, with a margin far above
+        // the few ulps of rounding in either evaluation.
+        let delta = 1.0 / f64::from(1u32 << 19);
+        let (mut max_err, mut l_approx, mut l_phi) = (0.0f64, 0.0f64, 0.0f64);
+        let mut prev: Option<(f64, f64)> = None;
+        for k in 0..=(8u32 << 19) {
+            let z = -Z_CUTOFF + f64::from(k) * delta;
+            let exact = phi(z);
+            let approx = phi_approx(z).expect("z lies on the table's range");
+            max_err = max_err.max((approx - exact).abs());
+            if let Some((prev_exact, prev_approx)) = prev {
+                l_phi = l_phi.max((exact - prev_exact).abs() / delta);
+                l_approx = l_approx.max((approx - prev_approx).abs() / delta);
+            }
+            prev = Some((exact, approx));
+        }
+        assert!(l_phi <= 0.4 && l_approx <= 0.4, "L_phi {l_phi}, L_approx {l_approx}");
+        assert!(max_err < 1.2e-7, "interpolation error {max_err}");
+        assert!(max_err + delta * (0.4 + 0.4) < PHI_EPS, "{max_err} + {delta}·0.8 ≥ ε");
+    }
+
+    #[test]
+    fn below_phi_equals_the_exact_compare_next_to_the_table() {
+        // Draws within ε/2 of Φ̃(z) take the fallback, draws 2ε away the
+        // table compare; both must answer exactly `u < phi(z)`, as must
+        // draws at phi(z) itself and one ulp either side.
+        let mut fallbacks = 0;
+        for k in 0..=16_000u32 {
+            let z = -Z_CUTOFF + f64::from(k) * 5e-4;
+            let approx = phi_approx(z).expect("z lies on the table's range");
+            let exact = phi(z);
+            let ulp = |x: f64, up: bool| f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 });
+            for u in [
+                approx - PHI_EPS / 2.0,
+                approx + PHI_EPS / 2.0,
+                approx,
+                approx - 2.0 * PHI_EPS,
+                approx + 2.0 * PHI_EPS,
+                exact,
+                ulp(exact, true),
+                ulp(exact, false),
+            ] {
+                fallbacks += usize::from((u - approx).abs() <= PHI_EPS);
+                assert_eq!(below_phi(u, z), u < exact, "z {z}, u {u}");
+            }
+        }
+        assert!(fallbacks > 16_000 * 3);
+        // Outside the table (and for NaN) the helper is `phi` itself.
+        for z in [-4.5, 4.5, f64::NAN, f64::INFINITY] {
+            for u in [0.0, 1e-6, 0.5, 1.0 - 1e-6] {
+                assert_eq!(below_phi(u, z), u < phi(z), "z {z}, u {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn active_stress_matches_the_separate_gates() {
+        // Corners and edges exercise the compare-based neighbour wrap.
+        use reaper_dram_model::ChipGeometry;
+        let g = ChipGeometry::new(2, 4, 16);
+        let patterns = DataPattern::standard_set(3);
+        for index in 0..g.density_bits() {
+            for sig in [0b0000, 0b0101, 0b1011, 0b1111] {
+                let mut c = test_cell(2.0);
+                c.index = index;
+                c.dpd_signature = sig;
+                c.vulnerable_bit = index % 3 == 0;
+                for &p in &patterns {
+                    let row_bits = u64::from(g.row_bits());
+                    let (row, col) = (index / row_bits, (index % row_bits) as u32);
+                    let rows = g.total_rows();
+                    let neighbours = [
+                        p.bit_at((row + rows - 1) % rows, col),
+                        p.bit_at((row + 1) % rows, col),
+                        p.bit_at(row, (col + g.row_bits() - 1) % g.row_bits()),
+                        p.bit_at(row, (col + 1) % g.row_bits()),
+                    ];
+                    let want = neighbours
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, &bit)| bit == ((sig >> i) & 1 == 1))
+                        .count() as u8;
+                    assert_eq!(c.stress_matches(p, g), want);
+                    assert_eq!(c.stored_bit(p, g), p.bit_at(row, col));
+                    let active = p.bit_at(row, col) == c.vulnerable_bit;
+                    assert_eq!(c.active_stress(p, g), active.then_some(want));
+                }
+            }
+        }
     }
 
     #[test]

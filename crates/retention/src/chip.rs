@@ -14,7 +14,7 @@ use reaper_exec::rng::stream;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 
 use crate::batch::MAX_BATCH_ROUNDS;
-use crate::cell::WeakCell;
+use crate::cell::{below_phi, WeakCell};
 use crate::config::RetentionConfig;
 use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
@@ -105,47 +105,107 @@ pub(crate) fn window_position(window: &Window, j: usize) -> usize {
     }
 }
 
+/// The bits of a finite `key` as an unsigned integer that sorts as the
+/// key does. `-0.0` is first normalized to `+0.0` (`key + 0.0`), so the
+/// two zeros tie exactly as they do under `partial_cmp`.
+fn order_bits(key: f64) -> u64 {
+    let bits = (key + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 /// Stable-sorts `(segment, key)` pairs ascending — `segment(item)` is the
 /// primary key, `false` first — and applies the same permutation to
 /// `keys` and `items`, in place. Byte-identical ordering to stable-sorting
 /// `(segment, key, item)` triples by `(segment, key)` — equal pairs keep
 /// their original relative order — without draining either buffer.
 ///
-/// # Panics
-/// Panics if any key comparison is unordered (NaN keys).
+/// Each position packs into one `u128`, `(segment, order_bits(key),
+/// position)`, so a plain unstable integer sort does the work of a
+/// comparator sort; the position breaks ties, which keeps it stable.
+/// Keys must not be NaN (they are finite products of finite cell
+/// parameters).
 fn stable_cosort_by_key<T>(keys: &mut [f64], items: &mut [T], segment: impl Fn(&T) -> bool) {
     debug_assert_eq!(keys.len(), items.len());
-    let mut order: Vec<u32> = (0..num::to_u32(keys.len())).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (num::idx(a), num::idx(b));
-        let seg = |i: usize| segment(items.get(i).expect("invariant: order indexes items"));
-        seg(a).cmp(&seg(b)).then_with(|| {
-            keys.get(a)
-                .partial_cmp(&keys.get(b))
-                .expect("invariant: sort keys are finite products of finite cell params")
+    debug_assert!(keys.iter().all(|k| !k.is_nan()), "sort keys must not be NaN");
+    let mut packed: Vec<u128> = keys
+        .iter()
+        .zip(items.iter())
+        .enumerate()
+        .map(|(i, (&key, item))| {
+            u128::from(segment(item)) << 96
+                | u128::from(order_bits(key)) << 32
+                | u128::from(num::to_u32(i))
         })
-    });
+        .collect();
+    packed.sort_unstable();
+    #[allow(clippy::cast_possible_truncation)]
+    // lint: allow(lossy-cast) the low 32 bits hold a position, packed from a u32 above
+    let source = |p: &u128| num::idx(*p as u32);
     // Apply the permutation by cycle-chasing: positions below `i` already
     // hold their final element, so following the chain through them finds
-    // where the element destined for `i` currently lives.
-    for i in 0..order.len() {
-        let mut src = num::idx(
-            *order
-                .get(i)
-                .expect("invariant: i < order.len() by loop bound"),
-        );
+    // where the element destined for `i` currently lives. Entry `i` is
+    // rewritten to that position as the chase goes.
+    for i in 0..packed.len() {
+        let mut src = source(packed.get(i).expect("invariant: i < packed.len() by loop bound"));
         while src < i {
-            src = num::idx(
-                *order
+            src = source(
+                packed
                     .get(src)
                     .expect("invariant: permutation entries are in-bounds indices"),
             );
         }
-        *order
+        *packed
             .get_mut(i)
-            .expect("invariant: i < order.len() by loop bound") = num::to_u32(src);
+            .expect("invariant: i < packed.len() by loop bound") = u128::from(num::to_u32(src));
         keys.swap(i, src);
         items.swap(i, src);
+    }
+}
+
+/// A set of cell indices for the synthesis draw loop only: open
+/// addressing with linear probing over a power-of-two table at most 2/3
+/// full. One multiply and a probe or two per insert, against a
+/// `BTreeSet`'s node walk and allocation; dropped once the cells are drawn.
+struct IndexTable {
+    slots: Vec<u64>,
+}
+
+impl IndexTable {
+    /// Marks a free slot. Cell indices lie below the geometry's density,
+    /// so none equals it.
+    const EMPTY: u64 = u64::MAX;
+
+    /// A table with room for `n` indices.
+    fn with_capacity(n: usize) -> Self {
+        Self {
+            slots: vec![Self::EMPTY; (n + n / 2 + 1).next_power_of_two()],
+        }
+    }
+
+    /// Inserts `index`; returns false if it was already present.
+    fn insert(&mut self, index: u64) -> bool {
+        debug_assert!(index != Self::EMPTY, "cell indices lie below u64::MAX");
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the high bits of the product are well mixed.
+        let mut slot = num::idx_u64(index.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & mask;
+        loop {
+            let entry = self
+                .slots
+                .get_mut(slot)
+                .expect("invariant: slot is masked to the table length");
+            if *entry == Self::EMPTY {
+                *entry = index;
+                return true;
+            }
+            if *entry == index {
+                return false;
+            }
+            slot = (slot + 1) & mask;
+        }
     }
 }
 
@@ -163,15 +223,39 @@ impl TrialOutcome {
         Self { failures: v }
     }
 
-    /// Wraps an already sorted, duplicate-free index vector (the batch
-    /// kernel emits rounds in this form) without re-sorting.
-    fn from_sorted(v: Vec<u64>) -> Self {
+    /// Builds the outcome from `v` whose first `sorted_len` entries are
+    /// already strictly ascending (a kernel round) and whose tail is in
+    /// any order (the cells `arrival_round` appended): sorts and dedups
+    /// only the tail, then merges it in. Equal to
+    /// [`TrialOutcome::from_unsorted`] on the same vector.
+    fn from_sorted_prefix(mut v: Vec<u64>, sorted_len: usize) -> Self {
         debug_assert!(
-            // lint: allow(panic) windows(2) always yields 2-element slices
-            v.windows(2).all(|w| w[0] < w[1]),
-            "from_sorted requires strictly ascending indices"
+            v.get(..sorted_len).is_some_and(|head| head.is_sorted_by(|a, b| a < b)),
+            "from_sorted_prefix requires a strictly ascending prefix"
         );
-        Self { failures: v }
+        if v.len() <= sorted_len {
+            return Self { failures: v };
+        }
+        if sorted_len == 0 {
+            return Self::from_unsorted(v);
+        }
+        let mut tail = v.split_off(sorted_len);
+        tail.sort_unstable();
+        tail.dedup();
+        let mut merged = Vec::with_capacity(v.len() + tail.len());
+        let (mut head, mut tail) = (v.into_iter().peekable(), tail.into_iter().peekable());
+        while let (Some(&h), Some(&t)) = (head.peek(), tail.peek()) {
+            merged.push(h.min(t));
+            if h <= t {
+                head.next();
+            }
+            if t <= h {
+                tail.next();
+            }
+        }
+        merged.extend(head);
+        merged.extend(tail);
+        Self { failures: merged }
     }
 
     /// Number of failing cells.
@@ -244,9 +328,12 @@ pub struct SimulatedChip {
     base_vrt: Vec<TwoStateVrt>,
     /// VRT-arrived failing cells (paper §5.3 steady-state accumulation).
     arrivals: Vec<ArrivalCell>,
-    /// Occupied cell indices (weak cells plus VRT arrivals). Membership
-    /// checks only, but kept ordered so `Clone`d chips compare cleanly.
-    used: BTreeSet<u64>,
+    /// Indices of the weak cells, ascending: built in bulk once, at
+    /// synthesis. With `arrival_indices`, the occupied indices new VRT
+    /// arrivals are drawn around.
+    cell_indices: Vec<u64>,
+    /// Indices of every VRT arrival so far, expired ones included.
+    arrival_indices: BTreeSet<u64>,
     now_ms: f64,
     last_arrival_ms: f64,
     /// Sequential generator for population synthesis and VRT arrivals
@@ -274,6 +361,12 @@ enum TrialRoute {
 impl SimulatedChip {
     /// Synthesizes a chip from `cfg`, deterministically in `seed`.
     ///
+    /// Cell indices are drawn without replacement: a draw that collides
+    /// with an earlier cell is redrawn on the spot, so every draw stays in
+    /// the rng's order. Collisions are checked against a transient
+    /// `IndexTable`; the chip's sorted index list, which VRT arrivals
+    /// check, is built once, in bulk, after the loop.
+    ///
     /// # Panics
     /// Panics if `cfg` fails [`RetentionConfig::validate`].
     pub fn new(cfg: RetentionConfig, seed: u64) -> Self {
@@ -291,7 +384,7 @@ impl SimulatedChip {
             .expect("invariant: validated config yields finite positive sigma params");
 
         let density = cfg.geometry.density_bits();
-        let mut used = BTreeSet::new();
+        let mut drawn = IndexTable::with_capacity(n_cells);
         let mut cells = Vec::with_capacity(n_cells);
         let mut base_vrt = Vec::new();
 
@@ -299,7 +392,7 @@ impl SimulatedChip {
         for _ in 0..n_cells {
             let index = loop {
                 let idx = rng.random_range(0..density);
-                if used.insert(idx) {
+                if drawn.insert(idx) {
                     break idx;
                 }
             };
@@ -329,13 +422,18 @@ impl SimulatedChip {
             });
         }
 
+        drop(drawn);
+        let mut cell_indices: Vec<u64> = cells.iter().map(|c| c.index).collect();
+        cell_indices.sort_unstable();
+
         let mut chip = Self {
             sort_keys: Vec::new(),
             vrt_start: 0,
             cells,
             base_vrt,
             arrivals: Vec::new(),
-            used,
+            cell_indices,
+            arrival_indices: BTreeSet::new(),
             now_ms: 0.0,
             last_arrival_ms: 0.0,
             rng,
@@ -501,7 +599,8 @@ impl SimulatedChip {
             self.plan_cache.stats.scalar_trials += 1;
             TrialRoute::Scan(None)
         };
-        let (mut failures, vrt_updates) = match route {
+        // A kernel round comes out sorted; the scan's follows window order.
+        let (mut failures, vrt_updates, sorted_len) = match route {
             TrialRoute::Plan(i) => {
                 let mut batch = self
                     .plan_cache
@@ -511,17 +610,19 @@ impl SimulatedChip {
                     .rounds
                     .pop()
                     .expect("invariant: one nonce in yields one round out");
-                (failures, batch.vrt_updates)
+                let sorted_len = failures.len();
+                (failures, batch.vrt_updates, sorted_len)
             }
             TrialRoute::Scan(lowering) => {
                 let window = self.window(interval, temp);
                 let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
-                self.scalar_window_scan(pattern, &window, &ctx, lowering)
+                let (failures, updates) = self.scalar_window_scan(pattern, &window, &ctx, lowering);
+                (failures, updates, 0)
             }
         };
         self.merge_vrt(vrt_updates);
         self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut failures);
-        TrialOutcome::from_unsorted(failures)
+        TrialOutcome::from_sorted_prefix(failures, sorted_len)
     }
 
     /// The per-trial context at `(interval, temp)` for trial `nonce`.
@@ -566,9 +667,7 @@ impl SimulatedChip {
             }
             if a.vrt.observe(now_ms, rng) {
                 let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
-                if z > Z_CUTOFF
-                    || (z > -Z_CUTOFF && rng.random::<f64>() < reaper_analysis::special::phi(z))
-                {
+                if z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(rng.random::<f64>(), z)) {
                     failures.push(a.cell.index);
                 }
             }
@@ -576,7 +675,8 @@ impl SimulatedChip {
     }
 
     /// The window scan over the cells of `window`: polarity, stress, μ,
-    /// σ, z and `phi(z)` per cell per trial. It serves single trials whose
+    /// σ, z and the certified `u < phi(z)` compare ([`below_phi`]) per
+    /// cell per trial. It serves single trials whose
     /// condition has no plan yet, and without a lowering it is the
     /// reference the kernel is verified against. A `lowering` (built for
     /// `pattern`) supplies the polarity-active cells and their stress
@@ -608,8 +708,8 @@ impl SimulatedChip {
             }),
             None => self.scan_lanes(ctx, window, |i| {
                 let cell = cells.get(i).expect("invariant: window ranges lie inside the cell array");
-                (cell.stored_bit(pattern, geometry) == cell.vulnerable_bit)
-                    .then(|| (cell, cell.stress_under(pattern, geometry)))
+                let lvl = cell.active_stress(pattern, geometry)?;
+                Some((cell, f64::from(lvl) / 4.0))
             }),
         }
     }
@@ -651,7 +751,7 @@ impl SimulatedChip {
             if z < -Z_CUTOFF {
                 return (None, vrt_update);
             }
-            let fails = z > Z_CUTOFF || lane.next_f64() < reaper_analysis::special::phi(z);
+            let fails = z > Z_CUTOFF || below_phi(lane.next_f64(), z);
             (fails.then_some(cell.index), vrt_update)
         };
 
@@ -908,8 +1008,8 @@ impl SimulatedChip {
             .unwrap_or(schedule.len());
 
         // Replay arrivals on the sequential RNG in schedule order, over
-        // exactly the completed prefix. Kernel rounds arrive sorted;
-        // re-sort only when an arrival cell actually appended.
+        // exactly the completed prefix. Kernel rounds arrive sorted; only
+        // the arrival cells appended after them are sorted and merged in.
         let mut outcomes = Vec::with_capacity(completed);
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
             let mut failures = slot
@@ -922,11 +1022,7 @@ impl SimulatedChip {
                 self.cfg.sigma_temp_scale(temp),
                 &mut failures,
             );
-            outcomes.push(if failures.len() == kernel_len {
-                TrialOutcome::from_sorted(failures)
-            } else {
-                TrialOutcome::from_unsorted(failures)
-            });
+            outcomes.push(TrialOutcome::from_sorted_prefix(failures, kernel_len));
         }
         PartialTrials {
             outcomes,
@@ -990,7 +1086,9 @@ impl SimulatedChip {
         for _ in 0..n {
             let index = loop {
                 let idx = self.rng.random_range(0..density);
-                if self.used.insert(idx) {
+                if self.cell_indices.binary_search(&idx).is_err()
+                    && self.arrival_indices.insert(idx)
+                {
                     break idx;
                 }
             };
@@ -1235,6 +1333,22 @@ mod tests {
         assert!(TrialOutcome::default().is_empty());
     }
 
+    proptest::proptest! {
+        #[test]
+        fn sorted_prefix_assembly_equals_from_unsorted(
+            prefix in proptest::collection::btree_set(0u64..200, 0..40),
+            tail in proptest::collection::vec(0u64..200, 0..12),
+        ) {
+            // Tails drawn from the prefix's range overlap it and repeat
+            // themselves; the assembly must still equal a full sort.
+            let sorted_len = prefix.len();
+            let mut v: Vec<u64> = prefix.into_iter().collect();
+            v.extend(tail);
+            let want = TrialOutcome::from_unsorted(v.clone());
+            proptest::prop_assert_eq!(TrialOutcome::from_sorted_prefix(v, sorted_len), want);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "must be positive")]
     fn trial_rejects_zero_interval() {
@@ -1281,6 +1395,13 @@ mod tests {
         assert_eq!(keys, want_keys);
         assert_eq!(items, want_items);
         assert_eq!(items.partition_point(|i| !segment(i)), 6);
+
+        // Signed keys and both zeros: `-0.0` ties with `0.0` and keeps
+        // its original place, as under `partial_cmp`.
+        let mut keys = vec![0.0, -1.5, -0.0, 2.0, -0.0, 0.0, -3.0];
+        let mut items: Vec<u64> = (0..keys.len() as u64).collect();
+        stable_cosort_by_key(&mut keys, &mut items, |_| false);
+        assert_eq!(items, vec![6, 1, 0, 2, 4, 5, 3]);
 
         // Degenerate sizes.
         let mut k: Vec<f64> = vec![];

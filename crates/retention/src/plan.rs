@@ -3,9 +3,10 @@
 //! Every experiment reduces to running many retention trials at a fixed
 //! condition. The window scan in [`crate::chip`] recomputes, per trial and
 //! per candidate cell: the stored-bit polarity gate, the DPD stress
-//! fraction (six `bit_at` evaluations), the effective μ/σ/z, and the
-//! erf-backed `phi(z)`. None of that depends on the trial nonce — only the
-//! uniform draws do. This module factors the invariant work out into two
+//! fraction (five `bit_at` evaluations), the effective μ/σ/z, and
+//! `phi(z)` for the failure decision (certified against a table, so the
+//! erf-backed `phi` itself runs only for draws next to it). None of that
+//! depends on the trial nonce — only the uniform draws do. This module factors the invariant work out into two
 //! cacheable tiers:
 //!
 //! * [`PatternLowering`] — keyed by *pattern only*. Packs the
@@ -142,9 +143,9 @@ impl PatternLowering {
         let mut ord = Vec::new();
         let mut lvl = Vec::new();
         for (i, cell) in cells.iter().enumerate() {
-            if cell.stored_bit(pattern, geometry) == cell.vulnerable_bit {
+            if let Some(level) = cell.active_stress(pattern, geometry) {
                 ord.push(num::to_u32(i));
-                lvl.push(cell.stress_matches(pattern, geometry));
+                lvl.push(level);
             }
         }
         Self { pattern, ord, lvl }
@@ -296,8 +297,8 @@ impl TrialPlan {
                     let cell = cells
                         .get(i)
                         .expect("invariant: window ranges lie inside the cell array");
-                    if cell.stored_bit(pattern, geometry) == cell.vulnerable_bit {
-                        add(cell, cell.stress_matches(pattern, geometry));
+                    if let Some(lvl) = cell.active_stress(pattern, geometry) {
+                        add(cell, lvl);
                     }
                 }
             }

@@ -23,8 +23,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
-echo "== bench-trial: every trial path vs. the reference scan (property + smoke) =="
+echo "== bench-trial: every trial path vs. the reference scan (property + smoke), byte-identity pins =="
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
+cargo test --release -q --offline -p reaper-retention --test synthesis_pin
+cargo test --release -q --offline -p reaper-core --test execute_pin
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --smoke
 
 echo "== bench-trial: thread-scaling gate (single + rounds, 4t >= 1t) =="
