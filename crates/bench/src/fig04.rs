@@ -42,23 +42,22 @@ pub fn run(scale: Scale) -> Table {
             let mut chip = SimulatedChip::new(cfg, 0xF164 + k as u64);
             let interval = Ms::from_secs(t_s);
 
-            // Warm-up: discover the base set without advancing time.
+            // Warm-up: discover the base set without advancing time. Each
+            // iteration's 12 trials are unioned first and merged into
+            // `seen` once; the cells new to `seen` are the same either way.
             let mut seen = Vec::new();
+            let mut step = Vec::new();
             for it in 0..warmup_iters {
-                for p in DataPattern::standard_set(it) {
-                    let outcome = chip.retention_trial(p, interval, temp);
-                    merge_sorted_union(&mut seen, outcome.into_vec());
-                }
+                step_union(&mut chip, it, interval, temp, &mut step);
+                merge_sorted_union(&mut seen, &mut step);
             }
             // Measurement: spread iterations over wall-clock hours.
-            let step = Ms::from_hours(measure_hours / measure_iters as f64);
+            let step_ms = Ms::from_hours(measure_hours / measure_iters as f64);
             let mut new_cells = 0usize;
             for it in 0..measure_iters {
-                chip.advance(step);
-                for p in DataPattern::standard_set(warmup_iters + it) {
-                    let outcome = chip.retention_trial(p, interval, temp);
-                    new_cells += merge_sorted_union(&mut seen, outcome.into_vec());
-                }
+                chip.advance(step_ms);
+                step_union(&mut chip, warmup_iters + it, interval, temp, &mut step);
+                new_cells += merge_sorted_union(&mut seen, &mut step);
             }
             let rate = new_cells as f64 / measure_hours;
             points.push((t_s, rate.max(1e-3)));
@@ -80,6 +79,21 @@ pub fn run(scale: Scale) -> Table {
     }
     table.note("paper fits: polynomial y = a·x^b per vendor; §6.2.3 anchor A(1024ms) = 0.73 cells/hour (Vendor B, 2GB)");
     table
+}
+
+/// The union of one standard-set iteration's trials, in `step` (cleared
+/// first, its buffer reused).
+fn step_union(
+    chip: &mut SimulatedChip,
+    iteration: u64,
+    interval: Ms,
+    temp: Celsius,
+    step: &mut Vec<u64>,
+) {
+    step.clear();
+    for p in DataPattern::standard_set(iteration) {
+        merge_sorted_union(step, &mut chip.retention_trial(p, interval, temp).into_vec());
+    }
 }
 
 #[cfg(test)]

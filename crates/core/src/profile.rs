@@ -274,19 +274,20 @@ impl FailureProfile {
 
 /// Merges the ascending, duplicate-free `cells` (a trial's
 /// `TrialOutcome::into_vec`) into the ascending, duplicate-free set
-/// `seen`, in place, and returns how many of `cells` were new. The
+/// `seen`, in place, and returns how many of `cells` were new; `cells`
+/// is left holding those new cells, ascending, its buffer reusable. The
 /// accumulator behind [`crate::Profiler::run`] and the Fig. 4
 /// accumulation study: build a [`FailureProfile`] from `seen` once, at
 /// the end, instead of one `BTreeSet` insert per observed cell.
 ///
 /// A branch-free forward pass over both sets compacts the new cells to
-/// the front of `cells`, reusing the trial's own buffer. `seen` then
-/// grows by exactly that many slots and is filled from the end: each new
-/// cell's insertion point is a binary search, and the run of old cells
-/// above it moves up in one `copy_within`. Once a profile has warmed up,
+/// the front of `cells`, in place. `seen` then grows by exactly that many
+/// slots and is filled from the end: each new cell's insertion point is a
+/// binary search, and the run of old cells above it moves up in one
+/// `copy_within`. Once a profile has warmed up,
 /// nearly every trial adds a few cells to a set many times its size, so
 /// the cost is one compare per cell plus one block move of `seen`.
-pub fn merge_sorted_union(seen: &mut Vec<u64>, mut cells: Vec<u64>) -> usize {
+pub fn merge_sorted_union(seen: &mut Vec<u64>, cells: &mut Vec<u64>) -> usize {
     let (mut i, mut j, mut fresh) = (0, 0, 0);
     while i < seen.len() && j < cells.len() {
         // lint: allow(panic) i < seen.len() and j < cells.len() by the loop condition
@@ -356,7 +357,7 @@ mod tests {
             let mut seen = Vec::new();
             let mut reference = BTreeSet::new();
             for call in 0..12u64 {
-                let cells = match call % 4 {
+                let mut cells: Vec<u64> = match call % 4 {
                     0 => Vec::new(),
                     // Every other cell already seen: all repeats.
                     1 => reference.iter().copied().step_by(2).collect(),
@@ -371,12 +372,13 @@ mod tests {
                     // Interleaved with the existing set.
                     _ => sorted_cells(&mut rng, span, 48),
                 };
-                let want = cells.iter().filter(|&&c| reference.insert(c)).count();
+                let want: Vec<u64> = cells.iter().copied().filter(|&c| reference.insert(c)).collect();
                 assert_eq!(
-                    merge_sorted_union(&mut seen, cells),
-                    want,
+                    merge_sorted_union(&mut seen, &mut cells),
+                    want.len(),
                     "seed {seed} call {call}"
                 );
+                assert_eq!(cells, want, "seed {seed} call {call}: the new cells are left behind");
                 let same = seen.iter().copied().eq(reference.iter().copied());
                 assert!(same, "seed {seed} call {call}");
             }

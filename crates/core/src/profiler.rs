@@ -278,9 +278,9 @@ impl Profiler {
         for it in 0..self.iterations {
             let mut stats = IterationStats::default();
             for pattern in self.patterns.for_iteration(u64::from(it)) {
-                let failures = harness.pattern_trial(pattern, self.interval).into_vec();
+                let mut failures = harness.pattern_trial(pattern, self.interval).into_vec();
                 let found = failures.len();
-                let new_unique = merge_sorted_union(&mut seen, failures);
+                let new_unique = merge_sorted_union(&mut seen, &mut failures);
                 stats.new_unique += new_unique;
                 stats.repeats += found - new_unique;
             }
@@ -333,7 +333,7 @@ impl Profiler {
         }
         let mut seen = Vec::new();
         for outcome in chip.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes {
-            merge_sorted_union(&mut seen, outcome.into_vec());
+            merge_sorted_union(&mut seen, &mut outcome.into_vec());
         }
         FailureProfile::from_cells(seen)
     }

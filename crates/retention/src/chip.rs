@@ -217,44 +217,43 @@ pub struct TrialOutcome {
 }
 
 impl TrialOutcome {
+    /// Sorts and dedups `v`: the plain assembly the run merge is checked
+    /// against.
+    #[cfg(test)]
     fn from_unsorted(mut v: Vec<u64>) -> Self {
         v.sort_unstable();
         v.dedup();
         Self { failures: v }
     }
 
-    /// Builds the outcome from `v` whose first `sorted_len` entries are
-    /// already strictly ascending (a kernel round) and whose tail is in
-    /// any order (the cells `arrival_round` appended): sorts and dedups
-    /// only the tail, then merges it in. Equal to
-    /// [`TrialOutcome::from_unsorted`] on the same vector.
-    fn from_sorted_prefix(mut v: Vec<u64>, sorted_len: usize) -> Self {
+    /// Builds the outcome from two strictly ascending runs: the window's
+    /// failures (a kernel round, or the scan's failures sorted once) and
+    /// the arrival failures `arrival_round` emits in index order. On a chip
+    /// the runs are disjoint, since arrival indices are drawn around the
+    /// weak cells; a cell in both would count once, so this equals
+    /// [`TrialOutcome::from_unsorted`] of the concatenation.
+    fn from_sorted_runs(window: Vec<u64>, arrivals: &[u64]) -> Self {
+        let ascending = |v: &[u64]| v.is_sorted_by(|a, b| a < b);
         debug_assert!(
-            v.get(..sorted_len).is_some_and(|head| head.is_sorted_by(|a, b| a < b)),
-            "from_sorted_prefix requires a strictly ascending prefix"
+            ascending(&window) && ascending(arrivals),
+            "from_sorted_runs requires strictly ascending runs"
         );
-        if v.len() <= sorted_len {
-            return Self { failures: v };
+        if arrivals.is_empty() {
+            return Self { failures: window };
         }
-        if sorted_len == 0 {
-            return Self::from_unsorted(v);
+        // Branch-free: the runs interleave at random, so a data-dependent
+        // branch per cell would mispredict about half the time.
+        let mut merged = Vec::with_capacity(window.len() + arrivals.len());
+        let (mut i, mut j) = (0, 0);
+        while i < window.len() && j < arrivals.len() {
+            // lint: allow(panic) i < window.len() and j < arrivals.len() by the loop condition
+            let (w, a) = (window[i], arrivals[j]);
+            merged.push(w.min(a));
+            i += usize::from(w <= a);
+            j += usize::from(a <= w);
         }
-        let mut tail = v.split_off(sorted_len);
-        tail.sort_unstable();
-        tail.dedup();
-        let mut merged = Vec::with_capacity(v.len() + tail.len());
-        let (mut head, mut tail) = (v.into_iter().peekable(), tail.into_iter().peekable());
-        while let (Some(&h), Some(&t)) = (head.peek(), tail.peek()) {
-            merged.push(h.min(t));
-            if h <= t {
-                head.next();
-            }
-            if t <= h {
-                tail.next();
-            }
-        }
-        merged.extend(head);
-        merged.extend(tail);
+        merged.extend(window.iter().skip(i));
+        merged.extend(arrivals.iter().skip(j));
         Self { failures: merged }
     }
 
@@ -326,8 +325,15 @@ pub struct SimulatedChip {
     vrt_start: usize,
     /// Two-state processes for base cells with `vrt_index`.
     base_vrt: Vec<TwoStateVrt>,
-    /// VRT-arrived failing cells (paper §5.3 steady-state accumulation).
+    /// Active VRT-arrived failing cells (paper §5.3 steady-state
+    /// accumulation) in draw order, the order their draws take on the
+    /// sequential RNG.
     arrivals: Vec<ArrivalCell>,
+    /// Parallel to `arrivals`: each arrival's rank in `arrival_order`.
+    arrival_ranks: Vec<u32>,
+    /// The active arrivals' cell indices, ascending; `arrival_round`
+    /// emits its failures in this order.
+    arrival_order: Vec<u64>,
     /// Indices of the weak cells, ascending: built in bulk once, at
     /// synthesis. With `arrival_indices`, the occupied indices new VRT
     /// arrivals are drawn around.
@@ -432,6 +438,8 @@ impl SimulatedChip {
             cells,
             base_vrt,
             arrivals: Vec::new(),
+            arrival_ranks: Vec::new(),
+            arrival_order: Vec::new(),
             cell_indices,
             arrival_indices: BTreeSet::new(),
             now_ms: 0.0,
@@ -599,8 +607,9 @@ impl SimulatedChip {
             self.plan_cache.stats.scalar_trials += 1;
             TrialRoute::Scan(None)
         };
-        // A kernel round comes out sorted; the scan's follows window order.
-        let (mut failures, vrt_updates, sorted_len) = match route {
+        // A kernel round comes out sorted; the scan's follows window order
+        // and is sorted once.
+        let (failures, vrt_updates) = match route {
             TrialRoute::Plan(i) => {
                 let mut batch = self
                     .plan_cache
@@ -610,19 +619,21 @@ impl SimulatedChip {
                     .rounds
                     .pop()
                     .expect("invariant: one nonce in yields one round out");
-                let sorted_len = failures.len();
-                (failures, batch.vrt_updates, sorted_len)
+                (failures, batch.vrt_updates)
             }
             TrialRoute::Scan(lowering) => {
                 let window = self.window(interval, temp);
                 let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
-                let (failures, updates) = self.scalar_window_scan(pattern, &window, &ctx, lowering);
-                (failures, updates, 0)
+                let (mut failures, updates) = self.scalar_window_scan(pattern, &window, &ctx, lowering);
+                // Each window cell is visited once, so there is nothing to dedup.
+                failures.sort_unstable();
+                (failures, updates)
             }
         };
         self.merge_vrt(vrt_updates);
-        self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut failures);
-        TrialOutcome::from_sorted_prefix(failures, sorted_len)
+        let mut arrived = Vec::new();
+        self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrived);
+        TrialOutcome::from_sorted_runs(failures, &arrived)
     }
 
     /// The per-trial context at `(interval, temp)` for trial `nonce`.
@@ -652,24 +663,46 @@ impl SimulatedChip {
     /// low state. The list is small and its draws live on the sequential
     /// RNG, so the batched entry points call this once per round *in nonce
     /// order* — the exact draw sequence a round-major trial loop makes.
-    fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, failures: &mut Vec<u64>) {
+    ///
+    /// The walk is in draw order; each failure sets the bit of its rank in
+    /// `arrival_order`, and a scan of those bits replaces `failed` with
+    /// the failing indices, ascending.
+    fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, failed: &mut Vec<u64>) {
         let now_ms = self.now_ms;
         let rng = &mut self.rng;
-        for a in &mut self.arrivals {
-            if !a.is_active(now_ms) {
-                continue;
-            }
-            if a.fresh {
+        let mut bits = vec![0u64; self.arrival_order.len().div_ceil(64)];
+        for (a, &rank) in self.arrivals.iter_mut().zip(&self.arrival_ranks) {
+            // `process_arrivals` retired every expired arrival at this clock.
+            debug_assert!(a.is_active(now_ms), "arrivals hold active cells only");
+            let fails = if a.fresh {
                 a.fresh = false;
                 a.vrt.force_state(true, now_ms);
-                failures.push(a.cell.index);
-                continue;
-            }
-            if a.vrt.observe(now_ms, rng) {
+                true
+            } else if a.vrt.observe(now_ms, rng) {
                 let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
-                if z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(rng.random::<f64>(), z)) {
-                    failures.push(a.cell.index);
-                }
+                z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(rng.random::<f64>(), z))
+            } else {
+                false
+            };
+            if fails {
+                let rank = num::idx(rank);
+                *bits
+                    .get_mut(rank / 64)
+                    .expect("invariant: ranks lie below arrival_order.len()") |= 1 << (rank % 64);
+            }
+        }
+        failed.clear();
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let rank = w * 64 + num::idx(word.trailing_zeros());
+                failed.push(
+                    *self
+                        .arrival_order
+                        .get(rank)
+                        .expect("invariant: set bits are ranks of active arrivals"),
+                );
+                word &= word - 1;
             }
         }
     }
@@ -1008,21 +1041,21 @@ impl SimulatedChip {
             .unwrap_or(schedule.len());
 
         // Replay arrivals on the sequential RNG in schedule order, over
-        // exactly the completed prefix. Kernel rounds arrive sorted; only
-        // the arrival cells appended after them are sorted and merged in.
+        // exactly the completed prefix, and merge each position's arrival
+        // run into its kernel round.
         let mut outcomes = Vec::with_capacity(completed);
+        let mut arrived = Vec::new();
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
-            let mut failures = slot
+            let failures = slot
                 .take()
                 .expect("invariant: positions before the prefix boundary are filled");
-            let kernel_len = failures.len();
             self.arrival_round(
                 interval.as_secs(),
                 self.cfg.mu_temp_scale(temp),
                 self.cfg.sigma_temp_scale(temp),
-                &mut failures,
+                &mut arrived,
             );
-            outcomes.push(TrialOutcome::from_sorted_prefix(failures, kernel_len));
+            outcomes.push(TrialOutcome::from_sorted_runs(failures, &arrived));
         }
         PartialTrials {
             outcomes,
@@ -1083,6 +1116,7 @@ impl SimulatedChip {
         let density = self.cfg.geometry.density_bits();
         let ms_scale = self.cfg.mu_temp_scale(temp);
 
+        let first_new = self.arrivals.len();
         for _ in 0..n {
             let index = loop {
                 let idx = self.rng.random_range(0..density);
@@ -1108,7 +1142,6 @@ impl SimulatedChip {
                     vrt_index: None,
                 },
                 expires_at_ms: self.now_ms + lifetime.sample(&mut self.rng),
-                arrived_at_ms: self.now_ms,
                 vrt: TwoStateVrt::new(
                     (cycle_ms * self.cfg.vrt_low_duty).max(1.0),
                     (cycle_ms * (1.0 - self.cfg.vrt_low_duty)).max(1.0),
@@ -1117,7 +1150,113 @@ impl SimulatedChip {
                 fresh: true,
             });
         }
-        self.arrivals.retain(|a| a.is_active(self.now_ms));
+        self.reindex_arrivals(first_new);
+    }
+
+    /// Retires expired arrivals and ranks the ones drawn since
+    /// `first_new` (`arrivals[first_new..]`, which have no rank yet) in
+    /// `arrival_order`. `arrivals` keeps draw order. Survivors keep their
+    /// relative order in both lists, so the new index order is the old one
+    /// filtered, merged with the sorted new batch, in place.
+    fn reindex_arrivals(&mut self, first_new: usize) {
+        const GONE: u32 = u32::MAX;
+        let now_ms = self.now_ms;
+        // One retain over both lists: a surviving old arrival keeps its
+        // rank (re-aimed below) and marks it in `remap`, old rank → new
+        // rank; a surviving new one joins the batch at its kept position.
+        let mut remap = vec![GONE; self.arrival_order.len()];
+        let mut fresh: Vec<(u64, usize)> = Vec::new();
+        let ranks = &mut self.arrival_ranks;
+        let (mut seen, mut kept_all) = (0, 0);
+        self.arrivals.retain(|a| {
+            let keep = a.is_active(now_ms);
+            if keep {
+                if seen < first_new {
+                    let rank = *ranks.get(seen).expect("invariant: old arrivals have ranks");
+                    *remap
+                        .get_mut(num::idx(rank))
+                        .expect("invariant: ranks lie below arrival_order.len()") = 0;
+                    *ranks.get_mut(kept_all).expect("invariant: kept_all <= seen") = rank;
+                } else {
+                    fresh.push((a.cell.index, kept_all));
+                }
+                kept_all += 1;
+            }
+            seen += 1;
+            keep
+        });
+        ranks.truncate(kept_all - fresh.len());
+        ranks.resize(kept_all, GONE);
+        fresh.sort_unstable();
+        let first_fresh = kept_all - fresh.len();
+        let (old_ranks, new_ranks) = ranks.split_at_mut(first_fresh);
+        let order = &mut self.arrival_order;
+        let mut rank_new = |pos: usize, rank: usize| {
+            *new_ranks
+                .get_mut(pos - first_fresh)
+                .expect("invariant: new arrivals are kept after the old ones") = num::to_u32(rank);
+        };
+
+        // Ascending: compact the survivors to the front of `order`, and
+        // give each survivor and new arrival its final rank — its compacted
+        // position plus the entries of the other list below it.
+        let (mut kept, mut k) = (0, 0);
+        for (r, slot) in remap.iter_mut().enumerate() {
+            if *slot == GONE {
+                continue;
+            }
+            let index = *order.get(r).expect("invariant: r < order.len()");
+            while let Some(&(_, pos)) = fresh.get(k).filter(|&&(f, _)| f < index) {
+                rank_new(pos, kept + k);
+                k += 1;
+            }
+            *slot = num::to_u32(kept + k);
+            *order.get_mut(kept).expect("invariant: kept <= r") = index;
+            kept += 1;
+        }
+        for (k, &(_, pos)) in fresh.iter().enumerate().skip(k) {
+            rank_new(pos, kept + k);
+        }
+        for rank in old_ranks.iter_mut() {
+            *rank = *remap
+                .get(num::idx(*rank))
+                .expect("invariant: ranks lie below the old arrival_order.len()");
+        }
+
+        // Descending: merge the new batch in from the top, so every
+        // survivor moves up to its final rank before anything lands on it.
+        order.resize(kept + fresh.len(), 0);
+        let mut k = fresh.len();
+        for p in (0..kept).rev() {
+            let index = *order.get(p).expect("invariant: p < kept");
+            while let Some(&(f, _)) = k
+                .checked_sub(1)
+                .and_then(|top| fresh.get(top))
+                .filter(|&&(f, _)| f > index)
+            {
+                *order.get_mut(p + k).expect("invariant: p + k < order.len()") = f;
+                k -= 1;
+            }
+            *order.get_mut(p + k).expect("invariant: p + k < order.len()") = index;
+        }
+        for (slot, &(f, _)) in order.iter_mut().zip(fresh.iter().take(k)) {
+            *slot = f;
+        }
+        debug_assert!(self.arrivals_consistent());
+    }
+
+    /// `arrival_order` holds exactly the active arrivals' indices,
+    /// ascending, and `arrival_ranks` points each arrival at its own.
+    /// Checked via `debug_assert!`.
+    fn arrivals_consistent(&self) -> bool {
+        self.arrival_order.is_sorted_by(|a, b| a < b)
+            && self.arrival_order.len() == self.arrivals.len()
+            && self.arrival_ranks.len() == self.arrivals.len()
+            && self
+                .arrivals
+                .iter()
+                .zip(&self.arrival_ranks)
+                .all(|(a, &r)| self.arrival_order.get(num::idx(r)) == Some(&a.cell.index))
     }
 
     /// Analytic ground truth: all cells whose *worst-case* single-trial
@@ -1335,18 +1474,69 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn sorted_prefix_assembly_equals_from_unsorted(
-            prefix in proptest::collection::btree_set(0u64..200, 0..40),
-            tail in proptest::collection::vec(0u64..200, 0..12),
+        fn sorted_run_merge_equals_from_unsorted(
+            window in proptest::collection::btree_set(0u64..200, 0..40),
+            arrivals in proptest::collection::btree_set(0u64..200, 0..24),
         ) {
-            // Tails drawn from the prefix's range overlap it and repeat
-            // themselves; the assembly must still equal a full sort.
-            let sorted_len = prefix.len();
-            let mut v: Vec<u64> = prefix.into_iter().collect();
-            v.extend(tail);
-            let want = TrialOutcome::from_unsorted(v.clone());
-            proptest::prop_assert_eq!(TrialOutcome::from_sorted_prefix(v, sorted_len), want);
+            // Runs drawn from one range overlap; the merge must still equal
+            // a full sort and dedup of the concatenation.
+            let window: Vec<u64> = window.into_iter().collect();
+            let arrivals: Vec<u64> = arrivals.into_iter().collect();
+            let want = TrialOutcome::from_unsorted([window.clone(), arrivals.clone()].concat());
+            proptest::prop_assert_eq!(TrialOutcome::from_sorted_runs(window, &arrivals), want);
         }
+    }
+
+    /// `arrival_round` as a plain draw-order walk that pushes each failure
+    /// as it is found: the same draws, failures in draw order.
+    fn draw_order_round(chip: &mut SimulatedChip, t_secs: f64, ms_scale: f64, ss_scale: f64) -> Vec<u64> {
+        let now_ms = chip.now_ms;
+        let mut failed = Vec::new();
+        for a in &mut chip.arrivals {
+            if a.fresh {
+                a.fresh = false;
+                a.vrt.force_state(true, now_ms);
+                failed.push(a.cell.index);
+            } else if a.vrt.observe(now_ms, &mut chip.rng) {
+                let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
+                if z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(chip.rng.random::<f64>(), z)) {
+                    failed.push(a.cell.index);
+                }
+            }
+        }
+        failed
+    }
+
+    #[test]
+    fn rank_emission_is_the_sorted_draw_order_walk() {
+        // Steps long against the 12 h mean lifetime retire arrivals while
+        // new ones arrive; two rounds per step cover fresh arrivals and
+        // established ones observed in their low state.
+        let mut chip = SimulatedChip::new(quick_cfg(), 41);
+        let (interval, temp) = (Ms::new(2048.0), Celsius::new(60.0));
+        let (t, ms, ss) = (interval.as_secs(), chip.cfg.mu_temp_scale(temp), chip.cfg.sigma_temp_scale(temp));
+        let (mut expired, mut emitted) = (false, 0);
+        for _ in 0..8 {
+            chip.advance(Ms::from_hours(6.0));
+            let before = chip.arrival_indices.len();
+            chip.process_arrivals(t, temp);
+            assert!(chip.arrival_indices.len() > before, "every step draws new arrivals");
+            expired |= chip.arrival_indices.len() > chip.arrivals.len();
+            assert!(chip.arrivals_consistent());
+            for _ in 0..2 {
+                let mut reference = chip.clone();
+                let mut want = draw_order_round(&mut reference, t, ms, ss);
+                want.sort_unstable();
+                let mut got = vec![u64::MAX];
+                chip.arrival_round(t, ms, ss, &mut got);
+                assert!(got.is_sorted_by(|a, b| a < b), "emission must be strictly ascending");
+                assert_eq!(got, want);
+                assert_eq!(chip.rng, reference.rng, "the same draws, in the same order");
+                emitted += got.len();
+            }
+        }
+        assert!(expired, "the steps must retire arrivals");
+        assert!(emitted > 0);
     }
 
     #[test]
@@ -1538,6 +1728,26 @@ mod tests {
         assert_eq!(s.plan_trials, 3);
         assert_eq!(s.plans_compiled, 1);
         assert_eq!(s.invalidations, 0);
+    }
+
+    #[test]
+    fn plan_cache_holds_one_standard_set_cycle() {
+        // 24 iterations of the standard set at one condition: 4 fixed
+        // families × 2 polarities recur every iteration and `walking1`'s
+        // 8 phases × 2 every 8th, so each of the 24 recurring conditions
+        // compiles once; the random pair never recurs. Fixed plans serve
+        // iterations 1–23 (8 × 23) and walking plans iterations 8–23
+        // (2 × 16).
+        let mut chip = SimulatedChip::new(quick_cfg(), 25);
+        let (interval, temp) = (Ms::new(1024.0), Celsius::new(60.0));
+        for it in 0..24 {
+            for p in DataPattern::standard_set(it) {
+                let _ = chip.retention_trial(p, interval, temp);
+            }
+        }
+        let s = chip.plan_stats();
+        assert_eq!(s.plans_compiled, 24, "no recurring plan may be evicted");
+        assert_eq!(s.plan_trials, 8 * 23 + 2 * 16);
     }
 
     #[test]

@@ -305,7 +305,10 @@ impl TrialPlan {
         }
 
         // Cells were visited in window-key order; store each class by index.
+        // `certain` grew by doubling and is kept as long as the plan: trim
+        // its spare capacity (a standard-set cycle keeps 24 plans resident).
         certain.sort_unstable();
+        certain.shrink_to_fit();
         prob.sort_unstable_by_key(|&(idx, _)| idx);
         vrt.sort_unstable_by_key(|&(idx, ..)| idx);
         let (prob_idx, prob_thr_u) = prob.into_iter().unzip();
@@ -342,8 +345,14 @@ impl TrialPlan {
     }
 }
 
-/// Compiled plans kept per chip.
-const PLAN_CAP: usize = 16;
+/// Compiled plans kept per chip: one cycle of
+/// `DataPattern::standard_set` at one condition. The set recurs over 24
+/// conditions — 4 fixed families × 2 polarities every iteration, plus
+/// `walking1`'s 8 phases × 2 polarities every 8th (its random pair never
+/// recurs) — so a loop over it compiles 24 plans. At 16 slots LRU evicted
+/// every walking plan before its next sighting, and each recompile served
+/// one trial.
+const PLAN_CAP: usize = 32;
 /// Pattern lowerings kept per chip.
 const LOWERING_CAP: usize = 16;
 /// First-sighting records kept per chip (second-sighting promotion).

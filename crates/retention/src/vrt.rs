@@ -101,8 +101,6 @@ pub struct ArrivalCell {
     /// Wall-clock ms at which the cell's retention state migrates back out
     /// of the failing range (departure process).
     pub expires_at_ms: f64,
-    /// Wall-clock ms of arrival.
-    pub arrived_at_ms: f64,
     /// Duty-cycling process for post-arrival trials.
     pub vrt: TwoStateVrt,
     /// True until the first trial observes (and thereby "discovers") it.
@@ -191,7 +189,6 @@ mod tests {
         let a = ArrivalCell {
             cell,
             expires_at_ms: 100.0,
-            arrived_at_ms: 0.0,
             vrt: TwoStateVrt::new(1.0, 9.0, 0.0),
             fresh: true,
         };

@@ -26,6 +26,7 @@ cargo test -q --offline --workspace
 echo "== bench-trial: every trial path vs. the reference scan (property + smoke), byte-identity pins =="
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo test --release -q --offline -p reaper-retention --test synthesis_pin
+cargo test --release -q --offline -p reaper-retention --test drift_pin
 cargo test --release -q --offline -p reaper-core --test execute_pin
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --smoke
 
