@@ -2,11 +2,10 @@
 //! figures, and machine-checks them against the conformance layers.
 //!
 //! ```text
-//! experiments [--full] [--threads N] [--json[=PATH]] [name...]
+//! experiments [--full] [--threads N] [name...]
 //! experiments all                # every experiment at quick scale
 //! experiments --full fig09 fig13
 //! experiments --threads 4 all    # run experiments concurrently on 4 workers
-//! experiments --json all         # also emit BENCH_experiments.json
 //! experiments --check all        # diff tables against goldens/*.tsv
 //! experiments --bless fig06      # re-record a golden after an intentional change
 //! experiments --shape all        # paper-shape acceptance suite (Tier B)
@@ -38,52 +37,17 @@ macro_rules! emit {
     };
 }
 
-/// One finished experiment, ready to print and report.
+/// One finished experiment, ready to print.
 struct Completed {
     name: &'static str,
     table: Table,
     wall_ms: f64,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Machine-readable perf trajectory: per-experiment wall-clock and row
-/// counts, plus the run configuration and the host's core count.
-fn render_json(results: &[Completed], scale: Scale, threads: usize, total_ms: f64) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"scale\": \"{scale:?}\",\n"));
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"total_wall_ms\": {total_ms:.3},\n"));
-    out.push_str("  \"experiments\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"rows\": {}, \"title\": \"{}\"}}{sep}\n",
-            json_escape(r.name),
-            r.wall_ms,
-            r.table.rows.len(),
-            json_escape(&r.table.title),
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+/// Printed, with exit status 1, for a missing selection or an unknown
+/// option.
+const USAGE: &str = "usage: experiments [--full] [--threads N] [--check|--bless|--shape] \
+                     <name...|all>   (see --list)";
 
 /// What to do with the generated tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,7 +107,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Quick;
     let mut names: Vec<String> = Vec::new();
-    let mut json_path: Option<String> = None;
     let mut mode = Mode::Print;
     let mut shape = false;
     let mut args_iter = args.iter().peekable();
@@ -154,7 +117,6 @@ fn main() -> ExitCode {
             "--check" => mode = Mode::Check,
             "--bless" => mode = Mode::Bless,
             "--shape" => shape = true,
-            "--json" => json_path = Some("BENCH_experiments.json".to_string()),
             "--threads" => {
                 let Some(n) = args_iter.next().and_then(|v| v.parse::<usize>().ok()) else {
                     eprintln!("--threads needs a positive integer");
@@ -173,9 +135,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             other => {
-                if let Some(path) = other.strip_prefix("--json=") {
-                    json_path = Some(path.to_string());
-                } else if let Some(n) = other.strip_prefix("--threads=") {
+                if let Some(n) = other.strip_prefix("--threads=") {
                     match n.parse::<usize>() {
                         Ok(n) if n > 0 => reaper_exec::set_thread_count(Some(n)),
                         _ => {
@@ -183,6 +143,12 @@ fn main() -> ExitCode {
                             return ExitCode::FAILURE;
                         }
                     }
+                } else if other.starts_with("--") {
+                    // An unknown option must not fall through to the name
+                    // list, where a trailing `all` would run everything.
+                    eprintln!("unknown option `{other}`");
+                    eprintln!("{USAGE}");
+                    return ExitCode::FAILURE;
                 } else {
                     names.push(other.to_string());
                 }
@@ -190,10 +156,7 @@ fn main() -> ExitCode {
         }
     }
     if names.is_empty() {
-        eprintln!(
-            "usage: experiments [--full] [--threads N] [--json[=PATH]] [--check|--bless|--shape] \
-             <name...|all>   (see --list)"
-        );
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
     if shape {
@@ -318,14 +281,5 @@ fn main() -> ExitCode {
         results.len(),
         total_ms
     );
-
-    if let Some(path) = json_path {
-        let json = render_json(&results, scale, threads, total_ms);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("failed to write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        emit!("  [perf trajectory written to {path}]");
-    }
     ExitCode::SUCCESS
 }

@@ -239,11 +239,11 @@ fn physical_parallelism() -> usize {
 ///
 /// Scoped spawns cost tens of microseconds per call — acceptable for
 /// coarse fan-outs (whole chips, grid points), ruinous for a hot loop
-/// whose entire body is ~50 µs: `BENCH_trial.json` once recorded the
-/// compiled-plan trial path running 3× *slower* at 4 threads than at 1 for
-/// exactly this reason. Here the caller publishes the fan-out to threads
-/// that already exist, participates in it itself, and waits only for
-/// chunk completion — no spawn, no join.
+/// whose entire body is ~50 µs: the compiled-plan trial path once ran 3×
+/// *slower* at 4 threads than at 1 for exactly this reason (the retention
+/// crate's `thread_scaling` test guards against it). Here the caller
+/// publishes the fan-out to threads that already exist, participates in
+/// it itself, and waits only for chunk completion — no spawn, no join.
 ///
 /// The price of persistence is the `'static` bound: pool workers outlive
 /// every caller, and the workspace denies `unsafe_code`, so borrowed

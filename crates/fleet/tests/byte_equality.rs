@@ -10,31 +10,14 @@
 // Test code may panic on failure.
 #![allow(clippy::expect_used, clippy::unwrap_used, clippy::indexing_slicing)]
 
+mod common;
+
 use std::time::Duration;
 
-use reaper_core::{FailureProfile, ProfilingRequest};
-use reaper_fleet::{Fleet, FleetConfig};
 use reaper_portfolio::PortfolioRequest;
 use reaper_serve::{Client, DeltaFetch, ProfileFetch};
 
-/// A job small enough to execute in well under a second on one core.
-fn quick_request(seed: u64) -> ProfilingRequest {
-    let mut r = ProfilingRequest::example(seed);
-    r.capacity_den = 64;
-    r.rounds = 2;
-    r.target_interval_ms = 512.0;
-    r.reach_delta_ms = 128.0;
-    r
-}
-
-/// Adds one fresh cell to an encoded profile (a re-profiling snapshot).
-fn grow_profile(bytes: &[u8]) -> Vec<u8> {
-    let profile = FailureProfile::from_bytes(bytes).expect("decode profile");
-    let mut cells: Vec<u64> = profile.iter().collect();
-    let fresh = cells.iter().max().copied().unwrap_or(0) + 1;
-    cells.push(fresh);
-    FailureProfile::from_cells(cells).to_bytes()
-}
+use common::{grow_profile, quick_request, start_fleet};
 
 #[test]
 fn fleet_bytes_match_direct_execution_at_any_shard_count() {
@@ -59,12 +42,7 @@ fn fleet_bytes_match_direct_execution_at_any_shard_count() {
     let mut etags_by_fleet: Vec<Vec<String>> = Vec::new();
     let mut delta_by_fleet: Vec<Vec<u8>> = Vec::new();
     for shards in [1usize, 4] {
-        let mut config = FleetConfig {
-            shards,
-            ..FleetConfig::default()
-        };
-        config.shard_template.workers = 1;
-        let fleet = Fleet::start(config).expect("start fleet");
+        let fleet = start_fleet(shards);
         let addr = fleet.router_addr().expect("router address");
         let mut client = Client::new(addr);
 

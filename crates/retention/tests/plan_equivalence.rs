@@ -1,27 +1,39 @@
-//! Property test: every trial path is bit-identical to the reference
-//! window scan.
+//! Every trial path is bit-identical to the reference window scan.
 //!
-//! Random (vendor, seed, trial script) triples are replayed on fresh chips
-//! through `retention_trial_reference` at 1 and 4 worker threads, through
-//! the production `retention_trial` at 1 and 4 threads, and through the
-//! multi-round `retention_trial_rounds` form (each step's repeats as one
-//! call) at 1 and 4 threads. Every transcript must be byte-equal to the
-//! single-thread reference. Scripts include repeated conditions (so
-//! production trials walk scan → compile → cache hit within one run),
-//! occasional 60- and 66-round repeat bursts (so the rounds form fills a
-//! near-full 64-bit plane and crosses the plane boundary mid-step), time
-//! advances (VRT chain evolution + Poisson arrival merges, with compiled
-//! plans kept across them), and condition changes (multiple live plans
-//! per chip).
+//! Two scripts are replayed on fresh chips through
+//! `retention_trial_reference` at 1 and 4 worker threads, through the
+//! production `retention_trial` at 1 and 4 threads, and through the
+//! multi-round `retention_trial_rounds` form at 1 and 4 threads. Every
+//! transcript must be byte-equal to the single-thread reference.
+//!
+//! * The steady-state script (`common`): a Vendor B chip at 1/8 capacity
+//!   under one condition — warm-up trials that compile the plan, 12
+//!   rounds, a one-hour `advance`, two more rounds. It also pins the plan
+//!   count: none on the reference path, exactly one on the others.
+//! * Random (vendor, seed, trial script) triples. Scripts include
+//!   repeated conditions (so production trials walk scan → compile →
+//!   cache hit within one run), occasional 60- and 66-round repeat bursts
+//!   (so the rounds form fills a near-full 64-bit plane and crosses the
+//!   plane boundary mid-step), time advances (VRT chain evolution +
+//!   Poisson arrival merges, with compiled plans kept across them), and
+//!   condition changes (multiple live plans per chip).
 //!
 //! `reaper_exec::set_thread_count` mutates process-global state, so — per
-//! the workspace convention — exactly one test in this binary touches it.
-//! The other tests run at the default thread count.
+//! the workspace convention — exactly one test in this binary touches it
+//! and runs both scripts. The other tests run at the default thread count.
+
+// Test code may panic on failure; the random-script property is called
+// from a `#[test]` rather than being one, so clippy's in-tests knobs miss it.
+#![allow(clippy::indexing_slicing)]
+
+mod common;
 
 use proptest::prelude::*;
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
 use reaper_exec::cancel::CancelToken;
 use reaper_retention::{PlanStats, RetentionConfig, SimulatedChip, TrialOutcome};
+
+use common::{run_steady_script, Path};
 
 const VENDORS: [Vendor; 3] = [Vendor::A, Vendor::B, Vendor::C];
 const INTERVALS_MS: [f64; 4] = [512.0, 1024.0, 2048.0, 3000.0];
@@ -75,17 +87,6 @@ fn apply_step(
     (pattern, interval, temp, repeats_of(repeat_code))
 }
 
-/// How a script's trials are submitted.
-#[derive(Debug, Clone, Copy)]
-enum Path {
-    /// `retention_trial_reference`, one call per trial.
-    Reference,
-    /// `retention_trial`, one call per trial.
-    Single,
-    /// `retention_trial_rounds`, one call per step.
-    Rounds,
-}
-
 /// Replays `steps` on a fresh chip through `path` at the given thread
 /// count, returning the concatenated failure transcripts.
 fn run_script(
@@ -124,8 +125,8 @@ fn run_script(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    #[test]
-    fn every_path_matches_the_reference_bit_for_bit(
+    // Not a `#[test]` of its own: the thread-count test below runs it.
+    fn random_scripts_match_the_reference(
         seed in 0u64..10_000,
         vendor_i in 0usize..3,
         steps in proptest::collection::vec(
@@ -139,7 +140,7 @@ proptest! {
             reference.iter().any(|t| !t.is_empty()),
             "degenerate script: no step produced failures"
         );
-        for path in [Path::Reference, Path::Single, Path::Rounds] {
+        for path in Path::ALL {
             for threads in [1usize, 4] {
                 let got = run_script(&cfg, seed, path, threads, &steps);
                 prop_assert_eq!(
@@ -149,13 +150,48 @@ proptest! {
                 );
             }
         }
-        reaper_exec::set_thread_count(None);
     }
+}
+
+/// The steady-state script on a 1/8-capacity Vendor B chip, 12 rounds:
+/// every path at 1 and 4 threads replays the 1-thread reference, and only
+/// the kernel paths compile a plan — exactly one, kept across the
+/// `advance`.
+fn steady_script_matches_the_reference() {
+    let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 8);
+    let reference = run_steady_script(&cfg, Path::Reference, 1, 12);
+    assert!(
+        reference.transcript.iter().any(|t| !t.is_empty()),
+        "degenerate script: no trial produced failures"
+    );
+    for path in Path::ALL {
+        for threads in [1usize, 4] {
+            let run = run_steady_script(&cfg, path, threads, 12);
+            assert_eq!(
+                run.transcript, reference.transcript,
+                "steady-state transcript diverged: {path:?} path, {threads} thread(s)"
+            );
+            let compiled = u64::from(path != Path::Reference);
+            assert_eq!(
+                run.stats.plans_compiled, compiled,
+                "{path:?} path, {threads} thread(s): plans compiled"
+            );
+        }
+    }
+}
+
+/// The one test in this binary that sets the worker thread count.
+#[test]
+fn every_path_matches_the_reference_bit_for_bit() {
+    steady_script_matches_the_reference();
+    random_scripts_match_the_reference();
+    reaper_exec::set_thread_count(None);
 }
 
 /// The heterogeneous-schedule entry point must match a sequential
 /// reference loop over the same entries. Runs at the default thread count
-/// (the proptest above owns this binary's one `set_thread_count` slot).
+/// (`every_path_matches_the_reference_bit_for_bit` owns this binary's one
+/// `set_thread_count` slot).
 #[test]
 fn schedule_matches_sequential_loop() {
     let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);

@@ -1,0 +1,79 @@
+//! Thread-scaling gate for the bit-plane kernel: on the full-capacity
+//! Vendor B chip, the `single` and `rounds` paths at 4 worker threads
+//! must run at least 0.95× as many timed rounds per second as at 1
+//! thread. It guards against the per-call `thread::scope` spawn storm
+//! that once made 4 threads ~3× slower than 1 on compiled plans. The
+//! pool clamps its width to the host's parallelism, so on a single-core
+//! host 4 threads run the same inline code as 1; the tolerance absorbs
+//! timer noise.
+//!
+//! The steady-state script (`common`) runs with 256 timed rounds — four
+//! full 64-round batches, long enough that the ratio is not at the mercy
+//! of a ~3 ms timed region — through every path at 1 and 4 threads, best
+//! of 2 runs each. Every transcript must equal the 1-thread reference
+//! before any timing is judged: a rate from a diverging path means
+//! nothing.
+//!
+//! Timed, so ignored by default; CI runs it in release:
+//!
+//! ```text
+//! cargo test --release -p reaper-retention --test thread_scaling -- --ignored
+//! ```
+
+mod common;
+
+use reaper_dram_model::Vendor;
+use reaper_retention::RetentionConfig;
+
+use common::{run_steady_script, Path, SteadyRun};
+
+/// Timed rounds per run.
+const TIMED_ROUNDS: u32 = 256;
+/// Runs per configuration; the fastest counts.
+const BEST_OF: usize = 2;
+/// 4-thread throughput must be at least this fraction of 1-thread.
+const GATE_TOLERANCE: f64 = 0.95;
+
+fn rounds_per_sec(run: &SteadyRun) -> f64 {
+    f64::from(TIMED_ROUNDS) / run.timed.as_secs_f64().max(1e-9)
+}
+
+#[test]
+#[ignore = "timed gate; run in release with --ignored"]
+fn kernel_paths_at_four_threads_keep_pace_with_one_thread() {
+    let cfg = RetentionConfig::for_vendor(Vendor::B);
+    let mut reference: Option<Vec<Vec<u64>>> = None;
+    let mut rates = Vec::new();
+    for path in Path::ALL {
+        for threads in [1usize, 4] {
+            let mut best = 0.0f64;
+            for _ in 0..BEST_OF {
+                let run = run_steady_script(&cfg, path, threads, TIMED_ROUNDS);
+                let reference = reference.get_or_insert_with(|| run.transcript.clone());
+                assert!(
+                    run.transcript == *reference,
+                    "{path:?} path at {threads} thread(s) diverged from the 1-thread reference"
+                );
+                best = best.max(rounds_per_sec(&run));
+            }
+            rates.push((path, threads, best));
+        }
+    }
+    reaper_exec::set_thread_count(None);
+
+    let rate = |path: Path, threads: usize| {
+        rates
+            .iter()
+            .find(|&&(p, t, _)| p == path && t == threads)
+            .map_or(0.0, |&(_, _, r)| r)
+    };
+    for path in [Path::Single, Path::Rounds] {
+        let (one, four) = (rate(path, 1), rate(path, 4));
+        assert!(
+            four >= one * GATE_TOLERANCE,
+            "{path:?}: 4 threads ({four:.1} rounds/s) below 1 thread ({one:.1} rounds/s) \
+             × {GATE_TOLERANCE} (ratio {:.2})",
+            four / one.max(1e-9)
+        );
+    }
+}

@@ -23,15 +23,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
-echo "== bench-trial: every trial path vs. the reference scan (property + smoke), byte-identity pins =="
+echo "== trial plans: every trial path vs. the reference scan (steady-state script + property), byte-identity pins =="
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo test --release -q --offline -p reaper-retention --test synthesis_pin
 cargo test --release -q --offline -p reaper-retention --test drift_pin
 cargo test --release -q --offline -p reaper-core --test execute_pin
-cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --smoke
 
-echo "== bench-trial: thread-scaling gate (single + rounds, 4t >= 1t) =="
-cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --gate --json=target/trial_gate.json
+echo "== trial plans: thread-scaling gate (single + rounds, 4t >= 0.95 x 1t) =="
+cargo test --release -q --offline -p reaper-retention --test thread_scaling -- --ignored
 
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="
 cargo test --release -q --offline -p reaper-serve --test smoke
@@ -46,17 +45,20 @@ cargo test --release -q --offline -p reaper-serve --test epoch_log
 echo "== service: protocol conformance (ETag/304, delta, watch; 1 + 4 workers) + delta bandwidth (< 10% of full bytes at 1% churn) =="
 cargo test --release -q --offline -p reaper-serve --test conformance
 
+echo "== service: connection ladder (event loop >= 4x thread-per-connection) =="
+cargo test --release -q --offline -p reaper-serve --test connection_ladder
+
 echo "== fleet: rendezvous routing properties =="
 cargo test --release -q --offline -p reaper-fleet --test routing
 
 echo "== fleet: byte equality at 1 and 4 shards =="
 cargo test --release -q --offline -p reaper-fleet --test byte_equality
 
-echo "== fleet: failover conformance (503 -> restart -> 304, zero recompute) =="
+echo "== fleet: failover conformance (503 -> restart -> 304, zero recompute; rolling restarts under load, byte equality) =="
 cargo test --release -q --offline -p reaper-fleet --test failover
 
-echo "== fleet: loadgen gate (aggregate throughput + connection ladder) =="
-cargo run --release -q --offline --example fleet_loadgen -- --seconds 3 --gate
+echo "== fleet: throughput gate (4-shard cache-hit reads >= 2x one node, enforced on >= 2 cores) =="
+cargo test --release -q --offline -p reaper-fleet --test throughput -- --ignored
 
 echo "== portfolio: race determinism + logical cost (threads x orderings x priors; <=1.05x best solo, < sequential grid) =="
 cargo test --release -q --offline -p reaper-exec cancel
