@@ -172,6 +172,9 @@ impl FailureProfile {
             }
             prev = Some(cell);
         }
+        // Sparse profiles take up to three bytes a cell and outgrow the
+        // reserve; stored profiles must not keep the doubled capacity.
+        out.shrink_to_fit();
         out
     }
 

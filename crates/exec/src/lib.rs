@@ -6,13 +6,10 @@
 //! small slice of rayon the workspace needs using only `std`:
 //!
 //! * [`par_map`] — order-preserving parallel map over a slice,
-//! * [`par_chunk_map`] — parallel map over contiguous chunks (amortizes
-//!   per-item overhead on hot inner loops),
-//! * [`par_map_mut`] — parallel in-place mutation of a slice,
 //! * [`run_partitioned`] — low-level work-stealing loop for custom shapes,
-//! * [`par_index_map_pooled`] — the persistent-pool variant of
-//!   [`par_index_map`] for hot loops whose bodies are too short to
-//!   amortize per-call `thread::scope` spawns (the retention batch
+//! * [`par_index_map_pooled`] — parallel map over index ranges on the
+//!   persistent compute pool, for hot loops whose bodies are too short
+//!   to amortize per-call `thread::scope` spawns (the retention batch
 //!   kernel's fan-out),
 //! * [`pool`] — long-lived worker-pool primitives (bounded MPMC queue +
 //!   joinable thread pool + the process-wide compute pool) for
@@ -193,36 +190,6 @@ where
     pieces.into_iter().flatten().collect()
 }
 
-/// Parallel map over contiguous chunks of at least `min_chunk` items.
-/// `f(chunk_start, chunk)` sees the absolute start index so callers can
-/// derive per-item identities (e.g. RNG lanes). Chunk results are
-/// returned in input order.
-pub fn par_chunk_map<T, R, F>(items: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    run_partitioned(items.len(), min_chunk, |start, end| {
-        // lint: allow(panic) run_partitioned yields start < end <= items.len()
-        f(start, &items[start..end])
-    })
-}
-
-/// Parallel map over index ranges of `[0, len)` — the structure-of-arrays
-/// counterpart of [`par_chunk_map`]. Where `par_chunk_map` hands each
-/// worker a sub-slice of one item array, `par_index_map` hands it a
-/// `start..end` range so the caller can slice *several* parallel lanes
-/// (e.g. an index lane plus a threshold lane) with the same bounds.
-/// Range results are returned in input order.
-pub fn par_index_map<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(core::ops::Range<usize>) -> R + Sync,
-{
-    run_partitioned(len, min_chunk, |start, end| f(start..end))
-}
-
 /// Physical parallelism of the machine, resolved once. The pooled
 /// dispatch width is clamped to this: oversubscribing a core with more
 /// helpers than hardware threads only adds handoff latency, and on a
@@ -233,9 +200,11 @@ fn physical_parallelism() -> usize {
     *CAP.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Like [`par_index_map`], but dispatched through the process-wide
-/// persistent [`pool::ComputePool`] instead of per-call `thread::scope`
-/// spawns.
+/// Parallel map over index ranges of `[0, len)`: each chunk gets a
+/// `start..end` range so the caller can slice *several* parallel lanes
+/// (e.g. an index lane plus a threshold lane) with the same bounds.
+/// Dispatched through the process-wide persistent [`pool::ComputePool`]
+/// instead of per-call `thread::scope` spawns.
 ///
 /// Scoped spawns cost tens of microseconds per call — acceptable for
 /// coarse fan-outs (whole chips, grid points), ruinous for a hot loop
@@ -248,14 +217,14 @@ fn physical_parallelism() -> usize {
 /// The price of persistence is the `'static` bound: pool workers outlive
 /// every caller, and the workspace denies `unsafe_code`, so borrowed
 /// closures cannot cross into the pool. Callers wrap shared state in
-/// `Arc` (hence `f: Arc<F>`). The scoped `par_map`/`par_chunk_map`/
-/// `par_index_map` family remains the right tool for borrowed data on
-/// coarse work.
+/// `Arc` (hence `f: Arc<F>`). The scoped [`par_map`] remains the right
+/// tool for borrowed data on coarse work, and a loop too short for even a
+/// pooled handoff runs inline.
 ///
 /// Helper width is `min(thread_count(), physical parallelism)`; with one
 /// effective worker the closure runs inline with zero synchronization.
 /// Results are returned in input order and chunk panics propagate to the
-/// caller, exactly like [`par_index_map`].
+/// caller, exactly like [`par_map`].
 pub fn par_index_map_pooled<R, F>(len: usize, min_chunk: usize, f: Arc<F>) -> Vec<R>
 where
     R: Send + 'static,
@@ -294,59 +263,9 @@ where
     fan.wait_results().into_iter().map(|(_, r)| r).collect()
 }
 
-/// Parallel in-place mutation: `f(i, &mut items[i])` for every index.
-/// The slice is statically partitioned across workers via
-/// `split_at_mut`, so no locking is involved.
-pub fn par_map_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let workers = thread_count().min(len);
-    if workers <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = len.div_ceil(workers);
-    let f = &f;
-    thread::scope(|scope| {
-        let mut rest = items;
-        let mut start = 0;
-        let mut handles = Vec::new();
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let base = start;
-            handles.push(scope.spawn(move || {
-                for (i, item) in head.iter_mut().enumerate() {
-                    f(base + i, item);
-                }
-            }));
-            rest = tail;
-            start += take;
-        }
-        let mut panic = None;
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panic = Some(payload);
-            }
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     // NOTE: set_thread_count mutates process-global state, and cargo runs
     // #[test] fns of one binary concurrently — so exactly one test here
@@ -377,48 +296,6 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn par_chunk_map_covers_every_index_once() {
-        let items: Vec<usize> = (0..5_000).collect();
-        let chunks = par_chunk_map(&items, 64, |start, chunk| {
-            assert_eq!(chunk[0], start, "chunk start index must be absolute");
-            (start, chunk.len())
-        });
-        let mut expected_start = 0;
-        for (start, len) in chunks {
-            assert_eq!(start, expected_start);
-            expected_start += len;
-        }
-        assert_eq!(expected_start, items.len());
-    }
-
-    #[test]
-    fn par_index_map_covers_every_index_once_in_order() {
-        let ranges = par_index_map(10_000, 128, |r| r);
-        let mut expected_start = 0;
-        for r in ranges {
-            assert_eq!(r.start, expected_start);
-            assert!(r.end > r.start);
-            expected_start = r.end;
-        }
-        assert_eq!(expected_start, 10_000);
-        assert!(par_index_map(0, 128, |r| r).is_empty());
-    }
-
-    #[test]
-    fn par_map_mut_touches_every_element_exactly_once() {
-        let mut items = vec![0u64; 4_321];
-        let calls = AtomicU64::new(0);
-        par_map_mut(&mut items, |i, x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            *x = i as u64 + 1;
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 4_321);
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x, i as u64 + 1);
-        }
     }
 
     #[test]

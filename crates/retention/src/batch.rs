@@ -45,9 +45,14 @@ use std::sync::Arc;
 use reaper_exec::num;
 use reaper_exec::rng::StreamPrefix;
 
-use crate::chip::{PAR_MIN_CELLS, TRIAL_DOMAIN};
+use crate::chip::TRIAL_DOMAIN;
 use crate::plan::{PlanLanes, TrialCtx, TrialPlan, CERTAIN_FAIL, CERTAIN_PASS};
 use crate::vrt::TwoStateVrt;
+
+/// Below this many in-band lanes a batch runs inline: a smaller fan-out
+/// does not repay the compute pool's dispatch (publishing the chunks,
+/// waking helpers, waiting on their completion).
+const PAR_MIN_CELLS: usize = 512;
 
 /// Maximum rounds per batch: one bit per round in a `u64` plane.
 pub const MAX_BATCH_ROUNDS: usize = 64;

@@ -40,10 +40,6 @@ pub(crate) const Z_CUTOFF: f64 = 4.0;
 /// never collide with any other stream derived from the same chip seed.
 pub(crate) const TRIAL_DOMAIN: u64 = 0x5245_4150_4552_0001; // "REAPER" 01
 
-/// Below this many candidate cells a trial runs sequentially; the window
-/// is too small to amortize thread spawn cost.
-pub(crate) const PAR_MIN_CELLS: usize = 512;
-
 /// A trial window: two ranges of the cell array, a prefix of the non-VRT
 /// segment followed by a prefix of the VRT segment (see
 /// [`window_ranges`]).
@@ -719,9 +715,9 @@ impl SimulatedChip {
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
     /// evaluation order and therefore of thread count. VRT cells are
-    /// observed on a *copy* of their chain state; the advanced states
-    /// are merged back sequentially after the parallel region (each
-    /// vrt_index belongs to exactly one cell, so merges never conflict).
+    /// observed on a *copy* of their chain state; the caller merges the
+    /// advanced states back (each vrt_index belongs to exactly one cell,
+    /// so merges never conflict).
     fn scalar_window_scan(
         &self,
         pattern: DataPattern,
@@ -750,28 +746,35 @@ impl SimulatedChip {
     /// The scan body over the positions of `lanes` (cells or lowering
     /// lanes): `cell_at(i)` yields the cell at position `i` and its DPD
     /// stress fraction, or `None` for a polarity-inactive cell. Generic so
-    /// each lane source compiles to its own loop.
+    /// each lane source compiles to its own loop. It runs inline on the
+    /// calling thread at every thread count: a window of a few thousand
+    /// cells is tens of microseconds of work, too little to repay a
+    /// per-trial fan-out (DESIGN.md §5b).
     fn scan_lanes<'c>(
         &self,
         ctx: &TrialCtx,
         lanes: &Window,
-        cell_at: impl Fn(usize) -> Option<(&'c WeakCell, f64)> + Sync,
+        cell_at: impl Fn(usize) -> Option<(&'c WeakCell, f64)>,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        let n = window_len(lanes);
-        let base_vrt = &self.base_vrt;
-        let per_cell = |j: usize| -> (Option<u64>, Option<(u32, TwoStateVrt)>) {
+        // The VRT range bounds the chain updates, so that vector never
+        // regrows while `failures` does (regrowing both in lockstep
+        // fragments the heap of long drift runs).
+        let [_, vrt_lanes] = lanes;
+        let mut failures = Vec::new();
+        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
+        for j in 0..window_len(lanes) {
             let Some((cell, stress)) = cell_at(window_position(lanes, j)) else {
-                return (None, None);
+                continue;
             };
             let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
-            let mut vrt_update = None;
             let vrt_factor = match cell.vrt_index {
                 Some(i) => {
-                    let mut vrt = *base_vrt
+                    let mut vrt = *self
+                        .base_vrt
                         .get(num::idx(i))
                         .expect("invariant: vrt_index values are positions pushed into base_vrt");
                     let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
-                    vrt_update = Some((i, vrt));
+                    vrt_updates.push((i, vrt));
                     if in_low {
                         ctx.low_mu_factor
                     } else {
@@ -782,38 +785,10 @@ impl SimulatedChip {
             };
             let z = cell.z_score(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, stress, vrt_factor);
             if z < -Z_CUTOFF {
-                return (None, vrt_update);
+                continue;
             }
-            let fails = z > Z_CUTOFF || below_phi(lane.next_f64(), z);
-            (fails.then_some(cell.index), vrt_update)
-        };
-
-        // The VRT range bounds the chain updates, so that vector never
-        // regrows while `failures` does (regrowing both in lockstep
-        // fragments the heap of long drift runs).
-        let [_, vrt_lanes] = lanes;
-        let mut failures = Vec::new();
-        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
-        if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            for j in 0..n {
-                let (fail, update) = per_cell(j);
-                failures.extend(fail);
-                vrt_updates.extend(update);
-            }
-        } else {
-            let chunks = reaper_exec::par_index_map(n, 256, |range| {
-                let mut fails = Vec::new();
-                let mut updates = Vec::new();
-                for j in range {
-                    let (fail, update) = per_cell(j);
-                    fails.extend(fail);
-                    updates.extend(update);
-                }
-                (fails, updates)
-            });
-            for (fails, updates) in chunks {
-                failures.extend(fails);
-                vrt_updates.extend(updates);
+            if z > Z_CUTOFF || below_phi(lane.next_f64(), z) {
+                failures.push(cell.index);
             }
         }
         (failures, vrt_updates)

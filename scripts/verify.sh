@@ -32,6 +32,9 @@ cargo test --release -q --offline -p reaper-core --test execute_pin
 echo "== trial plans: thread-scaling gate (single + rounds, 4t >= 0.95 x 1t) =="
 cargo test --release -q --offline -p reaper-retention --test thread_scaling -- --ignored
 
+echo "== profiling jobs: thread-parity gate (16 example jobs, 4t <= 1.25 x 1t) =="
+cargo test --release -q --offline -p reaper-core --test job_thread_parity -- --ignored
+
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="
 cargo test --release -q --offline -p reaper-serve --test smoke
 

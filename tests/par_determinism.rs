@@ -17,7 +17,8 @@
 use std::sync::Mutex;
 
 use reaper::core::conditions::{ReachConditions, TargetConditions};
-use reaper::core::profiler::{PatternSet, Profiler, ProfilingRun};
+use reaper::core::profiler::{IterationStats, PatternSet, Profiler, ProfilingRun};
+use reaper::core::ProfilingRequest;
 use reaper::dram_model::{Celsius, Ms, Vendor};
 use reaper::retention::{RetentionConfig, SimulatedChip};
 use reaper::softmc::TestHarness;
@@ -37,9 +38,8 @@ fn at_thread_counts<T>(f: impl Fn() -> T) -> (T, T) {
 }
 
 fn profile_sweep() -> ProfilingRun {
-    // 1/8 capacity keeps the candidate window comfortably above the
-    // sequential-fallback threshold, so the 4-worker run genuinely takes
-    // the parallel path.
+    // 1/8 capacity: a candidate window about twice the example job's
+    // 747 cells.
     let chip = SimulatedChip::new(
         RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 8),
         0xA11CE,
@@ -60,6 +60,22 @@ fn profiling_sweep_is_bit_identical_across_thread_counts() {
     assert_eq!(seq.profile, par.profile);
     assert_eq!(seq.runtime, par.runtime);
     assert_eq!(seq.iterations, par.iterations);
+}
+
+#[test]
+fn example_jobs_are_bit_identical_across_thread_counts() {
+    // Serve workers run jobs at the process's thread count; every trial
+    // of an example job is a window scan over ~750 cells.
+    let jobs = || -> Vec<(Vec<u8>, Vec<IterationStats>, usize)> {
+        (0..4u64)
+            .map(|seed| {
+                let out = ProfilingRequest::example(seed).execute().unwrap();
+                (out.run.profile.to_bytes(), out.run.iterations, out.truth_cells)
+            })
+            .collect()
+    };
+    let (seq, par) = at_thread_counts(jobs);
+    assert_eq!(seq, par);
 }
 
 #[test]
