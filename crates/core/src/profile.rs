@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 
 use reaper_retention::delta::{
-    self, push_varint, read_varint, DeltaApplyError, ProfileDelta, VarintError,
+    self, push_varint, read_varint, varint_len, DeltaApplyError, ProfileDelta, VarintError,
 };
 
 /// Magic prefix of the binary profile encoding (`"RPF"` + version `1`).
@@ -158,24 +158,32 @@ impl FailureProfile {
     /// content-addressed values and tests compare wire output against
     /// direct library calls byte-for-byte.
     pub fn to_bytes(&self) -> Vec<u8> {
-        // Dense profiles encode near 1 byte/cell; reserve for that plus
-        // slack so typical encodes do not reallocate.
-        let mut out = Vec::with_capacity(8 + self.cells.len() * 2);
+        let count = reaper_exec::num::to_u64(self.cells.len());
+        // Sized exactly, so neither dense (~1 byte a cell) nor sparse (up
+        // to three) profiles reallocate or keep slack capacity.
+        let len = PROFILE_WIRE_MAGIC.len()
+            + varint_len(count)
+            + self.wire_deltas().map(varint_len).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(&PROFILE_WIRE_MAGIC);
-        push_varint(&mut out, reaper_exec::num::to_u64(self.cells.len()));
-        let mut prev: Option<u64> = None;
-        for cell in self.cells.iter().copied() {
-            match prev {
-                None => push_varint(&mut out, cell),
-                // BTreeSet iteration is strictly ascending, so the -1 is safe.
-                Some(p) => push_varint(&mut out, cell - p - 1),
-            }
-            prev = Some(cell);
+        push_varint(&mut out, count);
+        for delta in self.wire_deltas() {
+            push_varint(&mut out, delta);
         }
-        // Sparse profiles take up to three bytes a cell and outgrow the
-        // reserve; stored profiles must not keep the doubled capacity.
-        out.shrink_to_fit();
+        debug_assert_eq!(out.len(), len);
         out
+    }
+
+    /// The per-cell values of the wire form: the first cell absolute,
+    /// each later one as `cell − prev − 1`.
+    fn wire_deltas(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut prev: Option<u64> = None;
+        self.cells.iter().map(move |&cell| {
+            // BTreeSet iteration is strictly ascending, so the -1 is safe.
+            let delta = prev.map_or(cell, |p| cell - p - 1);
+            prev = Some(cell);
+            delta
+        })
     }
 
     /// Decodes a profile from the [`FailureProfile::to_bytes`] wire form.
@@ -385,6 +393,19 @@ mod tests {
                 let same = seen.iter().copied().eq(reference.iter().copied());
                 assert!(same, "seed {seed} call {call}");
             }
+        }
+    }
+
+    #[test]
+    fn encoded_profiles_carry_no_slack_capacity() {
+        // Dense: consecutive cells encode at one byte each. Sparse: gaps
+        // of ~2^20 take three bytes a cell, past any per-cell guess.
+        let dense = FailureProfile::from_cells(0..5_000);
+        let sparse = FailureProfile::from_cells((0..5_000u64).map(|i| i << 20));
+        for p in [dense, sparse, FailureProfile::new()] {
+            let bytes = p.to_bytes();
+            assert_eq!(bytes.capacity(), bytes.len());
+            assert_eq!(FailureProfile::from_bytes(&bytes), Ok(p));
         }
     }
 

@@ -16,7 +16,9 @@ pub struct Core {
     retired: u64,
     /// Instruction index of the next memory access in the stream.
     next_access_at: u64,
-    /// Outstanding load misses: (instruction index at issue, request id).
+    /// Outstanding load misses: (instruction index at issue, request id),
+    /// oldest first — issue indices never decrease, and completions
+    /// remove entries without reordering the rest.
     outstanding: Vec<(u64, u64)>,
     next_req_id: u64,
     /// Cycle at which `target` instructions were first reached.
@@ -31,7 +33,7 @@ impl Core {
     /// Panics if `target == 0`.
     pub fn new(id: u8, trace: AccessTrace, target: u64) -> Self {
         assert!(target > 0, "target instruction count must be nonzero");
-        let first_gap = trace.access(0).gap as u64;
+        let first_gap = trace.accesses()[0].gap as u64;
         Self {
             id,
             trace,
@@ -70,10 +72,42 @@ impl Core {
     /// outstanding miss pins the window.
     fn window_limit(&self, cfg: &SimConfig) -> u64 {
         self.outstanding
-            .iter()
-            .map(|&(instr, _)| instr + cfg.window as u64)
-            .min()
-            .unwrap_or(u64::MAX)
+            .first()
+            .map_or(u64::MAX, |&(instr, _)| instr + cfg.window as u64)
+    }
+
+    /// How many plain instructions this core would retire, from the next
+    /// cycle on, before it reaches its next access, its window limit or
+    /// the instruction before its target, if `mc` stayed as it is. It
+    /// spends `headroom / issue_width` cycles retiring exactly
+    /// `issue_width` a cycle; the cycle that reaches the target is left to
+    /// [`Core::tick`], which records `finished_at`. `u64::MAX` if the core
+    /// is stalled — its window is full, or its pending access is blocked
+    /// by MSHRs or queue space — which lasts until the controller's state
+    /// changes.
+    pub(crate) fn headroom(&self, cfg: &SimConfig, mc: &MemoryController) -> u64 {
+        let limit = self.window_limit(cfg);
+        if self.retired >= limit {
+            return u64::MAX;
+        }
+        if self.retired >= self.next_access_at {
+            let blocked = if self.trace.accesses()[self.pos].is_write {
+                !mc.can_accept_write()
+            } else {
+                self.outstanding.len() >= cfg.mshrs as usize || !mc.can_accept_read()
+            };
+            return if blocked { u64::MAX } else { 0 };
+        }
+        self.next_access_at.min(limit).min(self.target - 1) - self.retired
+    }
+
+    /// Accounts for `cycles` cycles in which [`Core::tick`] would only
+    /// retire plain instructions, or nothing at all if the core is
+    /// stalled. `cycles · issue_width` must not exceed [`Core::headroom`].
+    pub(crate) fn skip(&mut self, cycles: u64, cfg: &SimConfig) {
+        if self.retired < self.next_access_at.min(self.window_limit(cfg)) {
+            self.retired += cycles * cfg.issue_width as u64;
+        }
     }
 
     /// Advances one cycle: retires instructions and issues memory accesses.
@@ -95,7 +129,7 @@ impl Core {
                 continue;
             }
             // The next instruction is the memory access itself.
-            let access: Access = self.trace.access(self.pos);
+            let access: Access = self.trace.accesses()[self.pos];
             if access.is_write {
                 if !mc.can_accept_write() {
                     break; // stall on write-queue backpressure
@@ -123,8 +157,12 @@ impl Core {
             }
             self.retired += 1; // the access instruction itself
             budget -= 1;
+            // Replay the trace cyclically.
             self.pos += 1;
-            self.next_access_at = self.retired + self.trace.access(self.pos).gap as u64;
+            if self.pos == self.trace.len() {
+                self.pos = 0;
+            }
+            self.next_access_at = self.retired + self.trace.accesses()[self.pos].gap as u64;
         }
 
         if self.finished_at.is_none() && self.retired >= self.target {

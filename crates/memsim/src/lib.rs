@@ -10,8 +10,21 @@
 //! The model is deliberately at the fidelity Fig. 13 needs: performance
 //! deltas across refresh intervals come from bank unavailability during
 //! refresh (`tRFC` every `tREFI`), bandwidth contention, and row-buffer
-//! locality — all of which are modeled per cycle. Command counts are
+//! locality — all of which are modeled to the cycle. Command counts are
 //! reported for the `reaper-power` DRAM power model.
+//!
+//! [`simulate`] is event-driven. After each simulated cycle it computes
+//! the next cycle at which the controller can act — a refresh falls due,
+//! a read completes, or a bank holding queued work in the queue being
+//! served becomes ready — and how long each core would only retire
+//! `issue_width` plain instructions before reaching its next access, its
+//! window limit or its instruction target. It credits the cycles in
+//! between in one step and ticks the next eventful one. This is exact:
+//! in a skipped cycle the controller would issue nothing, refresh nothing
+//! and complete nothing, no core would enqueue, so every core sees the
+//! same controller state cycle after cycle. Fig. 13's mixes visit about
+//! one cycle in ten. `crates/memsim/tests/properties.rs` checks the
+//! result against the every-cycle loop on random systems and traces.
 //!
 //! # Example
 //!

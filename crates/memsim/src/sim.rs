@@ -60,25 +60,51 @@ impl SimResult {
     }
 }
 
+/// Most cores one simulation can run: request ids carry the core id in
+/// their top byte.
+const MAX_CORES: usize = 256;
+
 /// Runs `traces` (one per core) on the configured system until every core
 /// retires `instructions_per_core`, and reports per-core IPC plus DRAM
 /// command counts.
 ///
+/// The loop is event-driven but cycle-exact: after each simulated cycle it
+/// jumps straight to the next cycle at which anything can happen — a
+/// refresh, a read completion, a bank holding queued work becoming ready,
+/// or a core reaching its next access, its window limit or its target.
+/// In the cycles in between every computing core retires exactly
+/// `issue_width` instructions and nothing else changes, so the results
+/// equal those of ticking every cycle.
+///
 /// # Panics
-/// Panics if `traces` is empty, `instructions_per_core == 0`, the config is
-/// invalid, or a core fails to finish within a generous cycle bound
-/// (indicating a scheduling deadlock — a bug, not a configuration issue).
+/// Panics if `traces` is empty or has more than 256 entries (one per core
+/// id), if a trace addresses a bank at or beyond `cfg.banks`, if
+/// `instructions_per_core == 0`, if the config is invalid, or if a core
+/// fails to finish within a generous cycle bound (indicating a scheduling
+/// deadlock — a bug, not a configuration issue).
 pub fn simulate(cfg: &SimConfig, traces: &[AccessTrace], instructions_per_core: u64) -> SimResult {
     assert!(!traces.is_empty(), "need at least one trace");
+    assert!(
+        traces.len() <= MAX_CORES,
+        "at most {MAX_CORES} cores, got {}",
+        traces.len()
+    );
     assert!(instructions_per_core > 0, "need a nonzero instruction target");
     // lint: allow(panic) documented `# Panics` contract of the entry point
     cfg.validate().expect("invalid sim config");
+    assert!(
+        traces
+            .iter()
+            .all(|t| t.accesses().iter().all(|a| a.bank < cfg.banks)),
+        "trace addresses a bank beyond the configured {} banks",
+        cfg.banks
+    );
 
     let mut mc = MemoryController::new(*cfg);
     let mut cores: Vec<Core> = traces
         .iter()
-        .enumerate()
-        .map(|(i, t)| Core::new(i as u8, t.clone(), instructions_per_core))
+        .zip(0..=u8::MAX)
+        .map(|(t, id)| Core::new(id, t.clone(), instructions_per_core))
         .collect();
 
     // Generous bound: even a fully serialized miss stream finishes well
@@ -87,9 +113,11 @@ pub fn simulate(cfg: &SimConfig, traces: &[AccessTrace], instructions_per_core: 
         .saturating_mul(2000)
         .saturating_add(1_000_000);
 
+    let mut completed = Vec::new();
     let mut now = 0u64;
     while now < max_cycles {
-        for done in mc.tick(now) {
+        mc.tick_into(now, &mut completed);
+        for done in &completed {
             cores[done.core as usize].complete(done.id);
         }
         let mut all_done = true;
@@ -102,7 +130,30 @@ pub fn simulate(cfg: &SimConfig, traces: &[AccessTrace], instructions_per_core: 
         if all_done {
             break;
         }
-        now += 1;
+        // Skip the cycles in which neither the controller nor any core
+        // does more than retire plain instructions. Every core retires at
+        // the same width, so the fewest cycles any core allows is the
+        // least headroom over the width: one division, and none when the
+        // next cycle is eventful or a core is about to act.
+        let mut skip = mc.next_event().clamp(now + 1, max_cycles) - now - 1;
+        if skip > 0 {
+            let width = cfg.issue_width as u64;
+            let headroom = cores
+                .iter()
+                .filter(|c| c.finished_at().is_none())
+                .map(|c| c.headroom(cfg, &mc))
+                .min()
+                .unwrap_or(u64::MAX);
+            skip = if headroom < width {
+                0
+            } else {
+                skip.min(headroom / width)
+            };
+            for core in cores.iter_mut().filter(|c| c.finished_at().is_none()) {
+                core.skip(skip, cfg);
+            }
+        }
+        now += skip + 1;
     }
 
     let ipc: Vec<f64> = cores
@@ -263,5 +314,35 @@ mod tests {
     #[should_panic(expected = "at least one trace")]
     fn rejects_empty_traces() {
         simulate(&SimConfig::lpddr4_3200(8, None), &[], 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 cores, got 257")]
+    fn rejects_more_cores_than_request_ids_can_tag() {
+        // A 257th core would share core id 0 and its request ids.
+        let traces = vec![AccessTrace::synthetic_uniform(10, 4, 0); MAX_CORES + 1];
+        simulate(&SimConfig::lpddr4_3200(8, None), &traces, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the configured 4 banks")]
+    fn rejects_accesses_to_missing_banks() {
+        let mut cfg = SimConfig::lpddr4_3200(8, None);
+        cfg.banks = 4;
+        // synthetic_uniform walks banks 0..8.
+        simulate(&cfg, &[AccessTrace::synthetic_uniform(10, 8, 0)], 100);
+    }
+
+    #[test]
+    fn runs_the_full_core_range() {
+        let traces: Vec<AccessTrace> = (0..MAX_CORES as u64)
+            .map(|i| AccessTrace::synthetic_uniform(400, 4, i))
+            .collect();
+        let r = simulate(&SimConfig::lpddr4_3200(8, None), &traces, 2_000);
+        assert_eq!(r.ipc.len(), MAX_CORES);
+        assert_eq!(
+            r.stats.reads + r.stats.writes,
+            r.stats.row_hits + r.stats.row_misses
+        );
     }
 }

@@ -55,6 +55,11 @@ impl AccessTrace {
         self.accesses[i % self.accesses.len()]
     }
 
+    /// The accesses of one replay, in order.
+    pub(crate) fn accesses(&self) -> &[Access] {
+        &self.accesses
+    }
+
     /// Trace length before replay.
     pub fn len(&self) -> usize {
         self.accesses.len()

@@ -1,8 +1,13 @@
 //! Property-based tests of the memory-system simulator.
 
+#![allow(clippy::expect_used, clippy::indexing_slicing)]
+
 use proptest::prelude::*;
 use reaper_dram_model::Ms;
-use reaper_memsim::{simulate, Access, AccessTrace, SimConfig};
+use reaper_memsim::controller::MemoryController;
+use reaper_memsim::cpu::Core;
+use reaper_memsim::timing::{CLOCK_HZ, REFRESHES_PER_WINDOW};
+use reaper_memsim::{simulate, Access, AccessTrace, RefreshMode, RowPolicy, SimConfig, SimResult};
 
 fn any_trace(max_len: usize) -> impl Strategy<Value = AccessTrace> {
     proptest::collection::vec(
@@ -17,6 +22,141 @@ fn any_trace(max_len: usize) -> impl Strategy<Value = AccessTrace> {
         1..max_len,
     )
     .prop_map(AccessTrace::new)
+}
+
+/// The oracle: the simulator loop that ticks the controller and every
+/// unfinished core on every cycle, written against the public
+/// `MemoryController` and `Core` API. `simulate` skips the cycles in
+/// which nothing can happen and must agree with it exactly.
+fn every_cycle(cfg: &SimConfig, traces: &[AccessTrace], instructions: u64) -> SimResult {
+    let mut mc = MemoryController::new(*cfg);
+    let mut cores: Vec<Core> = (0u8..)
+        .zip(traces)
+        .map(|(id, t)| Core::new(id, t.clone(), instructions))
+        .collect();
+    let max_cycles = instructions.saturating_mul(2000).saturating_add(1_000_000);
+    let mut now = 0u64;
+    while now < max_cycles {
+        for done in mc.tick(now) {
+            cores[done.core as usize].complete(done.id);
+        }
+        let mut all_done = true;
+        for core in &mut cores {
+            if core.finished_at().is_none() {
+                core.tick(now, cfg, &mut mc);
+                all_done &= core.finished_at().is_some();
+            }
+        }
+        if all_done {
+            break;
+        }
+        now += 1;
+    }
+    SimResult {
+        ipc: cores
+            .iter()
+            .map(|c| c.ipc().expect("core must finish"))
+            .collect(),
+        cycles: now.min(max_cycles),
+        stats: *mc.stats(),
+    }
+}
+
+/// A small random system. The refresh interval is a multiple of 2.5–40
+/// `tRFC`s, so refreshes stay a bounded share of time yet land every few
+/// hundred to few thousand cycles — inside the stretches `simulate`
+/// skips.
+fn any_config() -> impl Strategy<Value = SimConfig> {
+    (
+        (1u32..8, 4u32..129, 1u32..9, 1u8..9),
+        (2usize..65, 2usize..65, 0usize..64),
+        (
+            0usize..4,
+            any::<bool>(),
+            any::<bool>(),
+            any::<bool>(),
+            2.5f64..40.0,
+        ),
+    )
+        .prop_map(
+            |(
+                (issue_width, window, mshrs, banks),
+                (read_queue, write_queue, drain),
+                (density, refresh, per_bank, closed, refi_in_rfcs),
+            )| {
+                let mut cfg = SimConfig::lpddr4_3200([8, 16, 32, 64][density], None);
+                cfg.issue_width = issue_width;
+                cfg.window = window;
+                cfg.mshrs = mshrs;
+                cfg.banks = banks;
+                cfg.read_queue = read_queue;
+                cfg.write_queue = write_queue;
+                cfg.write_drain_at = 1 + drain % (write_queue - 1);
+                if refresh {
+                    let refi_cycles = f64::from(cfg.timings.t_rfc_ab) * refi_in_rfcs;
+                    let window_ms = refi_cycles * REFRESHES_PER_WINDOW as f64 / CLOCK_HZ * 1e3;
+                    cfg.refresh_interval = Some(Ms::new(window_ms));
+                }
+                if per_bank {
+                    cfg.refresh_mode = RefreshMode::PerBank;
+                }
+                if closed {
+                    cfg.row_policy = RowPolicy::Closed;
+                }
+                cfg
+            },
+        )
+}
+
+/// Random traces for up to four cores, with zero-gap bursts and
+/// stretches of long gaps.
+fn any_traces() -> impl Strategy<Value = Vec<AccessTrace>> {
+    proptest::collection::vec(
+        proptest::collection::vec(
+            (0u32..4, 0u32..300, 0u8..8, 0u32..64, any::<bool>()).prop_map(
+                |(kind, gap, bank, row, is_write)| Access {
+                    gap: if kind == 0 { 0 } else { gap >> (2 * kind) },
+                    bank,
+                    row,
+                    is_write,
+                },
+            ),
+            1..96,
+        )
+        .prop_map(AccessTrace::new),
+        1..5,
+    )
+}
+
+/// `trace` with every bank folded into `0..banks`.
+fn fold_banks(trace: &AccessTrace, banks: u8) -> AccessTrace {
+    AccessTrace::new(
+        (0..trace.len())
+            .map(|i| Access {
+                bank: trace.access(i).bank % banks,
+                ..trace.access(i)
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn simulate_matches_the_every_cycle_loop(
+        cfg in any_config(),
+        traces in any_traces(),
+        instructions in 1_000u64..6_000,
+    ) {
+        let traces: Vec<AccessTrace> = traces.iter().map(|t| fold_banks(t, cfg.banks)).collect();
+        let want = every_cycle(&cfg, &traces, instructions);
+        let got = simulate(&cfg, &traces, instructions);
+        prop_assert_eq!(got.cycles, want.cycles, "{:?}", cfg);
+        prop_assert_eq!(got.stats, want.stats, "{:?}", cfg);
+        let bits = |r: &SimResult| r.ipc.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want), "{:?}", cfg);
+    }
 }
 
 proptest! {

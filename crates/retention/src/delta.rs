@@ -92,6 +92,11 @@ pub fn push_varint(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`push_varint`] appends for `value`.
+pub fn varint_len(value: u64) -> usize {
+    reaper_exec::num::idx((u64::BITS - (value | 1).leading_zeros()).div_ceil(7))
+}
+
 /// Reads one LEB128 varint from the front of `input`, returning the
 /// value and the remaining bytes.
 ///
@@ -678,6 +683,18 @@ mod tests {
         let payload = vec![0x20];
         let bad = encode_message(0, 1, 0, 0, chunk_id_of(&payload), &payload);
         assert_eq!(ProfileDelta::from_bytes(&bad), Err(E::CountTooLarge));
+    }
+
+    #[test]
+    fn varint_len_matches_the_encoding() {
+        for shift in 0..64 {
+            for value in [(1u64 << shift) - 1, 1u64 << shift, (1u64 << shift) + 1] {
+                let mut out = Vec::new();
+                push_varint(&mut out, value);
+                assert_eq!(varint_len(value), out.len(), "value {value}");
+            }
+        }
+        assert_eq!(varint_len(u64::MAX), 10);
     }
 
     #[test]

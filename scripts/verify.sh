@@ -28,6 +28,8 @@ cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo test --release -q --offline -p reaper-retention --test synthesis_pin
 cargo test --release -q --offline -p reaper-retention --test drift_pin
 cargo test --release -q --offline -p reaper-core --test execute_pin
+cargo test --release -q --offline -p reaper-memsim --test sim_pin
+cargo test --release -q --offline -p reaper-bench --lib cell_fit_map_matches_the_recorded_digest
 
 echo "== trial plans: thread-scaling gate (single + rounds, 4t >= 0.95 x 1t) =="
 cargo test --release -q --offline -p reaper-retention --test thread_scaling -- --ignored
