@@ -260,10 +260,12 @@ impl ProfilingRequest {
         );
         let reach = ReachConditions::new(Ms::new(self.reach_delta_ms), self.reach_delta_temp_c);
         let mut harness = TestHarness::new(chip, target.ambient, self.seed);
-        // `Profiler::run` prewarms the chip's trial-plan lowerings for the
-        // recurring patterns, so serve workers get the packed-lane fast
-        // path without any per-worker setup — and since every trial path is
-        // bit-identical, job IDs and cached profile bytes are unaffected.
+        // The chip lowers a pattern on its second sighting and only over
+        // the cells its trial windows reach, and the ground truth walks
+        // only the cells below its σ-cap cut, so the job pays for the
+        // cells it can touch rather than the whole chip. Every trial path
+        // is bit-identical, so job IDs and cached profile bytes are
+        // unaffected.
         let run = Profiler::reach(target, reach, self.rounds, self.patterns.to_pattern_set())
             .run(&mut harness);
         let truth = FailureProfile::from_cells(harness.chip_mut().failing_set_worst_case(

@@ -140,15 +140,6 @@ impl TradeoffAnalysis {
         assert!(!deltas_temp.is_empty(), "need at least one temperature delta");
         assert!(opts.profile_iterations > 0, "need at least one iteration");
 
-        // Build the recurring patterns' trial-plan lowerings once on the
-        // pristine chip: the ground-truth run and every grid point profile
-        // a clone of it, so the packed lanes are inherited instead of
-        // being rebuilt per point. Outcome-neutral (every trial path is
-        // bit-identical); it only moves shared work out of the fan-out.
-        let mut base = chip.clone();
-        base.prewarm_lowerings(&PatternSet::Standard.stable_patterns());
-        let chip = &base;
-
         let ground_truth = Self::establish_ground_truth(chip, target, opts);
         assert!(
             !ground_truth.is_empty(),

@@ -97,6 +97,20 @@ impl SimConfig {
         self
     }
 
+    /// Cycles between two refresh commands: `tREFI` for REFab, `tREFI /
+    /// banks` for REFpb (one bank per command, round robin). `None` with
+    /// refresh disabled.
+    ///
+    /// # Panics
+    /// Panics if the refresh interval is not positive.
+    pub fn refresh_command_cycles(&self) -> Option<u64> {
+        let t_refi = self.timings.t_refi_cycles(self.refresh_interval?.as_ms());
+        Some(match self.refresh_mode {
+            RefreshMode::AllBank => t_refi,
+            RefreshMode::PerBank => t_refi / u64::from(self.banks),
+        })
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -125,6 +139,19 @@ impl SimConfig {
                 return Err("refresh interval must be positive");
             }
         }
+        // Each refresh blocks its bank for tRFC. A bank refreshed again
+        // before that ends never serves a request, and a zero command
+        // interval issues a refresh every cycle: `simulate` would run to
+        // its cycle bound.
+        if let Some(every) = self.refresh_command_cycles() {
+            let (per_bank, t_rfc) = match self.refresh_mode {
+                RefreshMode::AllBank => (every, self.timings.t_rfc_ab),
+                RefreshMode::PerBank => (every * u64::from(self.banks), self.timings.t_rfc_pb),
+            };
+            if every == 0 || per_bank <= u64::from(t_rfc) {
+                return Err("refresh interval too short: a bank is refreshed again before tRFC ends");
+            }
+        }
         Ok(())
     }
 }
@@ -132,6 +159,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::{CLOCK_HZ, REFRESHES_PER_WINDOW};
 
     #[test]
     fn table2_defaults_validate() {
@@ -173,5 +201,37 @@ mod tests {
         let mut c = SimConfig::lpddr4_3200(8, None);
         c.refresh_interval = Some(Ms::ZERO);
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_refresh_a_bank_never_recovers_from() {
+        // REFpb at 0.04 ms on 8 Gb: tREFI is 7 cycles, so the per-bank
+        // command interval truncates to 0 and a refresh would issue every
+        // cycle; `simulate` used to run to its cycle bound and panic.
+        let c = SimConfig::lpddr4_3200(8, Some(Ms::new(0.04))).with_per_bank_refresh();
+        assert_eq!(c.refresh_command_cycles(), Some(0));
+        assert!(c.validate().is_err());
+        // The bound in each mode: a bank refreshed every tRFC cycles is
+        // rejected, the next command interval up is accepted.
+        let with_refi = |t_refi: u64, per_bank: bool| {
+            // Half a cycle past `t_refi`, so the cycle count truncates to it.
+            let window = (t_refi as f64 + 0.5) * REFRESHES_PER_WINDOW as f64 / CLOCK_HZ * 1e3;
+            let c = SimConfig::lpddr4_3200(8, Some(Ms::new(window)));
+            if per_bank {
+                c.with_per_bank_refresh()
+            } else {
+                c
+            }
+        };
+        let timings = SimConfig::lpddr4_3200(8, None).timings;
+        let (t_rfc_ab, t_rfc_pb) = (u64::from(timings.t_rfc_ab), u64::from(timings.t_rfc_pb));
+        assert_eq!(with_refi(t_rfc_ab, false).refresh_command_cycles(), Some(t_rfc_ab));
+        assert!(with_refi(t_rfc_ab, false).validate().is_err());
+        assert!(with_refi(t_rfc_ab + 1, false).validate().is_ok());
+        // REFpb: 8 banks, so a bank's refreshes are 8 command intervals apart.
+        let every = t_rfc_pb / 8;
+        assert_eq!(with_refi(8 * every, true).refresh_command_cycles(), Some(every));
+        assert!(with_refi(8 * every, true).validate().is_err());
+        assert!(with_refi(8 * (every + 1), true).validate().is_ok());
     }
 }

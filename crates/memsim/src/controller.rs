@@ -68,14 +68,8 @@ impl MemoryController {
     pub fn new(cfg: SimConfig) -> Self {
         // lint: allow(panic) documented `# Panics` contract of the constructor
         cfg.validate().expect("invalid sim config");
-        let mut refresh_interval_cycles = cfg
-            .refresh_interval
-            .map(|r| cfg.timings.t_refi_cycles(r.as_ms()))
-            .unwrap_or(0);
         // Per-bank refresh: one bank refreshes every tREFI / banks.
-        if cfg.refresh_mode == RefreshMode::PerBank {
-            refresh_interval_cycles /= cfg.banks as u64;
-        }
+        let refresh_interval_cycles = cfg.refresh_command_cycles().unwrap_or(0);
         Self {
             banks: vec![Bank::default(); cfg.banks as usize],
             read_queue: Vec::with_capacity(cfg.read_queue),

@@ -428,7 +428,6 @@ impl Portfolio {
         });
 
         let mut chip = SimulatedChip::new(self.config(), self.seed);
-        chip.prewarm_lowerings(&self.patterns.stable_patterns());
         let mut tracker = CoverageTracker::new(truth);
         let goal_count = tracker.goal_count(self.target.coverage_goal);
         let ppi = num::to_u32(self.patterns.patterns_per_iteration());

@@ -375,11 +375,12 @@ mod tests {
         let pattern = pattern();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
-        let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
+        let window = chip.window(interval, temp);
+        let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
         let plan = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.window(interval, temp),
+            window,
             Some(&low),
             pattern,
             interval,

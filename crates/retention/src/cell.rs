@@ -58,10 +58,29 @@ fn phi_approx(z: f64) -> Option<f64> {
 /// `u < phi(z)`, bit for bit, at a table lookup's cost for all but a
 /// ~4e-6 fraction of draws. The crate's one `u < Φ(z)` decision.
 pub(crate) fn below_phi(u: f64, z: f64) -> bool {
+    // One compare away from the table value decides, as a value rather
+    // than a branch on it: the draw falls on either side about equally.
     match phi_approx(z) {
-        Some(approx) if u < approx - PHI_EPS => true,
-        Some(approx) if u > approx + PHI_EPS => false,
+        Some(approx) if (u - approx).abs() > PHI_EPS => u < approx,
         _ => u < phi(z),
+    }
+}
+
+/// The ground-truth membership test `phi(z) >= p`, certified like
+/// [`below_phi`]: in the table's band it compares `p` with `Φ̃(z) ± ε`;
+/// past the band it uses `phi`'s monotonicity, since every `phi(z)` below
+/// `−Z_CUTOFF` lies under `Φ̃(−Z_CUTOFF) + ε` (about 3.2e-5) and every one
+/// above `Z_CUTOFF` over `Φ̃(Z_CUTOFF) − ε`. `phi` itself runs only when
+/// `p` falls inside one of those margins, so the answer is exactly
+/// `phi(z) >= p`, bit for bit.
+pub(crate) fn phi_at_least(z: f64, p: f64) -> bool {
+    let edge = |z: f64| phi_approx(z).expect("invariant: ±Z_CUTOFF lie on the table's range");
+    match phi_approx(z) {
+        Some(approx) if approx - PHI_EPS >= p => true,
+        Some(approx) if approx + PHI_EPS < p => false,
+        None if z < -Z_CUTOFF && p >= edge(-Z_CUTOFF) + PHI_EPS => false,
+        None if z > Z_CUTOFF && p <= edge(Z_CUTOFF) - PHI_EPS => true,
+        _ => phi(z) >= p,
     }
 }
 
@@ -360,6 +379,47 @@ mod tests {
                 assert_eq!(below_phi(u, z), u < phi(z), "z {z}, u {u}");
             }
         }
+    }
+
+    #[test]
+    fn phi_at_least_equals_the_exact_compare() {
+        // In the band: probabilities on and next to the table value and
+        // to phi(z). Past it: the tails out to |z| = 40, against
+        // probabilities at, inside and outside the tail margins.
+        let ulp = |x: f64, up: bool| f64::from_bits(if up { x.to_bits() + 1 } else { x.to_bits() - 1 });
+        let (mut band, mut tails) = (0, 0);
+        for k in 0..=16_000u32 {
+            let z = -Z_CUTOFF + f64::from(k) * 5e-4;
+            let approx = phi_approx(z).expect("z lies on the table's range");
+            let exact = phi(z);
+            for p in [
+                approx - PHI_EPS / 2.0,
+                approx + 2.0 * PHI_EPS,
+                approx - 2.0 * PHI_EPS,
+                exact,
+                ulp(exact, true),
+                ulp(exact, false),
+            ] {
+                assert_eq!(phi_at_least(z, p), phi(z) >= p, "z {z}, p {p}");
+                band += 1;
+            }
+        }
+        let edge = [phi(-Z_CUTOFF), phi(Z_CUTOFF)];
+        for k in 1..=36_000u32 {
+            let dz = f64::from(k) * 1e-3;
+            for z in [-Z_CUTOFF - dz, Z_CUTOFF + dz] {
+                for p in [1e-12, 1e-6, edge[0], edge[0] + 2.0 * PHI_EPS, 0.5, edge[1] - 2.0 * PHI_EPS, edge[1], 1.0] {
+                    assert_eq!(phi_at_least(z, p), phi(z) >= p, "z {z}, p {p}");
+                    tails += 1;
+                }
+            }
+        }
+        for z in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [1e-9, 0.5, 1.0] {
+                assert_eq!(phi_at_least(z, p), phi(z) >= p, "z {z}, p {p}");
+            }
+        }
+        assert!(band > 0 && tails > 0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use reaper_exec::rng::stream;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 
 use crate::batch::MAX_BATCH_ROUNDS;
-use crate::cell::{below_phi, WeakCell};
+use crate::cell::{below_phi, phi_at_least, WeakCell};
 use crate::config::RetentionConfig;
 use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
@@ -89,16 +89,6 @@ pub(crate) fn window_ranges(
 /// Number of cells in `window`.
 pub(crate) fn window_len(window: &Window) -> usize {
     window.iter().map(ExactSizeIterator::len).sum()
-}
-
-/// Position `j` of `window`'s two ranges taken in order.
-pub(crate) fn window_position(window: &Window, j: usize) -> usize {
-    let [first, second] = window;
-    if j < first.len() {
-        first.start + j
-    } else {
-        second.start + (j - first.len())
-    }
 }
 
 /// The bits of a finite `key` as an unsigned integer that sorts as the
@@ -330,9 +320,11 @@ pub struct SimulatedChip {
     /// The active arrivals' cell indices, ascending; `arrival_round`
     /// emits its failures in this order.
     arrival_order: Vec<u64>,
-    /// Indices of the weak cells, ascending: built in bulk once, at
-    /// synthesis. With `arrival_indices`, the occupied indices new VRT
-    /// arrivals are drawn around.
+    /// Indices of the weak cells, ascending: with `arrival_indices`, the
+    /// occupied indices new VRT arrivals are drawn around. Built in bulk
+    /// before the first arrival is drawn and empty until then, so a chip
+    /// profiled over too short a span to draw one (a profiling job) never
+    /// pays for the sort.
     cell_indices: Vec<u64>,
     /// Indices of every VRT arrival so far, expired ones included.
     arrival_indices: BTreeSet<u64>,
@@ -353,10 +345,11 @@ pub struct SimulatedChip {
 }
 
 /// How one single trial is served, resolved by `route_trial`: the window
-/// scan (with the cached lowering at this position, if any) or the
-/// kernel on the cached plan at this position.
+/// scan over the trial window (with the cached lowering at this position,
+/// already extended to the window, if any) or the kernel on the cached
+/// plan at this position.
 enum TrialRoute {
-    Scan(Option<usize>),
+    Scan(Option<usize>, Window),
     Plan(usize),
 }
 
@@ -367,7 +360,7 @@ impl SimulatedChip {
     /// with an earlier cell is redrawn on the spot, so every draw stays in
     /// the rng's order. Collisions are checked against a transient
     /// `IndexTable`; the chip's sorted index list, which VRT arrivals
-    /// check, is built once, in bulk, after the loop.
+    /// check, is built once, in bulk, when the first arrival is drawn.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`RetentionConfig::validate`].
@@ -425,9 +418,6 @@ impl SimulatedChip {
         }
 
         drop(drawn);
-        let mut cell_indices: Vec<u64> = cells.iter().map(|c| c.index).collect();
-        cell_indices.sort_unstable();
-
         let mut chip = Self {
             sort_keys: Vec::new(),
             vrt_start: 0,
@@ -436,7 +426,7 @@ impl SimulatedChip {
             arrivals: Vec::new(),
             arrival_ranks: Vec::new(),
             arrival_order: Vec::new(),
-            cell_indices,
+            cell_indices: Vec::new(),
             arrival_indices: BTreeSet::new(),
             now_ms: 0.0,
             last_arrival_ms: 0.0,
@@ -601,7 +591,7 @@ impl SimulatedChip {
             self.route_trial(pattern, interval, temp)
         } else {
             self.plan_cache.stats.scalar_trials += 1;
-            TrialRoute::Scan(None)
+            TrialRoute::Scan(None, self.window(interval, temp))
         };
         // A kernel round comes out sorted; the scan's follows window order
         // and is sorted once.
@@ -617,8 +607,7 @@ impl SimulatedChip {
                     .expect("invariant: one nonce in yields one round out");
                 (failures, batch.vrt_updates)
             }
-            TrialRoute::Scan(lowering) => {
-                let window = self.window(interval, temp);
+            TrialRoute::Scan(lowering, window) => {
                 let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
                 let (mut failures, updates) = self.scalar_window_scan(pattern, &window, &ctx, lowering);
                 // Each window cell is visited once, so there is nothing to dedup.
@@ -728,14 +717,14 @@ impl SimulatedChip {
         let geometry = self.cfg.geometry;
         let cells = &self.cells;
         match lowering {
-            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), |j| {
-                let (ord, lvl) = low.lane(j);
+            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), |segment, j| {
+                let (ord, lvl) = low.lane(segment, j);
                 let cell = cells
                     .get(ord)
                     .expect("invariant: lowering ordinals index the cell array it was built from");
                 Some((cell, f64::from(lvl) / 4.0))
             }),
-            None => self.scan_lanes(ctx, window, |i| {
+            None => self.scan_lanes(ctx, window, |_, i| {
                 let cell = cells.get(i).expect("invariant: window ranges lie inside the cell array");
                 let lvl = cell.active_stress(pattern, geometry)?;
                 Some((cell, f64::from(lvl) / 4.0))
@@ -744,8 +733,9 @@ impl SimulatedChip {
     }
 
     /// The scan body over the positions of `lanes` (cells or lowering
-    /// lanes): `cell_at(i)` yields the cell at position `i` and its DPD
-    /// stress fraction, or `None` for a polarity-inactive cell. Generic so
+    /// lanes), one range per window segment: `cell_at(segment, i)` yields
+    /// the cell at position `i` and its DPD stress fraction, or `None` for
+    /// a polarity-inactive cell. Generic so
     /// each lane source compiles to its own loop. It runs inline on the
     /// calling thread at every thread count: a window of a few thousand
     /// cells is tens of microseconds of work, too little to repay a
@@ -754,16 +744,24 @@ impl SimulatedChip {
         &self,
         ctx: &TrialCtx,
         lanes: &Window,
-        cell_at: impl Fn(usize) -> Option<(&'c WeakCell, f64)>,
+        cell_at: impl Fn(usize, usize) -> Option<(&'c WeakCell, f64)>,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        // The VRT range bounds the chain updates, so that vector never
-        // regrows while `failures` does (regrowing both in lockstep
-        // fragments the heap of long drift runs).
+        // The VRT range bounds the chain updates and the window bounds the
+        // failures, so neither vector regrows (regrowing both in lockstep
+        // fragments the heap of long drift runs). Every visited cell is
+        // written to the next failure slot and the slot is kept only if
+        // the cell failed: a store and an add instead of a branch on a
+        // draw that goes either way.
         let [_, vrt_lanes] = lanes;
-        let mut failures = Vec::new();
+        let mut failures = vec![0; window_len(lanes)];
+        let mut failed = 0;
         let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
-        for j in 0..window_len(lanes) {
-            let Some((cell, stress)) = cell_at(window_position(lanes, j)) else {
+        let positions = lanes
+            .iter()
+            .enumerate()
+            .flat_map(|(segment, range)| range.clone().map(move |j| (segment, j)));
+        for (segment, j) in positions {
+            let Some((cell, stress)) = cell_at(segment, j) else {
                 continue;
             };
             let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
@@ -787,10 +785,14 @@ impl SimulatedChip {
             if z < -Z_CUTOFF {
                 continue;
             }
-            if z > Z_CUTOFF || below_phi(lane.next_f64(), z) {
-                failures.push(cell.index);
-            }
+            let fails = z > Z_CUTOFF || below_phi(lane.next_f64(), z);
+            *failures
+                .get_mut(failed)
+                .expect("invariant: each window position fills at most one failure slot") = cell.index;
+            failed += usize::from(fails);
         }
+        failures.truncate(failed);
+        failures.shrink_to_fit();
         (failures, vrt_updates)
     }
 
@@ -812,8 +814,8 @@ impl SimulatedChip {
 
     /// Resolves how a single trial is served: a cached plan, a plan
     /// compiled on this second sighting of the condition, or the window
-    /// scan — fed by a lowering when the pattern has one cached or is
-    /// itself seen for the second time.
+    /// scan — fed by a lowering, extended to the trial window, when the
+    /// pattern has one cached or is itself seen for the second time.
     fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
         let key = PlanKey::new(pattern, interval, temp);
         if let Some(i) = self.plan_cache.find_plan(&key) {
@@ -828,20 +830,24 @@ impl SimulatedChip {
 
         // Pattern-only lanes survive the harness's per-trial temperature
         // jitter, which keeps most conditions from ever recurring.
+        let window = self.window(interval, temp);
         if let Some(i) = self.plan_cache.find_lowering(pattern) {
+            self.plan_cache
+                .lowering_at_mut(i)
+                .extend(&self.cells, self.cfg.geometry, &window);
             self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Scan(Some(i));
+            return TrialRoute::Scan(Some(i), window);
         }
         if self.plan_cache.note_pattern(pattern) {
-            let lowering = PatternLowering::build(&self.cells, pattern, self.cfg.geometry);
+            let lowering = PatternLowering::covering(&self.cells, pattern, self.cfg.geometry, &window);
             let i = self.plan_cache.insert_lowering(lowering);
             self.plan_cache.stats.lowerings_built += 1;
             self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Scan(Some(i));
+            return TrialRoute::Scan(Some(i), window);
         }
 
         self.plan_cache.stats.scalar_trials += 1;
-        TrialRoute::Scan(None)
+        TrialRoute::Scan(None, window)
     }
 
     /// Counts `k` trials served by the kernel on a compiled plan.
@@ -851,17 +857,15 @@ impl SimulatedChip {
     }
 
     /// Compiles the plan for a condition and caches it, returning its
-    /// cache position.
+    /// cache position. A cached lowering of the pattern is extended to
+    /// the plan's window and feeds the compile.
     fn compile_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
-        let plan = TrialPlan::compile(
-            &self.cfg,
-            &self.cells,
-            self.window(interval, temp),
-            self.plan_cache.peek_lowering(pattern),
-            pattern,
-            interval,
-            temp,
-        );
+        let window = self.window(interval, temp);
+        let lowering = self.plan_cache.peek_lowering_mut(pattern).map(|low| {
+            low.extend(&self.cells, self.cfg.geometry, &window);
+            &*low
+        });
+        let plan = TrialPlan::compile(&self.cfg, &self.cells, window, lowering, pattern, interval, temp);
         self.plan_cache.stats.plans_compiled += 1;
         self.plan_cache.insert_plan(plan)
     }
@@ -1043,20 +1047,6 @@ impl SimulatedChip {
         self.plan_cache.stats
     }
 
-    /// Builds pattern lowerings for `patterns` up front (idempotent). Call
-    /// before a profiling loop whose patterns are known so the first
-    /// iteration already runs on packed lanes; recurring patterns would
-    /// otherwise only be promoted on their second sighting.
-    pub fn prewarm_lowerings(&mut self, patterns: &[DataPattern]) {
-        for &pattern in patterns {
-            if self.plan_cache.find_lowering(pattern).is_none() {
-                let lowering = PatternLowering::build(&self.cells, pattern, self.cfg.geometry);
-                self.plan_cache.insert_lowering(lowering);
-                self.plan_cache.stats.lowerings_built += 1;
-            }
-        }
-    }
-
     /// Number of cells a trial at `(interval, temp)` visits — the live
     /// window the scan and plan compile share: the non-VRT cells whose
     /// worst-case z can reach `−Z_CUTOFF`, plus the VRT cells within
@@ -1091,6 +1081,10 @@ impl SimulatedChip {
         let density = self.cfg.geometry.density_bits();
         let ms_scale = self.cfg.mu_temp_scale(temp);
 
+        if n > 0 && self.cell_indices.len() != self.cells.len() {
+            self.cell_indices = self.cells.iter().map(|c| c.index).collect();
+            self.cell_indices.sort_unstable();
+        }
         let first_new = self.arrivals.len();
         for _ in 0..n {
             let index = loop {
@@ -1260,12 +1254,23 @@ impl SimulatedChip {
         let ss_scale = self.cfg.sigma_temp_scale(temp);
         let cut = sigma_cap_cut(t, ms_scale, ss_scale);
 
-        // The σ-cap membership over every cell, whatever trial windows
-        // visit: a non-VRT cell beyond the live window cannot fail a trial
-        // but can still clear a small `min_prob`.
-        let mut out: Vec<u64> = self
+        // The σ-cap membership, whatever trial windows visit: a non-VRT
+        // cell beyond the live window cannot fail a trial but can still
+        // clear a small `min_prob`. A cell's window key is at most its
+        // sort key (the non-VRT key subtracts `Z_CUTOFF`·σ0 ≥ 0, the VRT
+        // key is the sort key), so every member lies in the key-sorted
+        // prefix of its segment below the cut; the cells past it are not
+        // visited. `phi_at_least` decides `worst_case_fail_probability ≥
+        // min_prob` exactly, mostly without evaluating `phi`.
+        let (plain, vrt) = self.sort_keys.split_at(self.vrt_start);
+        let below_cut = |keys: &[f64]| keys.partition_point(|&k| k < cut);
+        let candidates = self
             .cells
-            .iter()
+            .get(..below_cut(plain))
+            .into_iter()
+            .chain(self.cells.get(self.vrt_start..self.vrt_start + below_cut(vrt)))
+            .flatten();
+        let mut out: Vec<u64> = candidates
             .filter(|c| {
                 if Self::sort_key_of(&self.cfg, c) >= cut {
                     return false;
@@ -1275,14 +1280,14 @@ impl SimulatedChip {
                 } else {
                     1.0
                 };
-                c.worst_case_fail_probability(t, ms_scale, ss_scale, vrt_factor) >= min_prob
+                phi_at_least(c.z_score(t, ms_scale, ss_scale, 1.0, vrt_factor), min_prob)
             })
             .map(|c| c.index)
             .collect();
 
         for a in &self.arrivals {
             if a.is_active(self.now_ms)
-                && a.cell.worst_case_fail_probability(t, ms_scale, ss_scale, 1.0) >= min_prob
+                && phi_at_least(a.cell.z_score(t, ms_scale, ss_scale, 1.0, 1.0), min_prob)
             {
                 out.push(a.cell.index);
             }
@@ -1725,21 +1730,93 @@ mod tests {
         assert_eq!(s.plan_trials, 8 * 23 + 2 * 16);
     }
 
-    #[test]
-    fn prewarmed_lowering_serves_first_trial() {
-        let mut chip = SimulatedChip::new(quick_cfg(), 23);
-        let p = DataPattern::col_stripe();
-        chip.prewarm_lowerings(&[p, p]);
-        let s = chip.plan_stats();
-        assert_eq!(s.lowerings_built, 1, "prewarm is idempotent");
-
-        // Jittered temperature (fresh condition every trial, as under the
-        // test harness): the plan tier never promotes, the lowering serves.
-        for (i, temp) in [60.0, 60.01, 59.99].iter().enumerate() {
-            let _ = chip.retention_trial(p, Ms::new(1024.0), Celsius::new(*temp));
-            assert_eq!(chip.plan_stats().lowered_trials, i as u64 + 1);
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(16))]
+        #[test]
+        fn lowered_trials_match_the_reference_as_windows_grow_and_shrink(
+            steps in proptest::collection::vec((1u32..17, 0usize..4, 0usize..6, 0u32..3), 8..40),
+            seed in 0u64..1_000_000,
+        ) {
+            // Intervals of 256 to 4096 ms in 256 ms steps move each
+            // pattern's window up and down, and four temperatures around
+            // 60 °C jitter it. Six recurring patterns get lowerings that
+            // are built, extended and reused, and an exact repeat compiles
+            // a plan from an extended lowering. Zero to two hours between
+            // trials bring VRT arrivals.
+            let random = DataPattern::random(7);
+            let patterns = [
+                DataPattern::checkerboard(),
+                DataPattern::checkerboard().inverse(),
+                DataPattern::row_stripe(),
+                DataPattern::solid1(),
+                random,
+                random.inverse(),
+            ];
+            let temps = [59.9, 60.0, 60.07, 61.0];
+            let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32);
+            let mut chip = SimulatedChip::new(cfg, seed);
+            let mut reference = chip.clone();
+            for (k, t, p, hours) in steps {
+                let interval = Ms::new(256.0 * f64::from(k));
+                let (temp, pattern) = (Celsius::new(temps[t]), patterns[p]);
+                chip.advance(Ms::from_hours(f64::from(hours)));
+                reference.advance(Ms::from_hours(f64::from(hours)));
+                let got = chip.retention_trial(pattern, interval, temp);
+                let want = reference.retention_trial_reference(pattern, interval, temp);
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(&chip.base_vrt, &reference.base_vrt);
+            }
+            proptest::prop_assert_eq!(chip.arrival_count(), reference.arrival_count());
         }
-        assert_eq!(chip.plan_stats().scalar_trials, 0);
+    }
+
+    #[test]
+    fn a_profiling_job_lowers_no_cell_past_its_largest_window() {
+        // The trial sequence of one example profiling job, which the
+        // harness drives from outside this crate: Vendor B at 1/16
+        // capacity, 4 rounds of the standard set at the 1,274 ms reach
+        // interval, each trial at a DRAM temperature jittered by up to
+        // ±0.1 °C around 60 °C, and the interval plus a pass on the clock
+        // between trials.
+        let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 16);
+        let mut chip = SimulatedChip::new(cfg, 0x10B);
+        let interval = Ms::new(1274.0);
+        let mut jitter = stream(&[0x10B]);
+        // Per pattern: the largest window ends over all its trials, and
+        // over the trials from its second on, which a lowering serves.
+        let mut largest: Vec<(DataPattern, [usize; 2], [usize; 2])> = Vec::new();
+        for it in 0..4 {
+            for p in DataPattern::standard_set(it) {
+                let temp = Celsius::new(60.0 + (jitter.next_f64() - 0.5) * 0.2);
+                let ends = chip.window(interval, temp).map(|r| r.end);
+                match largest.iter_mut().find(|(q, ..)| *q == p) {
+                    Some((_, all, lowered)) => {
+                        for (k, end) in ends.into_iter().enumerate() {
+                            all[k] = all[k].max(end);
+                            lowered[k] = lowered[k].max(end);
+                        }
+                    }
+                    None => largest.push((p, ends, [0, chip.vrt_start])),
+                }
+                let _ = chip.retention_trial(p, interval, temp);
+                chip.advance(interval + Ms::new(100.0));
+            }
+        }
+        let lowerings: Vec<&PatternLowering> = chip.plan_cache.lowerings().collect();
+        assert_eq!(lowerings.len(), 8, "the eight fixed patterns recur every round");
+        for low in lowerings {
+            let (_, all, lowered) = largest
+                .iter()
+                .find(|(p, ..)| *p == low.pattern)
+                .expect("a lowering's pattern ran trials");
+            let covered = low.covered_ends();
+            assert_eq!(covered, *lowered, "{:?}", low.pattern);
+            assert!(covered[0] <= all[0] && covered[1] <= all[1], "{:?}", low.pattern);
+            assert!(
+                window_len(&[0..covered[0], chip.vrt_start..covered[1]]) * 4 < chip.cells().len(),
+                "a job's windows reach a small part of the chip"
+            );
+        }
     }
 
     #[test]

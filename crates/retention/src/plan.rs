@@ -14,7 +14,10 @@
 //!   (matches-of-4 ∈ 0..=4) into flat lanes. Temperature- and
 //!   time-independent, so it survives the harness's per-trial thermal
 //!   jitter and `advance` calls. It feeds the window scan (which then
-//!   skips the polarity and stress work) and plan compilation.
+//!   skips the polarity and stress work) and plan compilation. It covers
+//!   only the cells the pattern's trial windows have reached: both users
+//!   extend it to their window first, so nothing is lowered ahead of use
+//!   and a profiling job lowers ~750 cells of a ~6.3k-cell chip.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
 //!   trial window all the way to per-cell integer thresholds
 //!   `ceil(phi(z) · 2⁵³)`, stored in index-sorted lanes that the
@@ -22,11 +25,11 @@
 //!   no VRT copy for non-VRT cells.
 //!
 //! A single trial whose condition is seen for the first time runs the
-//! window scan (with a lowering once its pattern recurs); a recurring
-//! condition compiles a plan on its second sighting, and every later
-//! trial at it runs through the kernel as a batch of one. The multi-round
-//! entry points compile unconditionally: asking for many rounds at one
-//! condition is itself the recurrence signal.
+//! window scan (with a lowering, built over its window, once its pattern
+//! recurs); a recurring condition compiles a plan on its second sighting,
+//! and every later trial at it runs through the kernel as a batch of one.
+//! The multi-round entry points compile unconditionally: asking for many
+//! rounds at one condition is itself the recurrence signal.
 //!
 //! # Lifecycle
 //!
@@ -76,7 +79,8 @@ pub struct PlanStats {
     /// runs there, so this always equals `plan_trials`; kept so existing
     /// readers of the counter keep working.
     pub batch_rounds: u64,
-    /// Pattern lowerings constructed (including prewarms).
+    /// Pattern lowerings constructed, each on a sighting of its pattern
+    /// after the first. Extending one to a larger window does not count.
     pub lowerings_built: u64,
     /// Trial plans compiled.
     pub plans_compiled: u64,
@@ -122,48 +126,106 @@ pub(crate) struct TrialCtx {
 }
 
 /// Tier 1: pattern-dependent, condition-independent lowering. For one data
-/// pattern, the ascending ordinals (into the window-ordered cell array) of
-/// the polarity-active cells and their quantized DPD stress levels.
+/// pattern, the ordinals (into the window-ordered cell array) of the
+/// polarity-active cells and their quantized DPD stress levels, over the
+/// cells the pattern's trial windows have reached so far.
 ///
-/// Because the ordinals are ascending, each of a trial window's two cell
-/// ranges maps to one range of lanes via two `partition_point`s.
+/// A trial window is a prefix of each of the cell array's two segments
+/// ([`crate::chip::window_ranges`]), so the lowering keeps one lane run
+/// per segment and the end of the cells it has covered there.
+/// [`PatternLowering::extend`] grows each run to the current trial's
+/// window before the scan or a plan compile reads it: a profiling job
+/// pays for the cells its trials reach, not for the whole chip. Because
+/// each run's ordinals are ascending, a window range maps to one range of
+/// the run's lanes via a `partition_point`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PatternLowering {
     pub(crate) pattern: DataPattern,
-    /// Ordinals of cells whose stored bit equals their vulnerable bit
-    /// under `pattern` (the packed polarity lane), ascending.
+    /// One run per window segment: non-VRT cells, then VRT cells.
+    runs: [LaneRun; 2],
+}
+
+/// The lanes of one window segment covered so far.
+#[derive(Debug, Clone, PartialEq)]
+struct LaneRun {
+    /// Ordinals of covered cells whose stored bit equals their vulnerable
+    /// bit under the pattern (the packed polarity lane), ascending.
     ord: Vec<u32>,
     /// `stress_matches` ∈ 0..=4 parallel to `ord` (the packed DPD lane);
     /// the stress fraction is `lvl / 4`.
     lvl: Vec<u8>,
+    /// End (exclusive) of the cells covered: the run holds every active
+    /// cell from the segment start up to here.
+    end: usize,
 }
 
 impl PatternLowering {
-    pub(crate) fn build(cells: &[WeakCell], pattern: DataPattern, geometry: ChipGeometry) -> Self {
-        let mut ord = Vec::new();
-        let mut lvl = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if let Some(level) = cell.active_stress(pattern, geometry) {
-                ord.push(num::to_u32(i));
-                lvl.push(level);
+    /// A lowering of `pattern` covering `window`.
+    pub(crate) fn covering(
+        cells: &[WeakCell],
+        pattern: DataPattern,
+        geometry: ChipGeometry,
+        window: &Window,
+    ) -> Self {
+        let mut lowering = Self {
+            pattern,
+            runs: window.clone().map(|cells| LaneRun {
+                ord: Vec::new(),
+                lvl: Vec::new(),
+                end: cells.start,
+            }),
+        };
+        lowering.extend(cells, geometry, window);
+        lowering
+    }
+
+    /// Grows each run to the end of `window`'s range in its segment. A
+    /// window never starts past a run's segment start, and a run already
+    /// covering its range is left alone.
+    pub(crate) fn extend(&mut self, cells: &[WeakCell], geometry: ChipGeometry, window: &Window) {
+        for (run, range) in self.runs.iter_mut().zip(window) {
+            debug_assert!(
+                range.start <= run.end,
+                "a window range starts at its segment start"
+            );
+            let from = run.end;
+            for (i, cell) in cells.get(from..range.end).into_iter().flatten().enumerate() {
+                if let Some(level) = cell.active_stress(self.pattern, geometry) {
+                    run.ord.push(num::to_u32(from + i));
+                    run.lvl.push(level);
+                }
             }
+            run.end = run.end.max(range.end);
         }
-        Self { pattern, ord, lvl }
     }
 
-    /// The lane ranges whose ordinals fall inside the two cell ranges of
-    /// `window`: a prefix of the non-VRT cells' lanes and a prefix of the
-    /// VRT cells' lanes.
+    /// The end of the cells covered in each segment.
+    #[cfg(test)]
+    pub(crate) fn covered_ends(&self) -> [usize; 2] {
+        self.runs.each_ref().map(|run| run.end)
+    }
+
+    /// The lane ranges, one per run, whose ordinals fall inside the two
+    /// cell ranges of `window`, which the lowering must cover.
     pub(crate) fn active_lanes(&self, window: &Window) -> Window {
-        let lanes_below = |end: usize| self.ord.partition_point(|&o| num::idx(o) < end);
-        window.clone().map(|cells| lanes_below(cells.start)..lanes_below(cells.end))
+        let mut lanes = window.clone();
+        for (run, lanes) in self.runs.iter().zip(&mut lanes) {
+            debug_assert!(lanes.end <= run.end, "extend the lowering to the window first");
+            let below = |end: usize| run.ord.partition_point(|&o| num::idx(o) < end);
+            *lanes = below(lanes.start)..below(lanes.end);
+        }
+        lanes
     }
 
-    /// Lane `j`: the cell's ordinal in the window-ordered cell array and
-    /// its DPD stress level (matches-of-4).
-    pub(crate) fn lane(&self, j: usize) -> (usize, u8) {
-        let ord = self.ord.get(j).expect("invariant: active lanes lie inside ord");
-        let lvl = self.lvl.get(j).expect("invariant: lvl lane is parallel to ord");
+    /// Lane `j` of run `segment`: the cell's ordinal in the window-ordered
+    /// cell array and its DPD stress level (matches-of-4).
+    pub(crate) fn lane(&self, segment: usize, j: usize) -> (usize, u8) {
+        let run = self
+            .runs
+            .get(segment)
+            .expect("invariant: a window has two segments");
+        let ord = run.ord.get(j).expect("invariant: active lanes lie inside ord");
+        let lvl = run.lvl.get(j).expect("invariant: lvl lane is parallel to ord");
         (num::idx(*ord), *lvl)
     }
 }
@@ -237,9 +299,9 @@ pub(crate) struct TrialPlan {
 impl TrialPlan {
     /// Compiles the plan over `window`, the chip's trial window at
     /// `(interval, temp)` ([`crate::chip::window_ranges`]). When a
-    /// [`PatternLowering`] for the same pattern is available its packed
-    /// lanes shortcut the polarity/stress scan; with or without one the
-    /// resulting plan is identical.
+    /// [`PatternLowering`] for the same pattern, extended to `window`, is
+    /// available its packed lanes shortcut the polarity/stress scan; with
+    /// or without one the resulting plan is identical.
     pub(crate) fn compile(
         cfg: &RetentionConfig,
         cells: &[WeakCell],
@@ -284,12 +346,14 @@ impl TrialPlan {
         match lowering {
             Some(low) => {
                 debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
-                for j in low.active_lanes(&window).into_iter().flatten() {
-                    let (ord, lvl) = low.lane(j);
-                    let cell = cells
-                        .get(ord)
-                        .expect("invariant: lowering ordinals index the cell array it was built from");
-                    add(cell, lvl);
+                for (segment, lanes) in low.active_lanes(&window).into_iter().enumerate() {
+                    for j in lanes {
+                        let (ord, lvl) = low.lane(segment, j);
+                        let cell = cells
+                            .get(ord)
+                            .expect("invariant: lowering ordinals index the cell array it was built from");
+                        add(cell, lvl);
+                    }
                 }
             }
             None => {
@@ -460,11 +524,11 @@ impl PlanCache {
         Some(pos)
     }
 
-    /// Borrow-only lookup for contexts that hold other borrows (plan
-    /// compilation); does not touch recency.
-    pub(crate) fn peek_lowering(&self, pattern: DataPattern) -> Option<&PatternLowering> {
+    /// Lookup for plan compilation, which extends the lowering it finds;
+    /// does not touch recency.
+    pub(crate) fn peek_lowering_mut(&mut self, pattern: DataPattern) -> Option<&mut PatternLowering> {
         self.lowerings
-            .iter()
+            .iter_mut()
             .find(|(_, l)| l.pattern == pattern)
             .map(|(_, l)| l)
     }
@@ -483,6 +547,19 @@ impl PlanCache {
             .get(i)
             .map(|(_, l)| l)
             .expect("invariant: lowering indices come from find/insert with no eviction in between")
+    }
+
+    pub(crate) fn lowering_at_mut(&mut self, i: usize) -> &mut PatternLowering {
+        self.lowerings
+            .get_mut(i)
+            .map(|(_, l)| l)
+            .expect("invariant: lowering indices come from find/insert with no eviction in between")
+    }
+
+    /// The cached lowerings, for in-crate tests.
+    #[cfg(test)]
+    pub(crate) fn lowerings(&self) -> impl Iterator<Item = &PatternLowering> {
+        self.lowerings.iter().map(|(_, l)| l)
     }
 }
 
@@ -509,33 +586,47 @@ mod tests {
     }
 
     #[test]
-    fn lowering_matches_per_cell_predicates() {
+    fn extended_lowering_matches_per_cell_predicates() {
+        // A lowering built over a short window and extended over a longer
+        // one equals one built over the longer window, holds exactly the
+        // active cells of the covered ranges, and maps each window range
+        // to the lanes whose ordinals it holds.
         let chip = quick_chip();
-        let pattern = reaper_dram_model::DataPattern::checkerboard();
+        let pattern = DataPattern::checkerboard();
         let geometry = chip.geometry();
-        let low = PatternLowering::build(chip.cells(), pattern, geometry);
-        assert_eq!(low.ord.len(), low.lvl.len());
-        let mut k = 0;
-        for (i, cell) in chip.cells().iter().enumerate() {
-            let active = cell.stored_bit(pattern, geometry) == cell.vulnerable_bit;
-            if active {
-                assert_eq!(num::idx(*low.ord.get(k).expect("lane")), i);
-                assert_eq!(
-                    *low.lvl.get(k).expect("lane"),
-                    cell.stress_matches(pattern, geometry)
-                );
-                k += 1;
+        let temp = Celsius::new(60.0);
+        let short = chip.window(Ms::new(512.0), temp);
+        let long = chip.window(Ms::new(2048.0), temp);
+        assert!(short.iter().zip(&long).all(|(s, l)| s.end < l.end));
+        let mut low = PatternLowering::covering(chip.cells(), pattern, geometry, &short);
+        assert_eq!(low.covered_ends(), short.clone().map(|r| r.end));
+        low.extend(chip.cells(), geometry, &long);
+        assert_eq!(low, PatternLowering::covering(chip.cells(), pattern, geometry, &long));
+        // Extending to a window the lowering already covers is a no-op.
+        low.extend(chip.cells(), geometry, &short);
+        assert_eq!(low.covered_ends(), long.clone().map(|r| r.end));
+
+        let lanes = low.active_lanes(&long);
+        for (segment, (cells, lanes)) in long.iter().zip(&lanes).enumerate() {
+            let run = &low.runs[segment];
+            assert_eq!(run.ord.len(), run.lvl.len());
+            assert_eq!(*lanes, 0..run.ord.len());
+            let mut k = 0;
+            for i in cells.clone() {
+                let cell = &chip.cells()[i];
+                if cell.stored_bit(pattern, geometry) == cell.vulnerable_bit {
+                    assert_eq!(low.lane(segment, k), (i, cell.stress_matches(pattern, geometry)));
+                    k += 1;
+                }
             }
+            assert_eq!(k, run.ord.len());
         }
-        assert_eq!(k, low.ord.len());
-        // ordinals ascending => each window range maps to exactly the
-        // lanes whose ordinals it holds
-        let window = chip.window(Ms::new(1024.0), Celsius::new(60.0));
-        let lanes = low.active_lanes(&window);
-        for (cells, lanes) in window.iter().zip(&lanes) {
+        // A shorter window maps to a prefix of each run.
+        for (cells, lanes) in short.iter().zip(low.active_lanes(&short)) {
+            assert_eq!(lanes.start, 0);
             let in_cells = |&o: &u32| cells.contains(&num::idx(o));
-            assert!(low.ord.get(lanes.clone()).expect("lanes").iter().all(in_cells));
-            assert_eq!(low.ord.iter().filter(|o| in_cells(o)).count(), lanes.len());
+            let run = &low.runs[if cells.start == 0 { 0 } else { 1 }];
+            assert_eq!(run.ord.iter().filter(|o| in_cells(o)).count(), lanes.len());
         }
     }
 
@@ -545,11 +636,12 @@ mod tests {
         let pattern = reaper_dram_model::DataPattern::row_stripe();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
-        let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
+        let window = chip.window(interval, temp);
+        let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
         let direct = TrialPlan::compile(
             chip.config(),
             chip.cells(),
-            chip.window(interval, temp),
+            window,
             None,
             pattern,
             interval,
@@ -587,9 +679,10 @@ mod tests {
             (DataPattern::solid1(), 2048.0, 70.0),
             (DataPattern::random(5), 4096.0, 75.0),
         ] {
-            let low = PatternLowering::build(chip.cells(), pattern, chip.geometry());
+            let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
+            let window = chip.window(interval, temp);
+            let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
             for lowering in [None, Some(&low)] {
-                let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
                 let plan = TrialPlan::compile(
                     chip.config(),
                     chip.cells(),
@@ -672,10 +765,11 @@ mod tests {
             Ms::new(512.0),
             Celsius::new(45.0),
         );
-        let low = PatternLowering::build(
+        let low = PatternLowering::covering(
             chip.cells(),
             reaper_dram_model::DataPattern::solid1(),
             chip.geometry(),
+            &chip.window(Ms::new(512.0), Celsius::new(45.0)),
         );
         let pi = cache.insert_plan(plan);
         let li = cache.insert_lowering(low);
@@ -737,10 +831,11 @@ mod tests {
         }
         assert_eq!(cache.plans.len(), PLAN_CAP);
         for i in 0..(LOWERING_CAP + 4) {
-            let low = PatternLowering::build(
+            let low = PatternLowering::covering(
                 chip.cells(),
                 reaper_dram_model::DataPattern::random(i as u64),
                 chip.geometry(),
+                &chip.window(Ms::new(512.0), Celsius::new(45.0)),
             );
             cache.insert_lowering(low);
         }

@@ -108,10 +108,6 @@ fn single_trial_transcript_matches_the_recorded_digest() {
     // assembly merges in.
     let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 16);
     let mut chip = SimulatedChip::new(cfg, 0x7A1A);
-    chip.prewarm_lowerings(&[
-        DataPattern::checkerboard(),
-        DataPattern::checkerboard().inverse(),
-    ]);
     let mut h = Fnv::new();
     let mut trials = 0u64;
     for step in 0..6u64 {
