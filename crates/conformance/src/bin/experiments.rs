@@ -194,9 +194,9 @@ fn main() -> ExitCode {
     let start_all = Instant::now();
     // Run the selected experiments concurrently; par_map returns results
     // in selection order, so the printed report is stable regardless of
-    // completion order. Experiments themselves also parallelize their
-    // inner loops on the same pool; scoped threads compose without a
-    // shared-pool deadlock, at worst mild oversubscription.
+    // completion order. Experiments fan their per-chip loops out through
+    // nested scoped `par_map` calls, which spawn their own threads, so
+    // nesting cannot deadlock and costs at worst mild oversubscription.
     let results: Vec<Completed> = reaper_exec::par_map(&selected, |&(name, runner)| {
         let start = Instant::now();
         let table = runner(scale);

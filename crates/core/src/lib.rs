@@ -91,4 +91,7 @@ pub use profile::{merge_sorted_union, FailureProfile, ProfileCodecError};
 // the profile they act on.
 pub use reaper_retention::delta::{DeltaApplyError, DeltaCodecError, ProfileDelta};
 pub use profiler::{CoverageTracker, IterationStats, PatternSet, Profiler, ProfilingRun};
-pub use request::{PatternSpec, ProfilingOutcome, ProfilingRequest, RequestError, TRUTH_MIN_PROB};
+pub use request::{
+    validate_capacity, validate_intervals, PatternSpec, ProfilingOutcome, ProfilingRequest,
+    RequestError, MAX_PROFILED_INTERVAL_MS, MIN_TARGET_INTERVAL_MS, TRUTH_MIN_PROB,
+};

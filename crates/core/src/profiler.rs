@@ -106,12 +106,11 @@ pub struct CoverageTracker<'a> {
 }
 
 impl<'a> CoverageTracker<'a> {
-    /// Tracks coverage of `truth`.
-    ///
-    /// # Panics
-    /// Panics if `truth` is empty (coverage of nothing is meaningless).
+    /// Tracks coverage of `truth`. An empty truth (a chip too small, or an
+    /// interval too short, to have a failing cell) counts as fully
+    /// covered, as in [`crate::ProfileMetrics::evaluate`], so its goal
+    /// count is 0.
     pub fn new(truth: &'a FailureProfile) -> Self {
-        assert!(!truth.is_empty(), "ground truth must be nonempty");
         Self {
             truth,
             covered: 0,
@@ -148,8 +147,11 @@ impl<'a> CoverageTracker<'a> {
         self.covered
     }
 
-    /// Fraction of the truth set found so far.
+    /// Fraction of the truth set found so far; 1 for an empty truth.
     pub fn coverage(&self) -> f64 {
+        if self.truth.is_empty() {
+            return 1.0;
+        }
         self.covered as f64 / self.truth.len() as f64
     }
 
@@ -321,6 +323,7 @@ impl Profiler {
         coverage_goal: f64,
         max_iterations: u32,
     ) -> CoverageRun {
+        assert!(!ground_truth.is_empty(), "ground truth must be nonempty");
         let mut tracker = CoverageTracker::new(ground_truth);
         let goal_count = tracker.goal_count(coverage_goal);
         assert!(max_iterations > 0, "need at least one iteration");

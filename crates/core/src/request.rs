@@ -34,6 +34,60 @@ const CANONICAL_VERSION: u8 = 1;
 /// single-trial failure probability at target conditions is ≥ 50 %).
 pub const TRUTH_MIN_PROB: f64 = 0.5;
 
+/// The shortest target refresh interval a request may ask for, in
+/// milliseconds. The model works in seconds, and a sub-millisecond
+/// interval can round to a zero-length one there.
+pub const MIN_TARGET_INTERVAL_MS: f64 = 1.0;
+
+/// The longest refresh interval, in milliseconds, a request may profile
+/// at (target plus reach offset): twice the longest interval any
+/// experiment runs (4,096 ms). The weak-cell window and the simulated
+/// time a job spans both grow with the interval, so an unbounded one lets
+/// a validated request run for minutes or overflow the VRT arrival rate.
+pub const MAX_PROFILED_INTERVAL_MS: f64 = 8192.0;
+
+/// Checks a capacity scale `num / den` of `vendor`'s chip: both parts
+/// nonzero, `num ≤ 2^20` and `num/den ≤ 64`, and at least one
+/// represented bit left after scaling.
+///
+/// # Errors
+/// Describes the first violated constraint.
+pub fn validate_capacity(vendor: Vendor, num: u64, den: u64) -> Result<(), RequestError> {
+    let err = |m: &str| Err(RequestError(m.to_string()));
+    if num == 0 || den == 0 {
+        return err("capacity_num and capacity_den must be nonzero");
+    }
+    if num > (1 << 20) || num > den.saturating_mul(64) {
+        return err("capacity scale too large (num ≤ 2^20 and num/den ≤ 64)");
+    }
+    RetentionConfig::for_vendor(vendor)
+        .with_capacity_scale(num, den)
+        .validate()
+        .map_err(|m| RequestError(m.to_string()))
+}
+
+/// Checks a finite target interval and the longest reach offset a
+/// request profiles it with: the target is at least
+/// [`MIN_TARGET_INTERVAL_MS`] and target plus offset at most
+/// [`MAX_PROFILED_INTERVAL_MS`].
+///
+/// # Errors
+/// Names the violated bound.
+pub fn validate_intervals(target_ms: f64, max_offset_ms: f64) -> Result<(), RequestError> {
+    if target_ms < MIN_TARGET_INTERVAL_MS {
+        return Err(RequestError(format!(
+            "target_interval_ms must be at least {MIN_TARGET_INTERVAL_MS} ms"
+        )));
+    }
+    let longest = target_ms + max_offset_ms;
+    if longest > MAX_PROFILED_INTERVAL_MS {
+        return Err(RequestError(format!(
+            "the profiled interval must be at most {MAX_PROFILED_INTERVAL_MS} ms, got {longest} ms"
+        )));
+    }
+    Ok(())
+}
+
 /// Which pattern family set a job profiles with (the wire-facing subset
 /// of [`PatternSet`]; `Fixed` lists are a library-only concern).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,12 +197,7 @@ impl ProfilingRequest {
     /// Describes the first violated constraint.
     pub fn validate(&self) -> Result<(), RequestError> {
         let err = |m: &str| Err(RequestError(m.to_string()));
-        if self.capacity_num == 0 || self.capacity_den == 0 {
-            return err("capacity_num and capacity_den must be nonzero");
-        }
-        if self.capacity_num > (1 << 20) || self.capacity_num > self.capacity_den * 64 {
-            return err("capacity scale too large (num ≤ 2^20 and num/den ≤ 64)");
-        }
+        validate_capacity(self.vendor, self.capacity_num, self.capacity_den)?;
         for (name, v) in [
             ("target_interval_ms", self.target_interval_ms),
             ("target_ambient_c", self.target_ambient_c),
@@ -159,12 +208,10 @@ impl ProfilingRequest {
                 return Err(RequestError(format!("{name} must be finite")));
             }
         }
-        if self.target_interval_ms <= 0.0 {
-            return err("target_interval_ms must be positive");
-        }
         if self.reach_delta_ms < 0.0 || self.reach_delta_temp_c < 0.0 {
             return err("reach offsets must be non-negative");
         }
+        validate_intervals(self.target_interval_ms, self.reach_delta_ms)?;
         let lo = thermal::CHAMBER_MIN;
         let hi = thermal::CHAMBER_MAX;
         if self.target_ambient_c < lo || self.target_ambient_c > hi {
@@ -252,7 +299,6 @@ impl ProfilingRequest {
         self.validate()?;
         let cfg = RetentionConfig::for_vendor(self.vendor)
             .with_capacity_scale(self.capacity_num, self.capacity_den);
-        cfg.validate().map_err(|m| RequestError(m.to_string()))?;
         let chip = SimulatedChip::new(cfg, self.seed);
         let target = TargetConditions::new(
             Ms::new(self.target_interval_ms),
@@ -356,8 +402,14 @@ mod tests {
             ("zero num", Box::new(|r| r.capacity_num = 0)),
             ("huge num", Box::new(|r| r.capacity_num = 1 << 21)),
             ("zero interval", Box::new(|r| r.target_interval_ms = 0.0)),
+            ("subnormal interval", Box::new(|r| r.target_interval_ms = 5e-324)),
             ("nan interval", Box::new(|r| r.target_interval_ms = f64::NAN)),
             ("negative reach", Box::new(|r| r.reach_delta_ms = -1.0)),
+            ("no represented bits", Box::new(|r| r.capacity_den = u64::MAX)),
+            ("huge interval", Box::new(|r| r.target_interval_ms = 1e308)),
+            ("huge reach", Box::new(|r| r.reach_delta_ms = 1e308)),
+            ("minutes-long job", Box::new(|r| r.target_interval_ms = 1e5)),
+            ("reach past the bound", Box::new(|r| r.target_interval_ms = 8100.0)),
             ("cold ambient", Box::new(|r| r.target_ambient_c = 20.0)),
             ("hot reach", Box::new(|r| r.reach_delta_temp_c = 30.0)),
             ("zero rounds", Box::new(|r| r.rounds = 0)),
@@ -367,6 +419,10 @@ mod tests {
             mutate(&mut r);
             assert!(r.validate().is_err(), "{name} accepted");
         }
+        // The bound itself is accepted.
+        let mut edge = quick();
+        edge.target_interval_ms = MAX_PROFILED_INTERVAL_MS - edge.reach_delta_ms;
+        assert!(edge.validate().is_ok());
     }
 
     #[test]

@@ -5,23 +5,23 @@
 //! pull `rayon` (no network path to crates.io). This crate provides the
 //! small slice of rayon the workspace needs using only `std`:
 //!
-//! * [`par_map`] — order-preserving parallel map over a slice,
-//! * [`run_partitioned`] — low-level work-stealing loop for custom shapes,
-//! * [`par_index_map_pooled`] — parallel map over index ranges on the
-//!   persistent compute pool, for hot loops whose bodies are too short
-//!   to amortize per-call `thread::scope` spawns (the retention batch
-//!   kernel's fan-out),
+//! * [`par_map`] — order-preserving parallel map over a slice, on
+//!   scoped threads spawned per call (coarse work: chips, grid points,
+//!   whole experiments),
+//! * [`par_index_map_pooled`] — parallel map over `0..len` on the
+//!   persistent compute pool, for the portfolio race's lanes, which are
+//!   too few and too short to amortize per-call spawns,
 //! * [`pool`] — long-lived worker-pool primitives (bounded MPMC queue +
-//!   joinable thread pool + the process-wide compute pool) for
-//!   service-shaped workloads like `reaper-serve` and for the pooled
-//!   fork-join above,
+//!   joinable thread pool) for service-shaped workloads like
+//!   `reaper-serve`, plus the compute pool under the pooled map,
 //! * [`cancel`] — a cooperative, pure-compute cancellation flag polled at
 //!   batch boundaries by racing computations (`reaper-portfolio`'s
 //!   first-finisher-wins strategy races).
 //!
 //! Work distribution is an atomic chunk index: workers `fetch_add` to
-//! claim the next chunk, so load-imbalanced items (e.g. chips with very
-//! different weak-cell counts) cannot stall the pool. Results are
+//! claim the next chunk (the pooled map: the next index), so
+//! load-imbalanced items (e.g. chips with very different weak-cell
+//! counts) cannot stall the pool. Results are
 //! reassembled in input order, and worker panics are propagated to the
 //! caller after all threads have joined.
 //!
@@ -93,9 +93,8 @@ pub fn thread_count() -> usize {
 
 /// Picks a chunk size that gives each worker several chunks to steal
 /// (limits imbalance) without degenerating to per-item dispatch.
-fn chunk_size_for(len: usize, workers: usize, min_chunk: usize) -> usize {
-    let target_chunks = workers * 4;
-    (len.div_ceil(target_chunks)).max(min_chunk).max(1)
+fn chunk_size_for(len: usize, workers: usize) -> usize {
+    len.div_ceil(workers * 4).max(1)
 }
 
 /// Runs `worker(chunk_start, chunk_end)` over `[0, len)` split into
@@ -148,31 +147,6 @@ where
     pieces
 }
 
-/// Low-level entry point: partitions `[0, len)` into chunks of at least
-/// `min_chunk`, runs `worker(start, end)` on the pool, and returns the
-/// per-chunk results in input order.
-pub fn run_partitioned<R, F>(len: usize, min_chunk: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    let workers = thread_count().min(len.div_ceil(min_chunk.max(1)));
-    let chunk = chunk_size_for(len, workers, min_chunk);
-    if workers <= 1 {
-        return (0..len)
-            .step_by(chunk)
-            .map(|start| worker(start, (start + chunk).min(len)))
-            .collect();
-    }
-    run_chunks(len, chunk, workers, worker)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
 /// Parallel map preserving input order: `out[i] == f(&items[i])`.
 ///
 /// Panics in `f` are propagated to the caller (after all workers join),
@@ -183,11 +157,18 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let pieces = run_partitioned(items.len(), 1, |start, end| {
-        // lint: allow(panic) run_partitioned yields start < end <= items.len()
+    let workers = thread_count().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = chunk_size_for(items.len(), workers);
+    run_chunks(items.len(), chunk, workers, |start, end| {
+        // lint: allow(panic) run_chunks yields start < end <= items.len()
         items[start..end].iter().map(&f).collect::<Vec<R>>()
-    });
-    pieces.into_iter().flatten().collect()
+    })
+    .into_iter()
+    .flat_map(|(_, piece)| piece)
+    .collect()
 }
 
 /// Physical parallelism of the machine, resolved once. The pooled
@@ -200,59 +181,47 @@ fn physical_parallelism() -> usize {
     *CAP.get_or_init(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Parallel map over index ranges of `[0, len)`: each chunk gets a
-/// `start..end` range so the caller can slice *several* parallel lanes
-/// (e.g. an index lane plus a threshold lane) with the same bounds.
-/// Dispatched through the process-wide persistent [`pool::ComputePool`]
-/// instead of per-call `thread::scope` spawns.
+/// Parallel map over `0..len` on the process-wide persistent compute
+/// pool: `out[i] == f(i)`. Each call of `f` is one claimed index, so a
+/// few long, uneven items (the portfolio race's lanes) balance across
+/// workers.
 ///
-/// Scoped spawns cost tens of microseconds per call — acceptable for
-/// coarse fan-outs (whole chips, grid points), ruinous for a hot loop
-/// whose entire body is ~50 µs: the compiled-plan trial path once ran 3×
-/// *slower* at 4 threads than at 1 for exactly this reason (the retention
-/// crate's `thread_scaling` test guards against it). Here the caller
-/// publishes the fan-out to threads that already exist, participates in
-/// it itself, and waits only for chunk completion — no spawn, no join.
+/// A scoped [`par_map`] call spawns and joins its workers: 112–201 µs
+/// (median) for a 7-item map on 2 workers, measured on a shared 2-vCPU
+/// host, against 4.3–5.6 µs through the pool, which only publishes the
+/// work to threads that already exist. The caller participates in its
+/// own map and waits only for the items helpers claimed.
 ///
 /// The price of persistence is the `'static` bound: pool workers outlive
 /// every caller, and the workspace denies `unsafe_code`, so borrowed
 /// closures cannot cross into the pool. Callers wrap shared state in
-/// `Arc` (hence `f: Arc<F>`). The scoped [`par_map`] remains the right
-/// tool for borrowed data on coarse work, and a loop too short for even a
-/// pooled handoff runs inline.
+/// `Arc` (hence `f: Arc<F>`).
 ///
 /// Helper width is `min(thread_count(), physical parallelism)`; with one
 /// effective worker the closure runs inline with zero synchronization.
-/// Results are returned in input order and chunk panics propagate to the
+/// Results are returned in input order and panics in `f` propagate to the
 /// caller, exactly like [`par_map`].
-pub fn par_index_map_pooled<R, F>(len: usize, min_chunk: usize, f: Arc<F>) -> Vec<R>
+pub fn par_index_map_pooled<R, F>(len: usize, f: Arc<F>) -> Vec<R>
 where
     R: Send + 'static,
-    F: Fn(core::ops::Range<usize>) -> R + Send + Sync + 'static,
+    F: Fn(usize) -> R + Send + Sync + 'static,
 {
-    run_pooled_width(len, min_chunk, thread_count().min(physical_parallelism()), f)
+    run_pooled_width(len, thread_count().min(physical_parallelism()), f)
 }
 
 /// [`par_index_map_pooled`] with an explicit dispatch width — the policy
 /// knob factored out so unit tests can exercise multi-helper dispatch on
 /// hosts whose physical parallelism would clamp the public path to 1.
-pub(crate) fn run_pooled_width<R, F>(len: usize, min_chunk: usize, width: usize, f: Arc<F>) -> Vec<R>
+pub(crate) fn run_pooled_width<R, F>(len: usize, width: usize, f: Arc<F>) -> Vec<R>
 where
     R: Send + 'static,
-    F: Fn(core::ops::Range<usize>) -> R + Send + Sync + 'static,
+    F: Fn(usize) -> R + Send + Sync + 'static,
 {
-    if len == 0 {
-        return Vec::new();
-    }
-    let workers = width.max(1).min(len.div_ceil(min_chunk.max(1)));
-    let chunk = chunk_size_for(len, workers, min_chunk);
+    let workers = width.max(1).min(len);
     if workers <= 1 {
-        return (0..len)
-            .step_by(chunk)
-            .map(|start| f(start..(start + chunk).min(len)))
-            .collect();
+        return (0..len).map(|i| f(i)).collect();
     }
-    let fan = Arc::new(pool::FanOut::new(len, chunk));
+    let fan = Arc::new(pool::FanOut::new(len));
     let task: Arc<dyn Fn() + Send + Sync> = {
         let fan = Arc::clone(&fan);
         let f = Arc::clone(&f);
@@ -260,7 +229,7 @@ where
     };
     pool::ComputePool::global().offer_helpers(&task, workers - 1);
     fan.participate(f.as_ref());
-    fan.wait_results().into_iter().map(|(_, r)| r).collect()
+    fan.wait_results()
 }
 
 #[cfg(test)]
@@ -300,47 +269,35 @@ mod tests {
 
     #[test]
     fn pooled_map_matches_sequential_at_any_width() {
-        let reference: Vec<u64> = (0..10_000u64)
+        let reference: Vec<u64> = (0..1_000u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(11))
             .collect();
         for width in [1, 2, 4, 8] {
-            let pieces = run_pooled_width(
-                10_000,
-                64,
+            let out = run_pooled_width(
+                1_000,
                 width,
-                Arc::new(|r: core::ops::Range<usize>| {
-                    r.map(|i| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(11))
-                        .collect::<Vec<u64>>()
-                }),
+                Arc::new(|i: usize| (i as u64).wrapping_mul(0x9E37_79B9).rotate_left(11)),
             );
-            let flat: Vec<u64> = pieces.into_iter().flatten().collect();
-            assert_eq!(flat, reference, "width {width}");
+            assert_eq!(out, reference, "width {width}");
         }
     }
 
     #[test]
-    fn pooled_public_api_covers_every_index_in_order() {
-        let ranges = par_index_map_pooled(10_000, 128, Arc::new(|r: core::ops::Range<usize>| r));
-        let mut expected_start = 0;
-        for r in ranges {
-            assert_eq!(r.start, expected_start);
-            assert!(r.end > r.start);
-            expected_start = r.end;
-        }
-        assert_eq!(expected_start, 10_000);
-        assert!(par_index_map_pooled(0, 128, Arc::new(|r: core::ops::Range<usize>| r)).is_empty());
+    fn pooled_public_api_maps_every_index_in_order() {
+        let out = par_index_map_pooled(1_000, Arc::new(|i: usize| i));
+        assert_eq!(out, (0..1_000).collect::<Vec<_>>());
+        assert!(par_index_map_pooled(0, Arc::new(|i: usize| i)).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "pooled boom at 512")]
     fn pooled_map_propagates_panics() {
         let _ = run_pooled_width(
-            4_096,
-            64,
+            1_024,
             4,
-            Arc::new(|r: core::ops::Range<usize>| {
-                assert!(r.start != 512, "pooled boom at 512");
-                r.len()
+            Arc::new(|i: usize| {
+                assert!(i != 512, "pooled boom at 512");
+                i
             }),
         );
     }

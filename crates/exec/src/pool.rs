@@ -1,22 +1,25 @@
 //! Long-lived worker-pool primitives: a bounded MPMC queue and a named
 //! thread pool.
 //!
-//! The parallel-map entry points in the crate root are *fork-join*: they
-//! spawn scoped workers, drain one slice, and return. A service has the
-//! opposite shape — producers and consumers run indefinitely and
-//! hand off heterogeneous jobs — so this module adds the two pieces that
-//! shape needs, still zero-dependency:
+//! [`crate::par_map`] is *fork-join*: it spawns scoped workers, drains
+//! one slice, and returns. A service has the opposite shape — producers
+//! and consumers run indefinitely and hand off heterogeneous jobs — so
+//! this module adds the two pieces that shape needs, still
+//! zero-dependency:
 //!
 //! * [`BoundedQueue`] — a `Mutex`+`Condvar` MPMC queue with a hard
 //!   capacity (backpressure instead of unbounded memory growth) and
 //!   close-then-drain shutdown semantics,
 //! * [`WorkerPool`] — N detach-free threads running one worker function,
 //!   joined (with panic propagation) on [`WorkerPool::join`].
-//! * [`ComputePool`] — a process-wide persistent pool built from the two
-//!   primitives above, serving the pooled fork-join entry point
-//!   (`par_index_map_pooled` in the crate root). Per-call `thread::scope`
-//!   spawns cost tens of microseconds — more than a whole compiled trial
-//!   round — so the hot paths dispatch to threads that already exist.
+//!
+//! Built from the two, a crate-private `ComputePool` keeps helper threads
+//! alive for the life of the process and serves
+//! [`crate::par_index_map_pooled`]. Its one client is the portfolio
+//! race's lanes: a scoped `par_map` call spawns and joins its workers,
+//! 112–201 µs (median) for a 7-item map on 2 workers on a shared 2-vCPU
+//! host, against 4.3–5.6 µs to hand the same items to threads that
+//! already exist.
 //!
 //! Determinism note: queue *pop order* is necessarily scheduling-
 //! dependent. Callers that need deterministic outputs must make each job
@@ -222,7 +225,7 @@ type PoolTask = Arc<dyn Fn() + Send + Sync>;
 const MAX_POOL_WORKERS: usize = 32;
 
 /// Pending-task capacity. A `Full` rejection is harmless for fan-outs —
-/// the dispatching caller participates and completes every chunk itself —
+/// the dispatching caller participates and completes every item itself —
 /// so a modest bound suffices.
 const POOL_QUEUE_CAP: usize = 1024;
 
@@ -237,14 +240,14 @@ const POOL_QUEUE_CAP: usize = 1024;
 /// This is the substrate under `par_index_map_pooled` (crate root): the
 /// caller always participates in its own fan-out, so even a saturated or
 /// single-core pool makes forward progress with zero handoff.
-pub struct ComputePool {
+pub(crate) struct ComputePool {
     tasks: BoundedQueue<PoolTask>,
     pools: Mutex<Vec<WorkerPool>>,
 }
 
 impl ComputePool {
     /// The process-wide pool (created empty on first use).
-    pub fn global() -> &'static ComputePool {
+    pub(crate) fn global() -> &'static ComputePool {
         static POOL: OnceLock<ComputePool> = OnceLock::new();
         POOL.get_or_init(|| ComputePool {
             tasks: BoundedQueue::new(POOL_QUEUE_CAP),
@@ -253,7 +256,8 @@ impl ComputePool {
     }
 
     /// Helper threads currently alive.
-    pub fn worker_count(&self) -> usize {
+    #[cfg(test)]
+    fn worker_count(&self) -> usize {
         lock(&self.pools).iter().map(WorkerPool::len).sum()
     }
 
@@ -269,7 +273,7 @@ impl ComputePool {
         let tasks = &self.tasks;
         pools.push(WorkerPool::spawn("reaper-pool", n - have, move |_i| {
             while let Some(task) = tasks.pop() {
-                // A fan-out participant captures its own panics per chunk;
+                // A fan-out participant captures its own panics per item;
                 // this guard keeps any other unwinding job from killing a
                 // worker that the whole process shares.
                 let _ = catch_unwind(AssertUnwindSafe(|| task()));
@@ -280,8 +284,8 @@ impl ComputePool {
     /// Offers `helpers` copies of `task` to the pool, spawning workers up
     /// to that many if needed. Best-effort: a full queue sheds the
     /// remainder silently, which fan-out callers tolerate by design
-    /// (they run every unclaimed chunk themselves).
-    pub fn offer_helpers(&'static self, task: &PoolTask, helpers: usize) {
+    /// (they run every unclaimed item themselves).
+    pub(crate) fn offer_helpers(&'static self, task: &PoolTask, helpers: usize) {
         if helpers == 0 {
             return;
         }
@@ -303,55 +307,48 @@ struct FanState<R> {
 
 /// Shared state of one pooled fork-join fan-out over `[0, len)`.
 ///
-/// Chunks are claimed via `fetch_add` exactly as in the scoped
-/// `run_chunks` loop, but completion is counted per chunk under a mutex
-/// so the *caller* can wait for helpers it does not own (pool workers are
-/// never joined). Every claimed chunk accounts exactly one completion —
-/// even a panicking one — so [`FanOut::wait_results`] always terminates,
-/// including when no helper ever picks the task up (the caller claims
-/// every chunk itself).
+/// Indices are claimed one at a time via `fetch_add`, but completion is
+/// counted per index under a mutex so the *caller* can wait for helpers
+/// it does not own (pool workers are never joined). Every claimed index
+/// accounts exactly one completion — even a panicking one — so
+/// [`FanOut::wait_results`] always terminates, including when no helper
+/// ever picks the task up (the caller claims every index itself).
 pub(crate) struct FanOut<R> {
     next: AtomicUsize,
-    chunk: usize,
     len: usize,
-    total_chunks: usize,
     state: Mutex<FanState<R>>,
     done: Condvar,
 }
 
 impl<R> FanOut<R> {
-    pub(crate) fn new(len: usize, chunk: usize) -> Self {
-        assert!(len > 0 && chunk > 0, "fan-out needs work and a chunk size");
+    pub(crate) fn new(len: usize) -> Self {
         Self {
             next: AtomicUsize::new(0),
-            chunk,
             len,
-            total_chunks: len.div_ceil(chunk),
             state: Mutex::new(FanState {
                 completed: 0,
-                results: Vec::new(),
+                results: Vec::with_capacity(len),
                 panic: None,
             }),
             done: Condvar::new(),
         }
     }
 
-    /// Claims and runs chunks until the range is exhausted. Called by the
+    /// Claims and runs indices until the range is exhausted. Called by the
     /// dispatching caller and by any pool worker that picked up the task.
     pub(crate) fn participate<F>(&self, f: &F)
     where
-        F: Fn(core::ops::Range<usize>) -> R,
+        F: Fn(usize) -> R,
     {
         loop {
-            let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-            if start >= self.len {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
                 return;
             }
-            let end = (start + self.chunk).min(self.len);
-            let outcome = catch_unwind(AssertUnwindSafe(|| f(start..end)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| f(i)));
             let mut st = lock(&self.state);
             match outcome {
-                Ok(r) => st.results.push((start, r)),
+                Ok(r) => st.results.push((i, r)),
                 Err(payload) => {
                     if st.panic.is_none() {
                         st.panic = Some(payload);
@@ -359,7 +356,7 @@ impl<R> FanOut<R> {
                 }
             }
             st.completed += 1;
-            let all_done = st.completed == self.total_chunks;
+            let all_done = st.completed == self.len;
             drop(st);
             if all_done {
                 self.done.notify_all();
@@ -367,11 +364,11 @@ impl<R> FanOut<R> {
         }
     }
 
-    /// Blocks until every chunk has completed, then returns the chunk
-    /// results sorted by start index. Re-raises the first chunk panic.
-    pub(crate) fn wait_results(&self) -> Vec<(usize, R)> {
+    /// Blocks until every index has completed, then returns the results
+    /// in index order. Re-raises the first panic.
+    pub(crate) fn wait_results(&self) -> Vec<R> {
         let mut st = lock(&self.state);
-        while st.completed < self.total_chunks {
+        while st.completed < self.len {
             st = self.done.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
         let panic = st.panic.take();
@@ -380,8 +377,8 @@ impl<R> FanOut<R> {
         if let Some(payload) = panic {
             resume_unwind(payload);
         }
-        results.sort_unstable_by_key(|&(start, _)| start);
-        results
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -475,24 +472,21 @@ mod tests {
 
     #[test]
     fn fan_out_completes_with_caller_alone() {
-        // No helper ever shows up: the caller claims every chunk itself
-        // and wait_results still terminates with full coverage.
-        let fan = FanOut::new(1_000, 64);
-        fan.participate(&|r: core::ops::Range<usize>| r.len());
-        let pieces = fan.wait_results();
-        let total: usize = pieces.iter().map(|&(_, n)| n).sum();
-        assert_eq!(total, 1_000);
-        let starts: Vec<usize> = pieces.iter().map(|&(s, _)| s).collect();
-        assert!(starts.windows(2).all(|w| w[0] < w[1]), "sorted by start");
+        // No helper ever shows up: the caller claims every index itself
+        // and wait_results still terminates with full coverage, in order.
+        let fan = FanOut::new(1_000);
+        fan.participate(&|i: usize| i * 3);
+        let out = fan.wait_results();
+        assert_eq!(out, (0..1_000).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]
-    #[should_panic(expected = "chunk 128 exploded")]
-    fn fan_out_propagates_chunk_panics() {
-        let fan = FanOut::new(512, 64);
-        fan.participate(&|r: core::ops::Range<usize>| {
-            assert!(r.start != 128, "chunk 128 exploded");
-            r.len()
+    #[should_panic(expected = "index 128 exploded")]
+    fn fan_out_propagates_panics() {
+        let fan = FanOut::new(512);
+        fan.participate(&|i: usize| {
+            assert!(i != 128, "index 128 exploded");
+            i
         });
         let _ = fan.wait_results();
     }
@@ -501,23 +495,19 @@ mod tests {
     fn compute_pool_helpers_survive_across_fan_outs() {
         let pool = ComputePool::global();
         for round in 0..3u64 {
-            let fan = Arc::new(FanOut::new(4_096, 64));
+            let fan = Arc::new(FanOut::new(4_096));
             let hits = Arc::new(AtomicUsize::new(0));
             let task: PoolTask = {
                 let fan = Arc::clone(&fan);
                 let hits = Arc::clone(&hits);
                 Arc::new(move || {
                     hits.fetch_add(1, Ordering::Relaxed);
-                    fan.participate(&|r: core::ops::Range<usize>| {
-                        r.map(|i| i as u64 + round).sum::<u64>()
-                    });
+                    fan.participate(&|i: usize| i as u64 + round);
                 })
             };
             pool.offer_helpers(&task, 2);
-            fan.participate(&|r: core::ops::Range<usize>| {
-                r.map(|i| i as u64 + round).sum::<u64>()
-            });
-            let total: u64 = fan.wait_results().into_iter().map(|(_, s)| s).sum();
+            fan.participate(&|i: usize| i as u64 + round);
+            let total: u64 = fan.wait_results().into_iter().sum();
             let expect: u64 = (0..4_096u64).map(|i| i + round).sum();
             assert_eq!(total, expect, "round {round}");
         }

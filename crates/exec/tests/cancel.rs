@@ -34,14 +34,10 @@ fn pre_cancelled_lanes_produce_nothing_and_live_lanes_everything() {
             t.cancel();
         }
     }
-    let lanes = par_index_map_pooled(16, 1, {
+    let lanes = par_index_map_pooled(16, {
         let tokens = Arc::clone(&tokens);
-        Arc::new(move |r: core::ops::Range<usize>| {
-            r.map(|lane| run_batches(&tokens[lane], lane, 8))
-                .collect::<Vec<_>>()
-        })
+        Arc::new(move |lane: usize| run_batches(&tokens[lane], lane, 8))
     });
-    let lanes: Vec<Vec<u64>> = lanes.into_iter().flatten().collect();
     assert_eq!(lanes.len(), 16);
     for (lane, produced) in lanes.iter().enumerate() {
         if lane % 2 == 1 {
@@ -59,26 +55,22 @@ fn self_cancellation_lands_on_the_next_batch_boundary() {
     // survive — produced results are preserved, nothing is torn mid-batch.
     let results = par_index_map_pooled(
         8,
-        1,
-        Arc::new(|r: core::ops::Range<usize>| {
-            r.map(|lane| {
-                let token = CancelToken::new();
-                let mut produced = Vec::new();
-                for batch in 0..10u64 {
-                    if token.is_cancelled() {
-                        break;
-                    }
-                    produced.push(batch);
-                    if batch == 2 {
-                        token.cancel();
-                    }
+        Arc::new(|lane: usize| {
+            let token = CancelToken::new();
+            let mut produced = Vec::new();
+            for batch in 0..10u64 {
+                if token.is_cancelled() {
+                    break;
                 }
-                (lane, produced)
-            })
-            .collect::<Vec<_>>()
+                produced.push(batch);
+                if batch == 2 {
+                    token.cancel();
+                }
+            }
+            (lane, produced)
         }),
     );
-    for (lane, produced) in results.into_iter().flatten() {
+    for (lane, produced) in results {
         assert_eq!(produced, vec![0, 1, 2], "lane {lane}");
     }
 }
@@ -101,17 +93,16 @@ fn external_cancellation_preserves_a_prefix_in_every_lane() {
             token.cancel();
         })
     };
-    let lanes = par_index_map_pooled(8, 1, {
+    let lanes = par_index_map_pooled(8, {
         let token = token.clone();
         let started = Arc::clone(&started);
-        Arc::new(move |r: core::ops::Range<usize>| {
+        Arc::new(move |lane: usize| {
             started.fetch_add(1, Ordering::AcqRel);
-            r.map(|lane| run_batches(&token, lane, 50_000))
-                .collect::<Vec<_>>()
+            run_batches(&token, lane, 50_000)
         })
     });
     canceller.join().expect("canceller thread");
-    for (lane, produced) in lanes.into_iter().flatten().enumerate() {
+    for (lane, produced) in lanes.into_iter().enumerate() {
         assert!(produced.len() <= 50_000);
         let expect: Vec<u64> = (0..produced.len())
             .map(|b| (lane as u64) << 32 | b as u64)

@@ -335,23 +335,16 @@ impl Portfolio {
         let truth = Arc::new(self.ground_truth());
         let board = Arc::new(RaceBoard::new(self.candidates.len()));
         let ctx = Arc::new(self.clone());
-        let runs: Vec<(usize, LaneRun)> = par_index_map_pooled(launch_order.len(), 1, {
+        let runs: Vec<(usize, LaneRun)> = par_index_map_pooled(launch_order.len(), {
             let order = launch_order.to_vec();
             let truth = Arc::clone(&truth);
             let board = Arc::clone(&board);
-            Arc::new(move |range: core::ops::Range<usize>| {
-                range
-                    .map(|pos| {
-                        // lint: allow(panic) pos < len and order is a permutation
-                        let lane = order[pos];
-                        (lane, ctx.run_lane(lane, &truth, Some((&board, lane))))
-                    })
-                    .collect::<Vec<_>>()
+            Arc::new(move |pos: usize| {
+                // lint: allow(panic) pos < len and order is a permutation
+                let lane = order[pos];
+                (lane, ctx.run_lane(lane, &truth, Some((&board, lane))))
             })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        });
 
         let mut by_lane: Vec<Option<LaneRun>> = (0..self.candidates.len()).map(|_| None).collect();
         for (lane, run) in runs {

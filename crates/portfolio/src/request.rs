@@ -5,7 +5,8 @@
 //! workers.
 
 use reaper_core::{
-    PatternSpec, ProfileMetrics, ProfilingOutcome, ProfilingRun, RequestError, TargetConditions,
+    validate_capacity, validate_intervals, PatternSpec, ProfileMetrics, ProfilingOutcome,
+    ProfilingRun, RequestError, TargetConditions,
 };
 use reaper_dram_model::{Celsius, Ms, Vendor};
 use reaper_exec::rng;
@@ -68,18 +69,14 @@ impl PortfolioRequest {
     /// Checks every constraint the race engine enforces by panic, so a
     /// validated request executes without panicking. The hottest default
     /// candidate adds +10 °C, so the target ambient must leave that much
-    /// chamber headroom.
+    /// chamber headroom; the longest adds +512 ms, so the target interval
+    /// must leave that much below `reaper_core::MAX_PROFILED_INTERVAL_MS`.
     ///
     /// # Errors
     /// Describes the first violated constraint.
     pub fn validate(&self) -> Result<(), RequestError> {
         let err = |m: &str| Err(RequestError(m.to_string()));
-        if self.capacity_num == 0 || self.capacity_den == 0 {
-            return err("capacity_num and capacity_den must be nonzero");
-        }
-        if self.capacity_num > (1 << 20) || self.capacity_num > self.capacity_den * 64 {
-            return err("capacity scale too large (num ≤ 2^20 and num/den ≤ 64)");
-        }
+        validate_capacity(self.vendor, self.capacity_num, self.capacity_den)?;
         for (name, v) in [
             ("target_interval_ms", self.target_interval_ms),
             ("target_ambient_c", self.target_ambient_c),
@@ -90,9 +87,7 @@ impl PortfolioRequest {
                 return Err(RequestError(format!("{name} must be finite")));
             }
         }
-        if self.target_interval_ms <= 0.0 {
-            return err("target_interval_ms must be positive");
-        }
+        validate_intervals(self.target_interval_ms, MAX_CANDIDATE_DELTA_MS)?;
         if self.coverage_goal <= 0.0 || self.coverage_goal > 1.0 {
             return err("coverage_goal must be in (0, 1]");
         }
@@ -223,6 +218,9 @@ impl PortfolioRequest {
 /// The largest temperature offset in the default candidate set.
 const MAX_CANDIDATE_DELTA_T: f64 = 10.0;
 
+/// The largest interval offset in the default candidate set, in ms.
+const MAX_CANDIDATE_DELTA_MS: f64 = 512.0;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,12 +255,24 @@ mod tests {
             ("no headroom", Box::new(|r| r.target_ambient_c = 50.0)),
             ("zero rounds", Box::new(|r| r.rounds = 0)),
             ("nan interval", Box::new(|r| r.target_interval_ms = f64::NAN)),
+            ("huge interval", Box::new(|r| r.target_interval_ms = 1e308)),
+            ("candidate past the bound", Box::new(|r| r.target_interval_ms = 7700.0)),
+            ("no represented bits", Box::new(|r| r.capacity_den = u64::MAX)),
         ];
         for (name, mutate) in cases {
             let mut r = PortfolioRequest::example(1);
             mutate(&mut r);
             assert!(r.validate().is_err(), "{name} accepted");
         }
+    }
+
+    #[test]
+    fn the_longest_candidate_offset_matches_the_default_set() {
+        let longest = default_candidates(1)
+            .iter()
+            .map(|c| c.reach.delta_interval.as_ms())
+            .fold(0.0, f64::max);
+        assert_eq!(longest, MAX_CANDIDATE_DELTA_MS);
     }
 
     #[test]
@@ -278,6 +288,17 @@ mod tests {
         assert_eq!(out_a.metrics, out_b.metrics);
         assert_eq!(out_a.run.runtime, race_a.makespan);
         assert!(race_a.target_met);
+    }
+
+    #[test]
+    fn a_race_toward_an_empty_ground_truth_executes() {
+        // One represented bit: no weak cell, so nothing can fail.
+        let mut r = PortfolioRequest::example(3);
+        r.capacity_den = 1 << 34;
+        assert!(r.validate().is_ok());
+        let (race, out) = r.execute().expect("a validated request executes");
+        assert_eq!(out.truth_cells, 0);
+        assert!(race.target_met);
     }
 
     #[test]

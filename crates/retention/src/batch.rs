@@ -4,7 +4,7 @@
 //! single trials as batches of one, and the multi-round and schedule
 //! entry points in batches of up to 64. Running R rounds round-major
 //! would re-stream the `prob_idx`/threshold lanes from memory R times and
-//! pay the fan-out/merge overhead R times. The kernel runs the loop nest
+//! pay the per-batch setup and merge R times. The kernel runs the loop nest
 //! **cell-major** instead: each in-band lane is visited once per batch —
 //! one index load, one threshold load — and the inner loop walks the (up
 //! to 64) round nonces, recording outcomes as one `u64` **bit-plane** per
@@ -39,8 +39,10 @@
 //! the chain on at most the first observation (dt > 0) and is a draw-
 //! consuming no-op for the rest, exactly as a round-by-round scan would
 //! behave. See DESIGN.md §"Compiled trial plans".
-
-use std::sync::Arc;
+//!
+//! A batch runs on the calling thread. Callers that run many trials at
+//! once (experiments over chips, portfolio race lanes) parallelize above
+//! the kernel, so a trial never leaves the thread that asked for it.
 
 use reaper_exec::num;
 use reaper_exec::rng::StreamPrefix;
@@ -48,11 +50,6 @@ use reaper_exec::rng::StreamPrefix;
 use crate::chip::TRIAL_DOMAIN;
 use crate::plan::{PlanLanes, TrialCtx, TrialPlan, CERTAIN_FAIL, CERTAIN_PASS};
 use crate::vrt::TwoStateVrt;
-
-/// Below this many in-band lanes a batch runs inline: a smaller fan-out
-/// does not repay the compute pool's dispatch (publishing the chunks,
-/// waking helpers, waiting on their completion).
-const PAR_MIN_CELLS: usize = 512;
 
 /// Maximum rounds per batch: one bit per round in a `u64` plane.
 pub const MAX_BATCH_ROUNDS: usize = 64;
@@ -127,32 +124,12 @@ impl TrialPlan {
         let trial_prefix = StreamPrefix::root()
             .push(ctx.stream_base)
             .push(TRIAL_DOMAIN);
-        let nonce_prefixes: Arc<[StreamPrefix]> =
+        let nonce_prefixes: Vec<StreamPrefix> =
             nonces.iter().map(|&nonce| trial_prefix.push(nonce)).collect();
 
-        // In-band non-VRT lanes, cell-major. Parallel fan-out covers
-        // cells × all k rounds at once: each chunk is k× the work of a
-        // single-round chunk, so the pool's dispatch overhead amortizes.
-        let lanes = Arc::clone(&self.lanes);
-        let n = lanes.prob_idx.len();
-        let planes: Vec<u64> = if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            prob_planes(&lanes, &nonce_prefixes, 0..n)
-        } else {
-            let shared = Arc::clone(&lanes);
-            let prefixes = Arc::clone(&nonce_prefixes);
-            let chunks = reaper_exec::par_index_map_pooled(
-                n,
-                256,
-                Arc::new(move |range: core::ops::Range<usize>| {
-                    prob_planes(&shared, &prefixes, range)
-                }),
-            );
-            let mut all = Vec::with_capacity(n);
-            for chunk in chunks {
-                all.extend(chunk);
-            }
-            all
-        };
+        // In-band non-VRT lanes, cell-major, on the calling thread.
+        let lanes = &self.lanes;
+        let planes = prob_planes(lanes, &nonce_prefixes);
 
         // VRT lanes: sequential per-cell replay across the batch,
         // carrying the chain state from round to round. Draw order per
@@ -249,25 +226,11 @@ impl TrialPlan {
     }
 }
 
-/// The cell-major hot loop over in-band non-VRT lane range `range`: one
-/// bit-plane per lane, one 53-bit draw and one integer compare per
-/// (cell, round). Free function so the inline and pooled dispatch paths
-/// share one body.
-fn prob_planes(
-    lanes: &PlanLanes,
-    nonce_prefixes: &[StreamPrefix],
-    range: core::ops::Range<usize>,
-) -> Vec<u64> {
-    let idx_lane = lanes
-        .prob_idx
-        .get(range.clone())
-        .expect("invariant: scan ranges are within [0, len)");
-    let thr_lane = lanes
-        .prob_thr_u
-        .get(range)
-        .expect("invariant: prob lanes are index-aligned");
-    let mut out = Vec::with_capacity(idx_lane.len());
-    for (&idx, &thr_u) in idx_lane.iter().zip(thr_lane) {
+/// The cell-major hot loop over the in-band non-VRT lanes: one bit-plane
+/// per lane, one 53-bit draw and one integer compare per (cell, round).
+fn prob_planes(lanes: &PlanLanes, nonce_prefixes: &[StreamPrefix]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(lanes.prob_idx.len());
+    for (&idx, &thr_u) in lanes.prob_idx.iter().zip(&lanes.prob_thr_u) {
         let mut plane = 0u64;
         // Four independent hash chains per step: one chain's ~7 serial
         // multiplies leave the multiplier idle most cycles, so the loop

@@ -53,8 +53,6 @@
 //! per-slot — hence identical at any thread count. See DESIGN.md
 //! §"Compiled trial plans".
 
-use std::sync::Arc;
-
 use reaper_analysis::special::phi;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use reaper_exec::num;
@@ -251,13 +249,6 @@ fn threshold_of(z: f64) -> f64 {
 
 /// The compiled SoA lanes of a [`TrialPlan`].
 ///
-/// Kept behind an `Arc` on the plan: the pooled fan-out under the kernel
-/// (`reaper_exec::par_index_map_pooled`) hands work to persistent threads
-/// that outlive the caller, and the workspace denies `unsafe_code`, so the
-/// lanes must be shareable with a `'static` lifetime. The lanes are
-/// immutable after compilation, so sharing them is free of aliasing
-/// hazards.
-///
 /// Each lane class is sorted ascending by cell index, so the kernel
 /// emits sorted rounds by merging the three classes instead of sorting.
 /// Lane order is outcome-neutral: every hash lane is keyed by its own
@@ -292,8 +283,8 @@ pub(crate) struct TrialPlan {
     /// Number of cells in the trial window the plan was compiled for
     /// (consistency checks; the lanes already encode it).
     window_cells: usize,
-    /// The immutable compiled lanes, shared with pooled fan-outs.
-    pub(crate) lanes: Arc<PlanLanes>,
+    /// The immutable compiled lanes.
+    pub(crate) lanes: PlanLanes,
 }
 
 impl TrialPlan {
@@ -387,7 +378,7 @@ impl TrialPlan {
         Self {
             key: PlanKey::new(pattern, interval, temp),
             window_cells: window_len(&window),
-            lanes: Arc::new(lanes),
+            lanes,
         }
     }
 

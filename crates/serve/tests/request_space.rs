@@ -1,0 +1,186 @@
+//! Request-space properties: every `ProfilingRequest` and
+//! `PortfolioRequest` that `validate` accepts must execute without a
+//! panic and without an execute-time error, and `POST /v1/jobs` answers
+//! a request `validate` rejects with a 400 before any worker sees it.
+//!
+//! Requests are drawn from a seeded generator per case: capacity at most
+//! 1/16 of the chip (plus scales that leave no represented bit), at most
+//! 8 rounds, and for every float field either an ordinary value or an
+//! edge value (zeros of both signs, subnormals, the chamber and interval
+//! bounds and their neighbours, huge values, infinities, NaN).
+//!
+//! Run in release, as the service CI job does (a debug build runs an
+//! eighth of the cases):
+//!
+//! ```text
+//! cargo test --release -p reaper-serve --test request_space
+//! ```
+
+#![allow(clippy::expect_used, clippy::unwrap_used)]
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use reaper_core::{PatternSpec, ProfilingRequest, MAX_PROFILED_INTERVAL_MS};
+use reaper_dram_model::Vendor;
+use reaper_portfolio::PortfolioRequest;
+use reaper_serve::{ConnectionPool, Server, ServerConfig};
+
+/// The thermal chamber's range in °C (`reaper_softmc::thermal`).
+const CHAMBER: (f64, f64) = (40.0, 55.0);
+
+/// One of `items`, uniformly.
+fn one_of<T: Copy>(rng: &mut TestRng, items: &[T]) -> T {
+    let i = usize::try_from(rng.below(items.len() as u64)).expect("an index fits usize");
+    *items.get(i).expect("below(len) is in range")
+}
+
+/// An ordinary value from `lo..hi` or, one time in four, one of `edges`.
+fn pick(rng: &mut TestRng, lo: f64, hi: f64, edges: &[f64]) -> f64 {
+    if rng.below(4) != 0 {
+        lo + (hi - lo) * rng.next_f64()
+    } else {
+        one_of(rng, edges)
+    }
+}
+
+/// Edge values every float field draws from.
+const COMMON_EDGES: [f64; 10] = [
+    0.0,
+    -0.0,
+    -1.0,
+    f64::MIN_POSITIVE,
+    5e-324,
+    1e308,
+    f64::MAX,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+];
+
+fn float(rng: &mut TestRng, lo: f64, hi: f64, edges: &[f64]) -> f64 {
+    let all: Vec<f64> = COMMON_EDGES.iter().chain(edges).copied().collect();
+    pick(rng, lo, hi, &all)
+}
+
+fn rounds(rng: &mut TestRng) -> u32 {
+    u32::try_from(rng.below(9)).expect("at most 8")
+}
+
+/// A capacity scale of at most 1/16, or an invalid one: a zero part, or
+/// a denominator so large that no represented bit is left. The 2^34 and
+/// 2^35 denominators leave one bit and none of a 2 GB chip.
+fn capacity(rng: &mut TestRng) -> (u64, u64) {
+    let num = 1 + rng.below(2);
+    let den = match rng.below(16) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => 1 << 34,
+        3 => 1 << 35,
+        4 => num * (1 << 20),
+        _ => num * 16 * (1 << rng.below(4)),
+    };
+    (if rng.below(32) == 0 { 0 } else { num }, den)
+}
+
+fn interval_edges() -> [f64; 8] {
+    let max = MAX_PROFILED_INTERVAL_MS;
+    [1.0 - 1e-9, 1.0, 64.0, 4096.0, max - 512.0, max, max + 1e-9, 1e5]
+}
+
+fn profiling_request(rng: &mut TestRng) -> ProfilingRequest {
+    let (capacity_num, capacity_den) = capacity(rng);
+    let (lo, hi) = CHAMBER;
+    ProfilingRequest {
+        vendor: one_of(rng, &Vendor::ALL),
+        capacity_num,
+        capacity_den,
+        seed: rng.next_u64(),
+        target_interval_ms: float(rng, 64.0, 4096.0, &interval_edges()),
+        target_ambient_c: float(rng, lo, hi - 10.0, &[lo, hi, lo - 1e-9, hi + 1e-9, -273.15]),
+        reach_delta_ms: float(rng, 0.0, 1024.0, &interval_edges()),
+        reach_delta_temp_c: float(rng, 0.0, 10.0, &[hi - lo, hi - lo + 1e-9]),
+        rounds: rounds(rng),
+        patterns: one_of(rng, &[PatternSpec::Standard, PatternSpec::RandomOnly]),
+    }
+}
+
+fn portfolio_request(rng: &mut TestRng) -> PortfolioRequest {
+    let (capacity_num, capacity_den) = capacity(rng);
+    let (lo, hi) = CHAMBER;
+    PortfolioRequest {
+        vendor: one_of(rng, &Vendor::ALL),
+        capacity_num,
+        capacity_den,
+        seed: rng.next_u64(),
+        target_interval_ms: float(rng, 64.0, 4096.0, &interval_edges()),
+        target_ambient_c: float(rng, lo, hi - 10.0, &[lo, hi - 10.0, hi - 10.0 + 1e-9, hi]),
+        coverage_goal: float(rng, 0.05, 1.0, &[1.0, 1.0 + f64::EPSILON, 1e-9]),
+        max_fpr: float(rng, 0.0, 1.0, &[1.0, 1.0 + f64::EPSILON, 1e-9]),
+        rounds: rounds(rng),
+        patterns: one_of(rng, &[PatternSpec::Standard, PatternSpec::RandomOnly]),
+    }
+}
+
+/// Runs `execute` on a validated request, naming the request if it panics
+/// or errors.
+fn must_execute<T, E: std::fmt::Display>(
+    request: &impl std::fmt::Debug,
+    execute: impl FnOnce() -> Result<T, E>,
+) {
+    match catch_unwind(AssertUnwindSafe(execute)) {
+        Ok(Ok(_)) => {}
+        Ok(Err(e)) => panic!("validated request failed to execute: {e}\n{request:?}"),
+        Err(_) => panic!("validated request panicked\n{request:?}"),
+    }
+}
+
+/// Cases per property: the full sweep in release, a sample in the debug
+/// `cargo test --workspace` run, where one long-interval job takes
+/// seconds.
+const CASES: u32 = if cfg!(debug_assertions) { 64 } else { 512 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn validated_profiling_requests_execute(seed: u64) {
+        let request = profiling_request(&mut TestRng::from_seed(seed));
+        if request.validate().is_ok() {
+            must_execute(&request, || request.execute());
+        }
+    }
+
+    #[test]
+    fn validated_portfolio_requests_execute(seed: u64) {
+        let request = portfolio_request(&mut TestRng::from_seed(seed));
+        if request.validate().is_ok() {
+            must_execute(&request, || request.execute());
+        }
+    }
+}
+
+#[test]
+fn out_of_range_intervals_get_a_400_from_post_jobs() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let pool = ConnectionPool::new(server.local_addr(), 1);
+    for body in [
+        r#"{"vendor":"B","seed":1,"target_interval_ms":1e308}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":1024,"reach_delta_ms":1e308}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":100000}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":1024,"capacity_den":18446744073709551615}"#,
+        r#"{"kind":"portfolio","vendor":"B","seed":1,"target_interval_ms":1e308}"#,
+    ] {
+        let response = pool
+            .request("POST", "/v1/jobs", &[], body.as_bytes())
+            .expect("the server answers");
+        assert_eq!(response.status, 400, "{body}");
+    }
+    server.shutdown();
+}

@@ -42,6 +42,9 @@ cargo test --release -q --offline -p reaper-core --test job_thread_parity -- --i
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="
 cargo test --release -q --offline -p reaper-serve --test smoke
 
+echo "== service: request space (every validated request executes; out-of-range bodies get a 400) =="
+cargo test --release -q --offline -p reaper-serve --test request_space
+
 echo "== service: codec fuzz (RPF1 + RPD1 decoders never panic) =="
 cargo test --release -q --offline -p reaper-core --test rpf1_fuzz
 cargo test --release -q --offline -p reaper-retention --test delta_codec
