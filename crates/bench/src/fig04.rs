@@ -51,7 +51,12 @@ pub fn run(scale: Scale) -> Table {
                 step_union(&mut chip, it, interval, temp, &mut step);
                 merge_sorted_union(&mut seen, &mut step);
             }
-            // Measurement: spread iterations over wall-clock hours.
+            // Measurement: spread iterations over wall-clock hours. `seen`
+            // grows by about one cell per VRT arrival; reserving the
+            // expected growth up front spares the multi-MB doubling copies,
+            // each of which kept the old block resident next to the new.
+            let arrivals = chip.config().vrt_arrival_rate_per_hour(t_s, temp) * measure_hours;
+            seen.reserve(arrivals as usize + arrivals as usize / 4);
             let step_ms = Ms::from_hours(measure_hours / measure_iters as f64);
             let mut new_cells = 0usize;
             for it in 0..measure_iters {

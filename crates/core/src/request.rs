@@ -46,6 +46,58 @@ pub const MIN_TARGET_INTERVAL_MS: f64 = 1.0;
 /// a validated request run for minutes or overflow the VRT arrival rate.
 pub const MAX_PROFILED_INTERVAL_MS: f64 = 8192.0;
 
+/// The most Algorithm 1 rounds a request may ask for: past the 40 the
+/// longest race tests run, and far past the 4 of the example job.
+pub const MAX_ROUNDS: u32 = 64;
+
+/// The largest job a request may describe, as the chip's capacity (a
+/// multiple of the vendor's chip) × the longest interval it profiles (ms,
+/// at least [`JOB_COST_MIN_INTERVAL_MS`]) × its rounds: a full chip
+/// profiled once at [`MAX_PROFILED_INTERVAL_MS`], or a 1/16 chip for 16
+/// rounds. On a 2-vCPU host a full chip at 8,192 ms for one round ran
+/// 1.2 s and peaked at 80 MB; a 1/16 chip at 8,192 ms for 8 rounds (cost
+/// 4,096) ran 0.6 s.
+pub const MAX_JOB_COST: f64 = 8192.0;
+
+/// The interval, in ms, below which a job's cost stops shrinking with it:
+/// a job synthesizes the whole chip whatever interval it profiles (a 16×
+/// chip at 64 ms for one round ran 0.9 s and peaked at 89 MB).
+pub const JOB_COST_MIN_INTERVAL_MS: f64 = 1024.0;
+
+/// A job's cost, as [`MAX_JOB_COST`] counts it.
+fn job_cost(num: u64, den: u64, longest_interval_ms: f64, rounds: u32) -> f64 {
+    num as f64 / den as f64 * longest_interval_ms.max(JOB_COST_MIN_INTERVAL_MS) * f64::from(rounds)
+}
+
+/// Checks a job's rounds and size: at least one round and at most
+/// [`MAX_ROUNDS`], and a cost of at most [`MAX_JOB_COST`], so one
+/// validated request cannot hold a worker for hours or exhaust memory.
+/// `longest_interval_ms` is the target plus the longest reach offset.
+///
+/// # Errors
+/// Names the violated bound.
+pub fn validate_job_size(
+    num: u64,
+    den: u64,
+    longest_interval_ms: f64,
+    rounds: u32,
+) -> Result<(), RequestError> {
+    if rounds == 0 {
+        return Err(RequestError("rounds must be at least 1".to_string()));
+    }
+    if rounds > MAX_ROUNDS {
+        return Err(RequestError(format!("rounds must be at most {MAX_ROUNDS}, got {rounds}")));
+    }
+    let cost = job_cost(num, den, longest_interval_ms, rounds);
+    if cost > MAX_JOB_COST {
+        return Err(RequestError(format!(
+            "the job is too large: capacity × interval (ms, at least \
+             {JOB_COST_MIN_INTERVAL_MS}) × rounds is {cost}, over the bound {MAX_JOB_COST}"
+        )));
+    }
+    Ok(())
+}
+
 /// Checks a capacity scale `num / den` of `vendor`'s chip: both parts
 /// nonzero, `num ≤ 2^20` and `num/den ≤ 64`, and at least one
 /// represented bit left after scaling.
@@ -224,10 +276,12 @@ impl ProfilingRequest {
                 "target_ambient_c + reach_delta_temp_c exceeds the chamber maximum {hi} °C"
             )));
         }
-        if self.rounds == 0 {
-            return err("rounds must be at least 1");
-        }
-        Ok(())
+        validate_job_size(
+            self.capacity_num,
+            self.capacity_den,
+            self.target_interval_ms + self.reach_delta_ms,
+            self.rounds,
+        )
     }
 
     /// The canonical byte encoding: a version byte followed by every field
@@ -413,16 +467,37 @@ mod tests {
             ("cold ambient", Box::new(|r| r.target_ambient_c = 20.0)),
             ("hot reach", Box::new(|r| r.reach_delta_temp_c = 30.0)),
             ("zero rounds", Box::new(|r| r.rounds = 0)),
+            ("too many rounds", Box::new(|r| r.rounds = MAX_ROUNDS + 1)),
+            ("u32::MAX rounds", Box::new(|r| r.rounds = u32::MAX)),
+            ("a full chip at 8 s for 2 rounds", Box::new(|r| {
+                (r.capacity_den, r.target_interval_ms, r.rounds) = (1, 7000.0, 2);
+            })),
+            ("a 1/16 chip at 8 s for 17 rounds", Box::new(|r| {
+                (r.capacity_den, r.target_interval_ms, r.rounds) = (16, 8064.0, 17);
+            })),
+            ("a 64x chip at a short interval", Box::new(|r| {
+                (r.capacity_num, r.capacity_den, r.target_interval_ms) = (64, 1, 64.0);
+            })),
         ];
         for (name, mutate) in cases {
             let mut r = quick();
             mutate(&mut r);
             assert!(r.validate().is_err(), "{name} accepted");
         }
-        // The bound itself is accepted.
+        // The bounds themselves are accepted.
         let mut edge = quick();
         edge.target_interval_ms = MAX_PROFILED_INTERVAL_MS - edge.reach_delta_ms;
         assert!(edge.validate().is_ok());
+        let mut rounds = quick();
+        rounds.rounds = MAX_ROUNDS;
+        assert!(rounds.validate().is_ok());
+        let mut cost = quick();
+        (cost.capacity_den, cost.target_interval_ms, cost.rounds) = (16, 8064.0, 16);
+        assert_eq!(job_cost(1, 16, 8192.0, 16), MAX_JOB_COST);
+        assert!(cost.validate().is_ok());
+        // Below the floor, the interval no longer shrinks the cost.
+        assert_eq!(job_cost(8, 1, 64.0, 1), MAX_JOB_COST);
+        assert_eq!(job_cost(1, 8, 512.0, 40), job_cost(1, 8, 1024.0, 40));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! workers.
 
 use reaper_core::{
-    validate_capacity, validate_intervals, PatternSpec, ProfileMetrics, ProfilingOutcome,
-    ProfilingRun, RequestError, TargetConditions,
+    validate_capacity, validate_intervals, validate_job_size, PatternSpec, ProfileMetrics,
+    ProfilingOutcome, ProfilingRun, RequestError, TargetConditions,
 };
 use reaper_dram_model::{Celsius, Ms, Vendor};
 use reaper_exec::rng;
@@ -107,10 +107,12 @@ impl PortfolioRequest {
                  exceeds the chamber maximum {hi} °C"
             )));
         }
-        if self.rounds == 0 {
-            return err("rounds must be at least 1");
-        }
-        Ok(())
+        validate_job_size(
+            self.capacity_num,
+            self.capacity_den,
+            self.target_interval_ms + MAX_CANDIDATE_DELTA_MS,
+            self.rounds,
+        )
     }
 
     /// The canonical byte encoding: a version byte followed by every
@@ -258,6 +260,9 @@ mod tests {
             ("huge interval", Box::new(|r| r.target_interval_ms = 1e308)),
             ("candidate past the bound", Box::new(|r| r.target_interval_ms = 7700.0)),
             ("no represented bits", Box::new(|r| r.capacity_den = u64::MAX)),
+            ("too many rounds", Box::new(|r| r.rounds = reaper_core::MAX_ROUNDS + 1)),
+            ("a full chip for 9 rounds", Box::new(|r| (r.capacity_den, r.rounds) = (1, 9))),
+            ("a 64x chip", Box::new(|r| (r.capacity_num, r.capacity_den) = (64, 1))),
         ];
         for (name, mutate) in cases {
             let mut r = PortfolioRequest::example(1);

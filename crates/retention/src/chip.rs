@@ -1,11 +1,10 @@
 //! The simulated DRAM chip: weak-cell population synthesis and retention
 //! trials.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use reaper_analysis::dist::{Exponential, LogNormal, Poisson};
 use reaper_exec::cancel::CancelToken;
@@ -152,10 +151,11 @@ fn stable_cosort_by_key<T>(keys: &mut [f64], items: &mut [T], segment: impl Fn(&
     }
 }
 
-/// A set of cell indices for the synthesis draw loop only: open
-/// addressing with linear probing over a power-of-two table at most 2/3
-/// full. One multiply and a probe or two per insert, against a
-/// `BTreeSet`'s node walk and allocation; dropped once the cells are drawn.
+/// A set of cell indices for one draw loop only (the synthesis of the
+/// weak cells, or one batch of VRT arrivals): open addressing with linear
+/// probing over a power-of-two table at most 2/3 full. One multiply and a
+/// probe or two per insert, against a `BTreeSet`'s node walk and
+/// allocation; dropped once the loop is done.
 struct IndexTable {
     slots: Vec<u64>,
 }
@@ -195,6 +195,180 @@ impl IndexTable {
     }
 }
 
+/// The indices new VRT arrivals are drawn around: the weak cells' and
+/// those of every arrival so far. The active arrivals' indices are the
+/// chip's `arrival_order`; this set keeps the rest.
+///
+/// Pairwise disjoint, ascending, exactly sized runs: the weak cells'
+/// indices, then the arrivals each step retires, which `reindex_arrivals`
+/// meets in ascending order as it compacts `arrival_order`. The retired
+/// runs are merged so that each is more than twice as long as the next,
+/// which keeps their number logarithmic in the set's size; the weak cells'
+/// run never takes part, so the merges copy retired arrivals only. A
+/// hashed bitmap over every occupied index, active arrivals included, at 8
+/// to 16 bits per index, answers nearly every draw, since the set covers a
+/// tiny share of the chip: only a filter hit searches the runs and
+/// `arrival_order`. The bitmap is a blocked Bloom filter, three bits of
+/// one word per index, so a probe reads one word and a false hit is rare.
+/// Built when the first arrival is drawn, so a chip profiled over too
+/// short a span to draw one (a profiling job) never pays for it.
+#[derive(Debug, Clone, Default)]
+struct OccupiedIndices {
+    runs: Vec<Vec<u64>>,
+    /// The Bloom filter's words; sized by `reserve`.
+    filter: Vec<u64>,
+    /// Occupied indices: the runs', the active arrivals' and those marked
+    /// for the batch being drawn.
+    len: usize,
+}
+
+impl OccupiedIndices {
+    /// The set over the weak cells' indices.
+    fn build(cells: &[WeakCell]) -> Self {
+        let mut base: Vec<u64> = cells.iter().map(|c| c.index).collect();
+        base.sort_unstable();
+        Self {
+            len: base.len(),
+            runs: vec![base],
+            filter: Vec::new(),
+        }
+    }
+
+    fn is_built(&self) -> bool {
+        !self.runs.is_empty()
+    }
+
+    /// Occupied indices, the batch being drawn included.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Makes room in the filter for `extra` more indices: a filter past 8
+    /// bits per index is rebuilt at 16 from the runs and the `active`
+    /// arrivals.
+    fn reserve(&mut self, extra: usize, active: &[u64]) {
+        let need = self.len + extra;
+        if !self.filter.is_empty() && need * 8 <= self.filter.len() * 64 {
+            return;
+        }
+        self.filter = vec![0; (need * 16).div_ceil(64)];
+        for &index in self.runs.iter().flatten().chain(active) {
+            let (word, mask) = self.probe(index);
+            // lint: allow(panic) `probe` maps into the filter's length
+            self.filter[word] |= mask;
+        }
+    }
+
+    /// The filter word of `index` and the mask of its three bits there: a
+    /// Fibonacci hash, mapped onto the words by its high half times the
+    /// word count, and mixed once more for the bit positions.
+    fn probe(&self, index: u64) -> (usize, u64) {
+        let h = index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let product = u128::from(h) * u128::from(num::to_u64(self.filter.len()));
+        #[allow(clippy::cast_possible_truncation)]
+        // lint: allow(lossy-cast) the high half of a u64 × u64 product fits a u64
+        let word = num::idx_u64((product >> 64) as u64);
+        let g = h.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        (word, 1 << (g >> 58) | 1 << (g >> 52 & 63) | 1 << (g >> 46 & 63))
+    }
+
+    /// Whether `index` is in a run or among the `active` arrivals. The
+    /// batch being drawn is not searched: its draw loop keeps its own
+    /// table.
+    fn contains(&self, index: u64, active: &[u64]) -> bool {
+        let (word, mask) = self.probe(index);
+        // lint: allow(panic) `probe` maps into the filter's length
+        self.filter[word] & mask == mask
+            && (active.binary_search(&index).is_ok()
+                || self.runs.iter().any(|r| r.binary_search(&index).is_ok()))
+    }
+
+    /// Marks an index of the batch being drawn in the filter. The filter
+    /// must have room ([`OccupiedIndices::reserve`]).
+    fn mark(&mut self, index: u64) {
+        let (word, mask) = self.probe(index);
+        // lint: allow(panic) `probe` maps into the filter's length
+        self.filter[word] |= mask;
+        self.len += 1;
+    }
+
+    /// Adds one step's retired arrivals as an ascending run, then merges
+    /// the last two retired runs while the earlier is at most twice as
+    /// long as the later.
+    fn push_run(&mut self, run: Vec<u64>) {
+        if run.is_empty() {
+            return;
+        }
+        self.runs.push(run);
+        while let [_, .., a, b] = self.runs.as_slice() {
+            if a.len() > 2 * b.len() {
+                break;
+            }
+            let b = self.runs.pop().expect("invariant: the slice pattern matched two runs");
+            let a = self.runs.last_mut().expect("invariant: the slice pattern matched two runs");
+            // A fresh, exactly sized run, not a `reserve` on `a`: a
+            // reallocation that moves `a` copies it beside the old block.
+            *a = merge_ascending(std::mem::take(a), &b);
+        }
+    }
+
+    /// Runs ascending, runs and `active` arrivals pairwise disjoint, every
+    /// index in the filter, and `len` their total. For `debug_assert!`.
+    fn consistent(&self, active: &[u64]) -> bool {
+        let mut all: Vec<u64> = self.runs.concat();
+        all.extend_from_slice(active);
+        let runs_sorted = self.runs.iter().all(|r| r.is_sorted_by(|a, b| a < b));
+        let covered = all.iter().all(|&i| {
+            let (word, mask) = self.probe(i);
+            self.filter.get(word).is_some_and(|w| w & mask == mask)
+        });
+        all.sort_unstable();
+        runs_sorted && covered && all.len() == self.len && all.is_sorted_by(|a, b| a < b)
+    }
+}
+
+/// Merges two strictly ascending runs into one exactly sized ascending
+/// run; an index in both appears once. `a` comes back as it is when `b`
+/// is empty. Branch-free: the runs interleave at random, so a
+/// data-dependent branch per index would mispredict about half the time.
+fn merge_ascending(a: Vec<u64>, b: &[u64]) -> Vec<u64> {
+    let ascending = |v: &[u64]| v.is_sorted_by(|x, y| x < y);
+    debug_assert!(ascending(&a) && ascending(b), "merge_ascending requires strictly ascending runs");
+    if b.is_empty() {
+        return a;
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        // lint: allow(panic) i < a.len() and j < b.len() by the loop condition
+        let (x, y) = (a[i], b[j]);
+        merged.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    merged.extend(a.iter().skip(i));
+    merged.extend(b.iter().skip(j));
+    merged
+}
+
+/// The same-clock replay list: the low-state arrivals that can fail a
+/// round at `key`. A round at the same clock changes no state, so a
+/// repeat of the round at `key` only has to draw the discarded observe
+/// values and the failure draws of the arrivals whose z is in band.
+#[derive(Debug, Clone, Default)]
+struct ArrivalReplay {
+    /// The bits of `(clock, t_secs, ms_scale, ss_scale)` of the round that
+    /// built the list; `None` before the first round.
+    key: Option<[u64; 4]>,
+    /// The ranks of the arrivals whose z is above the band, which fail
+    /// every repeat without a draw, as a round's failure bitmap.
+    certain: Vec<u64>,
+    /// The arrivals whose z is in band, as `(draw position, rank, z)` in
+    /// draw order.
+    draws: Vec<(u32, u32, f64)>,
+}
+
 /// The set of cells that failed one retention trial, as sorted dense linear
 /// indices into the chip's geometry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -219,28 +393,9 @@ impl TrialOutcome {
     /// weak cells; a cell in both would count once, so this equals
     /// [`TrialOutcome::from_unsorted`] of the concatenation.
     fn from_sorted_runs(window: Vec<u64>, arrivals: &[u64]) -> Self {
-        let ascending = |v: &[u64]| v.is_sorted_by(|a, b| a < b);
-        debug_assert!(
-            ascending(&window) && ascending(arrivals),
-            "from_sorted_runs requires strictly ascending runs"
-        );
-        if arrivals.is_empty() {
-            return Self { failures: window };
+        Self {
+            failures: merge_ascending(window, arrivals),
         }
-        // Branch-free: the runs interleave at random, so a data-dependent
-        // branch per cell would mispredict about half the time.
-        let mut merged = Vec::with_capacity(window.len() + arrivals.len());
-        let (mut i, mut j) = (0, 0);
-        while i < window.len() && j < arrivals.len() {
-            // lint: allow(panic) i < window.len() and j < arrivals.len() by the loop condition
-            let (w, a) = (window[i], arrivals[j]);
-            merged.push(w.min(a));
-            i += usize::from(w <= a);
-            j += usize::from(a <= w);
-        }
-        merged.extend(window.iter().skip(i));
-        merged.extend(arrivals.iter().skip(j));
-        Self { failures: merged }
     }
 
     /// Number of failing cells.
@@ -320,14 +475,13 @@ pub struct SimulatedChip {
     /// The active arrivals' cell indices, ascending; `arrival_round`
     /// emits its failures in this order.
     arrival_order: Vec<u64>,
-    /// Indices of the weak cells, ascending: with `arrival_indices`, the
-    /// occupied indices new VRT arrivals are drawn around. Built in bulk
-    /// before the first arrival is drawn and empty until then, so a chip
-    /// profiled over too short a span to draw one (a profiling job) never
-    /// pays for the sort.
-    cell_indices: Vec<u64>,
-    /// Indices of every VRT arrival so far, expired ones included.
-    arrival_indices: BTreeSet<u64>,
+    /// Clock of the last arrival round. Every round observes every active
+    /// arrival, so each one that is not fresh was last observed then.
+    arrival_clock_ms: f64,
+    /// The same-clock replay list of the last arrival round.
+    replay: ArrivalReplay,
+    /// The occupied indices new VRT arrivals are drawn around.
+    occupied: OccupiedIndices,
     now_ms: f64,
     last_arrival_ms: f64,
     /// Sequential generator for population synthesis and VRT arrivals
@@ -342,6 +496,14 @@ pub struct SimulatedChip {
     trial_nonce: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
+}
+
+/// Sets the bit of `rank` in a round's failure bitmap.
+fn set_rank(bits: &mut [u64], rank: u32) {
+    let rank = num::idx(rank);
+    *bits
+        .get_mut(rank / 64)
+        .expect("invariant: ranks lie below arrival_order.len()") |= 1 << (rank % 64);
 }
 
 /// How one single trial is served, resolved by `route_trial`: the window
@@ -359,8 +521,8 @@ impl SimulatedChip {
     /// Cell indices are drawn without replacement: a draw that collides
     /// with an earlier cell is redrawn on the spot, so every draw stays in
     /// the rng's order. Collisions are checked against a transient
-    /// `IndexTable`; the chip's sorted index list, which VRT arrivals
-    /// check, is built once, in bulk, when the first arrival is drawn.
+    /// `IndexTable`; the occupied-index set, which VRT arrivals check, is
+    /// built once, in bulk, when the first arrival is drawn.
     ///
     /// # Panics
     /// Panics if `cfg` fails [`RetentionConfig::validate`].
@@ -396,12 +558,7 @@ impl SimulatedChip {
             let mu0 = cfg.mu_max_secs * u.powf(1.0 / cfg.ber_exponent);
             let sigma0 = sigma_dist.sample(&mut rng).min(SIGMA_CAP_SECS);
             let vrt_index = if rng.random::<f64>() < cfg.vrt_fraction {
-                let cycle_ms = cfg.vrt_dwell_hours * 3.6e6;
-                base_vrt.push(TwoStateVrt::new(
-                    (cycle_ms * cfg.vrt_low_duty).max(1.0),
-                    (cycle_ms * (1.0 - cfg.vrt_low_duty)).max(1.0),
-                    0.0,
-                ));
+                base_vrt.push(Self::vrt_chain(&cfg, 0.0));
                 Some(num::to_u32(base_vrt.len() - 1))
             } else {
                 None
@@ -426,8 +583,9 @@ impl SimulatedChip {
             arrivals: Vec::new(),
             arrival_ranks: Vec::new(),
             arrival_order: Vec::new(),
-            cell_indices: Vec::new(),
-            arrival_indices: BTreeSet::new(),
+            arrival_clock_ms: 0.0,
+            replay: ArrivalReplay::default(),
+            occupied: OccupiedIndices::default(),
             now_ms: 0.0,
             last_arrival_ms: 0.0,
             rng,
@@ -438,6 +596,17 @@ impl SimulatedChip {
         };
         chip.rebuild_sort();
         chip
+    }
+
+    /// A duty-cycling chain in the high state at `now_ms`, with the dwell
+    /// times every VRT cell shares: base cells and arrivals alike.
+    fn vrt_chain(cfg: &RetentionConfig, now_ms: f64) -> TwoStateVrt {
+        let cycle_ms = cfg.vrt_dwell_hours * 3.6e6;
+        TwoStateVrt::new(
+            (cycle_ms * cfg.vrt_low_duty).max(1.0),
+            (cycle_ms * (1.0 - cfg.vrt_low_duty)).max(1.0),
+            now_ms,
+        )
     }
 
     fn sort_key_of(cfg: &RetentionConfig, cell: &WeakCell) -> f64 {
@@ -645,36 +814,23 @@ impl SimulatedChip {
 
     /// One round over the VRT-arrival cells: freshly arrived cells fail
     /// (that is their arrival event); established ones fail while in their
-    /// low state. The list is small and its draws live on the sequential
-    /// RNG, so the batched entry points call this once per round *in nonce
-    /// order* — the exact draw sequence a round-major trial loop makes.
+    /// low state. The draws live on the sequential RNG, so the batched
+    /// entry points call this once per round *in nonce order* — the exact
+    /// draw sequence a round-major trial loop makes.
     ///
-    /// The walk is in draw order; each failure sets the bit of its rank in
+    /// A round at the clock and condition of the previous one replays its
+    /// list (`replay_round`); any other walks every arrival
+    /// (`full_round`). Each failure sets the bit of its rank in
     /// `arrival_order`, and a scan of those bits replaces `failed` with
     /// the failing indices, ascending.
     fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, failed: &mut Vec<u64>) {
-        let now_ms = self.now_ms;
-        let rng = &mut self.rng;
+        let key = [self.now_ms, t_secs, ms_scale, ss_scale].map(f64::to_bits);
         let mut bits = vec![0u64; self.arrival_order.len().div_ceil(64)];
-        for (a, &rank) in self.arrivals.iter_mut().zip(&self.arrival_ranks) {
-            // `process_arrivals` retired every expired arrival at this clock.
-            debug_assert!(a.is_active(now_ms), "arrivals hold active cells only");
-            let fails = if a.fresh {
-                a.fresh = false;
-                a.vrt.force_state(true, now_ms);
-                true
-            } else if a.vrt.observe(now_ms, rng) {
-                let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
-                z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(rng.random::<f64>(), z))
-            } else {
-                false
-            };
-            if fails {
-                let rank = num::idx(rank);
-                *bits
-                    .get_mut(rank / 64)
-                    .expect("invariant: ranks lie below arrival_order.len()") |= 1 << (rank % 64);
-            }
+        if self.replay.key == Some(key) {
+            self.replay_round(&mut bits);
+        } else {
+            self.full_round(t_secs, ms_scale, ss_scale, &mut bits);
+            self.replay.key = Some(key);
         }
         failed.clear();
         for (w, &word) in bits.iter().enumerate() {
@@ -690,6 +846,79 @@ impl SimulatedChip {
                 word &= word - 1;
             }
         }
+    }
+
+    /// Walks every arrival in draw order. A fresh one fails and enters
+    /// its low state; any other draws its observe value, which moves its
+    /// state by the law of [`TwoStateVrt::observe_at`] over the time since
+    /// the last round (the same for all of them), and in its low state
+    /// draws its failure if its z is in band. Rebuilds the replay list.
+    fn full_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, bits: &mut [u64]) {
+        let now_ms = self.now_ms;
+        let dt = (now_ms - self.arrival_clock_ms).max(0.0);
+        let from = Self::vrt_chain(&self.cfg, self.arrival_clock_ms).low_after(dt);
+        self.arrival_clock_ms = now_ms;
+        let rng = &mut self.rng;
+        let ArrivalReplay { certain, draws, .. } = &mut self.replay;
+        certain.clear();
+        certain.resize(bits.len(), 0);
+        draws.clear();
+        for (pos, (a, &rank)) in self.arrivals.iter_mut().zip(&self.arrival_ranks).enumerate() {
+            // `process_arrivals` retired every expired arrival at this clock.
+            debug_assert!(a.is_active(now_ms), "arrivals hold active cells only");
+            let fresh = a.fresh;
+            if fresh {
+                a.fresh = false;
+                a.in_low = true;
+            } else {
+                let u = rng.random::<f64>();
+                if dt > 0.0 {
+                    // lint: allow(panic) a two-entry array indexed by a bool
+                    a.in_low = u < from[usize::from(a.in_low)];
+                }
+            }
+            a.observed(now_ms);
+            if !a.in_low {
+                continue;
+            }
+            let z = a.z_score(t_secs, ms_scale, ss_scale);
+            if z > Z_CUTOFF {
+                set_rank(certain, rank);
+            } else if z > -Z_CUTOFF {
+                draws.push((num::to_u32(pos), rank, z));
+            }
+            if fresh || z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(rng.random::<f64>(), z)) {
+                set_rank(bits, rank);
+            }
+        }
+    }
+
+    /// Repeats the round that built the replay list: the clock has not
+    /// moved, so no state changes and no arrival is fresh. The arrivals
+    /// above the band fail as they did; every arrival still draws its
+    /// observe value, which is discarded, and only the ones in band draw
+    /// again, for their failure.
+    fn replay_round(&mut self, bits: &mut [u64]) {
+        debug_assert!(self.arrivals.iter().all(|a| !a.fresh && a.is_active(self.now_ms)));
+        bits.copy_from_slice(&self.replay.certain);
+        // A local generator stays in registers through the skip loops.
+        let mut rng = self.rng.clone();
+        let mut next = 0;
+        for &(pos, rank, z) in &self.replay.draws {
+            let pos = num::idx(pos);
+            // The observe draws of the arrivals up to and including this one.
+            for _ in next..=pos {
+                rng.next_u64();
+            }
+            next = pos + 1;
+            if below_phi(rng.random::<f64>(), z) {
+                set_rank(bits, rank);
+            }
+        }
+        for _ in next..self.arrivals.len() {
+            rng.next_u64();
+        }
+        self.rng = rng;
     }
 
     /// The window scan over the cells of `window`: polarity, stress, μ,
@@ -1081,17 +1310,22 @@ impl SimulatedChip {
         let density = self.cfg.geometry.density_bits();
         let ms_scale = self.cfg.mu_temp_scale(temp);
 
-        if n > 0 && self.cell_indices.len() != self.cells.len() {
-            self.cell_indices = self.cells.iter().map(|c| c.index).collect();
-            self.cell_indices.sort_unstable();
+        let n = num::idx_u64(n);
+        if n > 0 {
+            if !self.occupied.is_built() {
+                self.occupied = OccupiedIndices::build(&self.cells);
+            }
+            self.occupied.reserve(n, &self.arrival_order);
         }
+        // The batch's own indices are in the filter but not yet in
+        // `arrival_order`.
+        let mut batch = IndexTable::with_capacity(n);
         let first_new = self.arrivals.len();
         for _ in 0..n {
             let index = loop {
                 let idx = self.rng.random_range(0..density);
-                if self.cell_indices.binary_search(&idx).is_err()
-                    && self.arrival_indices.insert(idx)
-                {
+                if !self.occupied.contains(idx, &self.arrival_order) && batch.insert(idx) {
+                    self.occupied.mark(idx);
                     break idx;
                 }
             };
@@ -1099,25 +1333,17 @@ impl SimulatedChip {
             // range of the interval that exposed it (at trial temperature).
             let frac = 0.55 + 0.35 * self.rng.random::<f64>();
             let mu0 = (t_secs * frac) / ms_scale;
-            let cycle_ms = self.cfg.vrt_dwell_hours * 3.6e6;
-            self.arrivals.push(ArrivalCell {
-                cell: WeakCell {
-                    index,
-                    mu0: num::f32_narrow(mu0),
-                    sigma0: num::f32_narrow(sigma_dist.sample(&mut self.rng).min(SIGMA_CAP_SECS)),
-                    vulnerable_bit: self.rng.random(),
-                    dpd_strength: 0.0,
-                    dpd_signature: 0,
-                    vrt_index: None,
-                },
-                expires_at_ms: self.now_ms + lifetime.sample(&mut self.rng),
-                vrt: TwoStateVrt::new(
-                    (cycle_ms * self.cfg.vrt_low_duty).max(1.0),
-                    (cycle_ms * (1.0 - self.cfg.vrt_low_duty)).max(1.0),
-                    self.now_ms,
-                ),
-                fresh: true,
-            });
+            let sigma0 = sigma_dist.sample(&mut self.rng).min(SIGMA_CAP_SECS);
+            // A polarity draw, kept for the stream: an arrival fails
+            // whatever pattern a trial writes.
+            let _: bool = self.rng.random();
+            let expires_at_ms = self.now_ms + lifetime.sample(&mut self.rng);
+            self.arrivals.push(ArrivalCell::new(
+                index,
+                num::f32_narrow(mu0),
+                num::f32_narrow(sigma0),
+                expires_at_ms,
+            ));
         }
         self.reindex_arrivals(first_new);
     }
@@ -1134,7 +1360,9 @@ impl SimulatedChip {
         // rank (re-aimed below) and marks it in `remap`, old rank → new
         // rank; a surviving new one joins the batch at its kept position.
         let mut remap = vec![GONE; self.arrival_order.len()];
-        let mut fresh: Vec<(u64, usize)> = Vec::new();
+        let mut fresh: Vec<(u64, usize)> = Vec::with_capacity(self.arrivals.len() - first_new);
+        // New arrivals retired as soon as drawn (a zero lifetime).
+        let mut retired_new: Vec<u64> = Vec::new();
         let ranks = &mut self.arrival_ranks;
         let (mut seen, mut kept_all) = (0, 0);
         self.arrivals.retain(|a| {
@@ -1147,17 +1375,23 @@ impl SimulatedChip {
                         .expect("invariant: ranks lie below arrival_order.len()") = 0;
                     *ranks.get_mut(kept_all).expect("invariant: kept_all <= seen") = rank;
                 } else {
-                    fresh.push((a.cell.index, kept_all));
+                    fresh.push((a.index, kept_all));
                 }
                 kept_all += 1;
+            } else if seen >= first_new {
+                retired_new.push(a.index);
             }
             seen += 1;
             keep
         });
         ranks.truncate(kept_all - fresh.len());
         ranks.resize(kept_all, GONE);
-        fresh.sort_unstable();
+        // Indices are unique, so the key alone orders the pairs.
+        fresh.sort_unstable_by_key(|&(f, _)| f);
         let first_fresh = kept_all - fresh.len();
+        // The retired arrivals leave `arrival_order` for the occupied set,
+        // as one exactly sized run.
+        let mut retired = Vec::with_capacity(remap.len() - first_fresh + retired_new.len());
         let (old_ranks, new_ranks) = ranks.split_at_mut(first_fresh);
         let order = &mut self.arrival_order;
         let mut rank_new = |pos: usize, rank: usize| {
@@ -1171,10 +1405,11 @@ impl SimulatedChip {
         // position plus the entries of the other list below it.
         let (mut kept, mut k) = (0, 0);
         for (r, slot) in remap.iter_mut().enumerate() {
+            let index = *order.get(r).expect("invariant: r < order.len()");
             if *slot == GONE {
+                retired.push(index);
                 continue;
             }
-            let index = *order.get(r).expect("invariant: r < order.len()");
             while let Some(&(_, pos)) = fresh.get(k).filter(|&&(f, _)| f < index) {
                 rank_new(pos, kept + k);
                 k += 1;
@@ -1191,6 +1426,11 @@ impl SimulatedChip {
                 .get(num::idx(*rank))
                 .expect("invariant: ranks lie below the old arrival_order.len()");
         }
+        if !retired_new.is_empty() {
+            retired.extend(retired_new);
+            retired.sort_unstable();
+        }
+        self.occupied.push_run(retired);
 
         // Descending: merge the new batch in from the top, so every
         // survivor moves up to its final rank before anything lands on it.
@@ -1215,9 +1455,19 @@ impl SimulatedChip {
     }
 
     /// `arrival_order` holds exactly the active arrivals' indices,
-    /// ascending, and `arrival_ranks` points each arrival at its own.
-    /// Checked via `debug_assert!`.
+    /// ascending, and `arrival_ranks` points each arrival at its own; the
+    /// occupied set is consistent and holds every active arrival; and in
+    /// debug builds every arrival that is not fresh was last observed at
+    /// the arrival clock. Checked via `debug_assert!`.
     fn arrivals_consistent(&self) -> bool {
+        #[cfg(debug_assertions)]
+        let observed_at_clock = self
+            .arrivals
+            .iter()
+            .all(|a| a.fresh || a.observed_at_ms.to_bits() == self.arrival_clock_ms.to_bits());
+        #[cfg(not(debug_assertions))]
+        let observed_at_clock = true;
+        let occupied = self.occupied.consistent(&self.arrival_order);
         self.arrival_order.is_sorted_by(|a, b| a < b)
             && self.arrival_order.len() == self.arrivals.len()
             && self.arrival_ranks.len() == self.arrivals.len()
@@ -1225,7 +1475,9 @@ impl SimulatedChip {
                 .arrivals
                 .iter()
                 .zip(&self.arrival_ranks)
-                .all(|(a, &r)| self.arrival_order.get(num::idx(r)) == Some(&a.cell.index))
+                .all(|(a, &r)| self.arrival_order.get(num::idx(r)) == Some(&a.index))
+            && occupied
+            && observed_at_clock
     }
 
     /// Analytic ground truth: all cells whose *worst-case* single-trial
@@ -1286,10 +1538,8 @@ impl SimulatedChip {
             .collect();
 
         for a in &self.arrivals {
-            if a.is_active(self.now_ms)
-                && phi_at_least(a.cell.z_score(t, ms_scale, ss_scale, 1.0, 1.0), min_prob)
-            {
-                out.push(a.cell.index);
+            if a.is_active(self.now_ms) && phi_at_least(a.z_score(t, ms_scale, ss_scale), min_prob) {
+                out.push(a.index);
             }
         }
         out.sort_unstable();
@@ -1468,55 +1718,78 @@ mod tests {
     }
 
     /// `arrival_round` as a plain draw-order walk that pushes each failure
-    /// as it is found: the same draws, failures in draw order.
+    /// as it is found, every arrival observed through a chain of its own
+    /// that was last observed at the arrival clock: the same draws,
+    /// failures in draw order.
     fn draw_order_round(chip: &mut SimulatedChip, t_secs: f64, ms_scale: f64, ss_scale: f64) -> Vec<u64> {
         let now_ms = chip.now_ms;
         let mut failed = Vec::new();
         for a in &mut chip.arrivals {
             if a.fresh {
                 a.fresh = false;
-                a.vrt.force_state(true, now_ms);
-                failed.push(a.cell.index);
-            } else if a.vrt.observe(now_ms, &mut chip.rng) {
-                let z = a.cell.z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
+                a.in_low = true;
+                failed.push(a.index);
+                continue;
+            }
+            let mut vrt = SimulatedChip::vrt_chain(&chip.cfg, chip.arrival_clock_ms);
+            vrt.force_state(a.in_low, chip.arrival_clock_ms);
+            a.in_low = vrt.observe(now_ms, &mut chip.rng);
+            if a.in_low {
+                let z = a.cell().z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
                 if z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(chip.rng.random::<f64>(), z)) {
-                    failed.push(a.cell.index);
+                    failed.push(a.index);
                 }
             }
         }
+        chip.arrival_clock_ms = now_ms;
         failed
     }
 
     #[test]
     fn rank_emission_is_the_sorted_draw_order_walk() {
         // Steps long against the 12 h mean lifetime retire arrivals while
-        // new ones arrive; two rounds per step cover fresh arrivals and
-        // established ones observed in their low state.
+        // new ones arrive; three rounds per step cover fresh arrivals,
+        // established ones observed in their low state, a same-clock
+        // replay and, on odd steps, a same-clock change of temperature
+        // that rebuilds the replay list.
         let mut chip = SimulatedChip::new(quick_cfg(), 41);
-        let (interval, temp) = (Ms::new(2048.0), Celsius::new(60.0));
-        let (t, ms, ss) = (interval.as_secs(), chip.cfg.mu_temp_scale(temp), chip.cfg.sigma_temp_scale(temp));
-        let (mut expired, mut emitted) = (false, 0);
-        for _ in 0..8 {
+        let interval = Ms::new(2048.0);
+        let condition = |chip: &SimulatedChip, temp: f64| {
+            let temp = Celsius::new(temp);
+            (interval.as_secs(), chip.cfg.mu_temp_scale(temp), chip.cfg.sigma_temp_scale(temp))
+        };
+        // Arrivals drawn so far, expired ones included.
+        let drawn = |chip: &SimulatedChip| chip.occupied.len().saturating_sub(chip.cells.len());
+        let (mut expired, mut emitted, mut replayed) = (false, 0, 0);
+        for step in 0..8 {
             chip.advance(Ms::from_hours(6.0));
-            let before = chip.arrival_indices.len();
-            chip.process_arrivals(t, temp);
-            assert!(chip.arrival_indices.len() > before, "every step draws new arrivals");
-            expired |= chip.arrival_indices.len() > chip.arrivals.len();
+            let before = drawn(&chip);
+            chip.process_arrivals(interval.as_secs(), Celsius::new(60.0));
+            assert!(drawn(&chip) > before, "every step draws new arrivals");
+            expired |= drawn(&chip) > chip.arrivals.len();
             assert!(chip.arrivals_consistent());
-            for _ in 0..2 {
+            let temps = [60.0, 60.0, if step % 2 == 1 { 63.0 } else { 60.0 }];
+            for temp in temps {
+                let (t, ms, ss) = condition(&chip, temp);
                 let mut reference = chip.clone();
                 let mut want = draw_order_round(&mut reference, t, ms, ss);
                 want.sort_unstable();
+                let replays = chip.replay.key == Some([chip.now_ms, t, ms, ss].map(f64::to_bits));
                 let mut got = vec![u64::MAX];
                 chip.arrival_round(t, ms, ss, &mut got);
                 assert!(got.is_sorted_by(|a, b| a < b), "emission must be strictly ascending");
                 assert_eq!(got, want);
                 assert_eq!(chip.rng, reference.rng, "the same draws, in the same order");
+                let states = |c: &SimulatedChip| c.arrivals.iter().map(|a| (a.in_low, a.fresh)).collect::<Vec<_>>();
+                assert_eq!(states(&chip), states(&reference));
+                assert!(chip.arrivals_consistent());
                 emitted += got.len();
+                replayed += usize::from(replays);
             }
         }
         assert!(expired, "the steps must retire arrivals");
         assert!(emitted > 0);
+        assert_eq!(replayed, 12, "the repeats of a clock and condition replay");
     }
 
     #[test]
@@ -1932,8 +2205,8 @@ mod tests {
                         chip.arrivals
                             .iter()
                             .filter(|a| a.is_active(chip.now_ms))
-                            .filter(|a| a.cell.worst_case_fail_probability(t, ms, ss, 1.0) >= min_prob)
-                            .map(|a| a.cell.index),
+                            .filter(|a| a.cell().worst_case_fail_probability(t, ms, ss, 1.0) >= min_prob)
+                            .map(|a| a.index),
                     )
                     .collect();
                 want.sort_unstable();

@@ -13,6 +13,12 @@
 //! * [`ArrivalCell`] — a newly-arrived VRT failing cell (Poisson arrivals,
 //!   rate `A(t) = a·t^b` per Fig. 4) with a finite active lifetime so the
 //!   failing-set size stays stable (Fig. 3: accumulation ≈ departure).
+//!   It holds no chain of its own: every arrival shares one pair of dwell
+//!   times, and every arrival round observes every active arrival, so all
+//!   of them but the fresh ones were last observed at the same clock. The
+//!   chip keeps that clock and advances each arrival's state bit with the
+//!   transition probabilities [`TwoStateVrt::low_after`] computes once per
+//!   round.
 
 use crate::cell::WeakCell;
 use rand::Rng;
@@ -74,17 +80,24 @@ impl TwoStateVrt {
     pub fn observe_at(&mut self, now_ms: f64, u: f64) -> bool {
         let dt = (now_ms - self.last_update_ms).max(0.0);
         if dt > 0.0 {
-            let rate = 1.0 / self.dwell_low_ms + 1.0 / self.dwell_high_ms;
-            let pi_low = self.duty_low();
-            let s = if self.in_low { 1.0 } else { 0.0 };
-            let p_low = pi_low + (s - pi_low) * (-rate * dt).exp();
-            self.in_low = u < p_low;
+            let [from_high, from_low] = self.low_after(dt);
+            self.in_low = u < if self.in_low { from_low } else { from_high };
             self.last_update_ms = now_ms;
         }
         self.in_low
     }
 
-    /// Forces the state (used when an arrival is first observed failing).
+    /// The probability of the low state `dt` ms after an observation in
+    /// the high state and in the low state, `[from_high, from_low]`: the
+    /// transition law of [`TwoStateVrt::observe_at`], one `exp` for both.
+    pub fn low_after(&self, dt: f64) -> [f64; 2] {
+        let rate = 1.0 / self.dwell_low_ms + 1.0 / self.dwell_high_ms;
+        let pi_low = self.duty_low();
+        let decay = (-rate * dt).exp();
+        [0.0, 1.0].map(|s| pi_low + (s - pi_low) * decay)
+    }
+
+    /// Forces the state and the time of the last observation.
     pub fn force_state(&mut self, in_low: bool, now_ms: f64) {
         self.in_low = in_low;
         self.last_update_ms = now_ms;
@@ -93,24 +106,86 @@ impl TwoStateVrt {
 
 /// A newly-arrived VRT failing cell (paper §5.3's "steady-state
 /// accumulation" population).
+///
+/// Compact: the cell's index, μ and σ, its expiry and two state bits. An
+/// arrival has no DPD and no base VRT chain, and it fails whatever pattern
+/// a trial writes, so [`ArrivalCell::cell`] rebuilds the rest of its
+/// [`WeakCell`]. Its duty cycling is a [`TwoStateVrt`] whose dwell times
+/// every arrival shares and whose last observation is the chip's last
+/// arrival round (see the module docs), so only the state bit is stored.
+/// Built with [`ArrivalCell::new`].
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[non_exhaustive]
 pub struct ArrivalCell {
-    /// The cell's retention phenotype while active. Its `mu0` sits in the
-    /// failing range of the interval that spawned it.
-    pub cell: WeakCell,
+    /// Dense linear cell index.
+    pub index: u64,
+    /// Base retention μ (seconds) at the reference temperature; it sits in
+    /// the failing range of the interval that spawned the arrival.
+    pub mu0: f32,
+    /// Retention σ (seconds) at the reference temperature.
+    pub sigma0: f32,
     /// Wall-clock ms at which the cell's retention state migrates back out
     /// of the failing range (departure process).
     pub expires_at_ms: f64,
-    /// Duty-cycling process for post-arrival trials.
-    pub vrt: TwoStateVrt,
+    /// True while the duty-cycling process is in its low-retention state.
+    pub in_low: bool,
     /// True until the first trial observes (and thereby "discovers") it.
     pub fresh: bool,
+    /// Clock of the last round that observed the arrival, kept in debug
+    /// builds only to check that it is the chip's arrival clock.
+    #[cfg(debug_assertions)]
+    pub(crate) observed_at_ms: f64,
 }
 
 impl ArrivalCell {
+    /// A fresh arrival in the high state.
+    pub fn new(index: u64, mu0: f32, sigma0: f32, expires_at_ms: f64) -> Self {
+        Self {
+            index,
+            mu0,
+            sigma0,
+            expires_at_ms,
+            in_low: false,
+            fresh: true,
+            #[cfg(debug_assertions)]
+            observed_at_ms: f64::NAN,
+        }
+    }
+
     /// Whether the cell is still in its active (failing-capable) lifetime.
     pub fn is_active(&self, now_ms: f64) -> bool {
         now_ms < self.expires_at_ms
+    }
+
+    /// The arrival as a weak cell: no DPD and no base VRT chain. The
+    /// polarity is not stored and reads as `false`.
+    pub fn cell(&self) -> WeakCell {
+        WeakCell {
+            index: self.index,
+            mu0: self.mu0,
+            sigma0: self.sigma0,
+            vulnerable_bit: false,
+            dpd_strength: 0.0,
+            dpd_signature: 0,
+            vrt_index: None,
+        }
+    }
+
+    /// The trial z-score in the low state: the cell's
+    /// [`WeakCell::z_score`] at full stress and no VRT factor, the
+    /// expression every arrival round and the ground truth share.
+    pub(crate) fn z_score(&self, t_secs: f64, ms_scale: f64, ss_scale: f64) -> f64 {
+        self.cell().z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0)
+    }
+
+    /// Records an observation at `now_ms` (debug builds only).
+    pub(crate) fn observed(&mut self, now_ms: f64) {
+        #[cfg(debug_assertions)]
+        {
+            self.observed_at_ms = now_ms;
+        }
+        #[cfg(not(debug_assertions))]
+        let _ = now_ms;
     }
 }
 
@@ -170,6 +245,25 @@ mod tests {
     }
 
     #[test]
+    fn low_after_is_the_observe_law_from_each_state() {
+        // The pair must equal what a chain in each state observes after
+        // `dt`, bit for bit: observe with `u` just below and at `p`.
+        let v = TwoStateVrt::new(720.0, 6480.0, 0.0);
+        for dt in [0.25, 1.0, 3600.0, 8.0 * 3.6e6] {
+            let p = v.low_after(dt);
+            for (from_low, &p_low) in [false, true].into_iter().zip(&p) {
+                let mut at = v;
+                at.force_state(from_low, 0.0);
+                assert!(at.observe_at(dt, p_low.next_down()));
+                let mut at = v;
+                at.force_state(from_low, 0.0);
+                assert!(!at.observe_at(dt, p_low));
+            }
+            assert!(p[0] <= v.duty_low() && v.duty_low() <= p[1]);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "dwell_low_ms")]
     fn rejects_nonpositive_dwell() {
         TwoStateVrt::new(0.0, 1.0, 0.0);
@@ -186,12 +280,9 @@ mod tests {
             dpd_signature: 0,
             vrt_index: None,
         };
-        let a = ArrivalCell {
-            cell,
-            expires_at_ms: 100.0,
-            vrt: TwoStateVrt::new(1.0, 9.0, 0.0),
-            fresh: true,
-        };
+        let a = ArrivalCell::new(cell.index, cell.mu0, cell.sigma0, 100.0);
+        assert_eq!(a.cell(), cell);
+        assert!(a.fresh && !a.in_low);
         assert!(a.is_active(50.0));
         assert!(!a.is_active(100.0));
         assert!(!a.is_active(150.0));

@@ -184,3 +184,30 @@ fn out_of_range_intervals_get_a_400_from_post_jobs() {
     }
     server.shutdown();
 }
+
+#[test]
+fn oversized_jobs_get_a_400_from_post_jobs() {
+    // Past the rounds cap, or past the capacity × interval × rounds bound:
+    // rejected by `validate` before any worker sees them.
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let pool = ConnectionPool::new(server.local_addr(), 1);
+    for body in [
+        r#"{"vendor":"B","seed":1,"target_interval_ms":1024,"rounds":65}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":1024,"rounds":4294967295}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":4096,"capacity_num":1,"capacity_den":1,"rounds":4}"#,
+        r#"{"vendor":"B","seed":1,"target_interval_ms":64,"capacity_num":64,"capacity_den":1,"rounds":1}"#,
+        r#"{"kind":"portfolio","vendor":"B","seed":1,"target_interval_ms":512,"rounds":65}"#,
+        r#"{"kind":"portfolio","vendor":"B","seed":1,"target_interval_ms":512,"capacity_num":16,"capacity_den":1}"#,
+    ] {
+        let response = pool
+            .request("POST", "/v1/jobs", &[], body.as_bytes())
+            .expect("the server answers");
+        assert_eq!(response.status, 400, "{body}");
+    }
+    server.shutdown();
+}
