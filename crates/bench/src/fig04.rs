@@ -22,6 +22,7 @@ pub fn run(scale: Scale) -> Table {
 
     let ambient = Celsius::new(45.0);
     let temp = dram_temp(ambient);
+    // Ascending: the last interval's chip costs the most.
     let intervals_s: &[f64] = &[1.024, 1.536, 2.048, 3.072];
     // The measurement window must be long enough (in wall-clock hours, at
     // fixed iteration count) that VRT arrivals dominate the residual
@@ -35,36 +36,19 @@ pub fn run(scale: Scale) -> Table {
     let vendors: &[Vendor] = scale.pick(&[Vendor::B][..], &Vendor::ALL[..]);
 
     for &vendor in vendors {
+        // One full-capacity chip per interval (so low rates are
+        // measurable), each independent of the others: fan them out
+        // longest interval first, since the 3,072 ms chip costs more than
+        // the other three together and a worker claiming items in table
+        // order would start it last. Rows keep table order.
+        let by_cost: Vec<usize> = (0..intervals_s.len()).rev().collect();
+        let mut rates = reaper_exec::par_map(&by_cost, |&k| {
+            let chip = SimulatedChip::new(RetentionConfig::for_vendor(vendor), 0xF164 + k as u64);
+            (k, accumulation_rate(chip, intervals_s[k], temp, warmup_iters, measure_iters, measure_hours))
+        });
+        rates.sort_by_key(|&(k, _)| k);
         let mut points = Vec::new();
-        for (k, &t_s) in intervals_s.iter().enumerate() {
-            // Full capacity so low rates are measurable.
-            let cfg = RetentionConfig::for_vendor(vendor);
-            let mut chip = SimulatedChip::new(cfg, 0xF164 + k as u64);
-            let interval = Ms::from_secs(t_s);
-
-            // Warm-up: discover the base set without advancing time. Each
-            // iteration's 12 trials are unioned first and merged into
-            // `seen` once; the cells new to `seen` are the same either way.
-            let mut seen = Vec::new();
-            let mut step = Vec::new();
-            for it in 0..warmup_iters {
-                step_union(&mut chip, it, interval, temp, &mut step);
-                merge_sorted_union(&mut seen, &mut step);
-            }
-            // Measurement: spread iterations over wall-clock hours. `seen`
-            // grows by about one cell per VRT arrival; reserving the
-            // expected growth up front spares the multi-MB doubling copies,
-            // each of which kept the old block resident next to the new.
-            let arrivals = chip.config().vrt_arrival_rate_per_hour(t_s, temp) * measure_hours;
-            seen.reserve(arrivals as usize + arrivals as usize / 4);
-            let step_ms = Ms::from_hours(measure_hours / measure_iters as f64);
-            let mut new_cells = 0usize;
-            for it in 0..measure_iters {
-                chip.advance(step_ms);
-                step_union(&mut chip, warmup_iters + it, interval, temp, &mut step);
-                new_cells += merge_sorted_union(&mut seen, &mut step);
-            }
-            let rate = new_cells as f64 / measure_hours;
+        for (&t_s, (_, rate)) in intervals_s.iter().zip(rates) {
             points.push((t_s, rate.max(1e-3)));
             table.push_row(vec![
                 vendor.to_string(),
@@ -86,19 +70,43 @@ pub fn run(scale: Scale) -> Table {
     table
 }
 
-/// The union of one standard-set iteration's trials, in `step` (cleared
-/// first, its buffer reused).
-fn step_union(
-    chip: &mut SimulatedChip,
-    iteration: u64,
-    interval: Ms,
+/// New cells per hour on a full-capacity `chip` profiled at `t_s`
+/// seconds: a warm-up of `warmup_iters` standard-set iterations discovers
+/// the base failing set without advancing time, then `measure_iters`
+/// iterations spread over `measure_hours` count the cells new to it.
+fn accumulation_rate(
+    mut chip: SimulatedChip,
+    t_s: f64,
     temp: Celsius,
-    step: &mut Vec<u64>,
-) {
-    step.clear();
-    for p in DataPattern::standard_set(iteration) {
-        merge_sorted_union(step, &mut chip.retention_trial(p, interval, temp).into_vec());
+    warmup_iters: u64,
+    measure_iters: u64,
+    measure_hours: f64,
+) -> f64 {
+    let interval = Ms::from_secs(t_s);
+    // Each iteration's 12 trials are one union, merged into `seen` once;
+    // the cells new to `seen` are the same as merging trial by trial.
+    let mut seen = Vec::new();
+    for it in 0..warmup_iters {
+        merge_sorted_union(&mut seen, &mut step_union(&mut chip, it, interval, temp));
     }
+    // `seen` grows by about one cell per VRT arrival; reserving the
+    // expected growth up front spares the multi-MB doubling copies, each
+    // of which kept the old block resident next to the new.
+    let arrivals = chip.config().vrt_arrival_rate_per_hour(t_s, temp) * measure_hours;
+    seen.reserve(arrivals as usize + arrivals as usize / 4);
+    let step_ms = Ms::from_hours(measure_hours / measure_iters as f64);
+    let mut new_cells = 0usize;
+    for it in 0..measure_iters {
+        chip.advance(step_ms);
+        new_cells += merge_sorted_union(&mut seen, &mut step_union(&mut chip, warmup_iters + it, interval, temp));
+    }
+    new_cells as f64 / measure_hours
+}
+
+/// The union of one standard-set iteration's trials, ascending.
+fn step_union(chip: &mut SimulatedChip, iteration: u64, interval: Ms, temp: Celsius) -> Vec<u64> {
+    chip.retention_trial_union(&DataPattern::standard_set(iteration), interval, temp)
+        .into_vec()
 }
 
 #[cfg(test)]

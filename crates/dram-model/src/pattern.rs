@@ -7,6 +7,8 @@
 //! bit, so simulated chips can evaluate data-pattern-dependence without
 //! materializing terabits of state.
 
+use crate::ChipGeometry;
+
 /// The six pattern families of the paper's test set (§3.2, Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PatternFamily {
@@ -168,18 +170,69 @@ impl DataPattern {
 
     /// The stored bit at global `row` (linear across banks) and `col`.
     pub fn bit_at(self, row: u64, col: u32) -> bool {
-        let base = match self.family {
-            PatternFamily::Solid => false,
-            PatternFamily::Checkerboard => (row ^ col as u64) & 1 == 1,
-            PatternFamily::RowStripe => row & 1 == 1,
-            PatternFamily::ColStripe => col as u64 & 1 == 1,
-            PatternFamily::Walking => (col as u64 + self.param).is_multiple_of(WALK_PERIOD),
-            PatternFamily::Random => {
-                splitmix64(self.param ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ col as u64) & 1
-                    == 1
+        base_bit(self.family, self.param, row, col) ^ self.inverted
+    }
+
+    /// The bits of the four neighbours of the cell at `(row, col)` of
+    /// `geometry` when the cell itself stores `own`, else `None`: bit 0
+    /// north, 1 south, 2 west, 3 east, wrapping around the chip's edges.
+    /// The family is resolved once for all five bits, where five
+    /// [`DataPattern::bit_at`] calls resolve it five times.
+    ///
+    /// # Example
+    /// ```
+    /// use reaper_dram_model::{ChipGeometry, DataPattern};
+    ///
+    /// let g = ChipGeometry::small();
+    /// let cb = DataPattern::checkerboard();
+    /// // (1, 1) stores 0 and all four neighbours store 1.
+    /// assert_eq!(cb.neighbours_when(g, 1, 1, false), Some(0b1111));
+    /// assert_eq!(cb.neighbours_when(g, 1, 1, true), None);
+    /// ```
+    pub fn neighbours_when(self, geometry: ChipGeometry, row: u64, col: u32, own: bool) -> Option<u8> {
+        let p = self.param;
+        let (g, r, c) = (geometry, row, col);
+        // One arm per family, each with its own closure type, so `gather`
+        // is compiled once per family with the family a constant.
+        match self.family {
+            PatternFamily::Solid => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Solid, p, r, c)),
+            PatternFamily::Checkerboard => {
+                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Checkerboard, p, r, c))
             }
-        };
-        base ^ self.inverted
+            PatternFamily::RowStripe => {
+                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::RowStripe, p, r, c))
+            }
+            PatternFamily::ColStripe => {
+                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::ColStripe, p, r, c))
+            }
+            PatternFamily::Walking => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Walking, p, r, c)),
+            PatternFamily::Random => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Random, p, r, c)),
+        }
+    }
+
+    /// [`DataPattern::neighbours_when`] over one family's `base` bit
+    /// function.
+    #[inline(always)]
+    fn gather(
+        self,
+        geometry: ChipGeometry,
+        row: u64,
+        col: u32,
+        own: bool,
+        base: impl Fn(u64, u32) -> bool,
+    ) -> Option<u8> {
+        let bit = |r, c| base(r, c) ^ self.inverted;
+        if bit(row, col) != own {
+            return None;
+        }
+        // Neighbours wrap by compare, not by modulo: `row` and `col` lie
+        // inside the geometry.
+        let (last_row, last_col) = (geometry.total_rows() - 1, geometry.row_bits() - 1);
+        let north = bit(if row == 0 { last_row } else { row - 1 }, col);
+        let south = bit(if row == last_row { 0 } else { row + 1 }, col);
+        let west = bit(row, if col == 0 { last_col } else { col - 1 });
+        let east = bit(row, if col == last_col { 0 } else { col + 1 });
+        Some(u8::from(north) | u8::from(south) << 1 | u8::from(west) << 2 | u8::from(east) << 3)
     }
 
     /// The paper's standard profiling set: six families and their inverses
@@ -207,6 +260,22 @@ impl core::fmt::Display for DataPattern {
             write!(f, "~{}", self.family)
         } else {
             write!(f, "{}", self.family)
+        }
+    }
+}
+
+/// The bit `family` with parameter `param` stores at `(row, col)`,
+/// before inversion.
+#[inline(always)]
+fn base_bit(family: PatternFamily, param: u64, row: u64, col: u32) -> bool {
+    match family {
+        PatternFamily::Solid => false,
+        PatternFamily::Checkerboard => (row ^ col as u64) & 1 == 1,
+        PatternFamily::RowStripe => row & 1 == 1,
+        PatternFamily::ColStripe => col as u64 & 1 == 1,
+        PatternFamily::Walking => (col as u64 + param).is_multiple_of(WALK_PERIOD),
+        PatternFamily::Random => {
+            splitmix64(param ^ row.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ col as u64) & 1 == 1
         }
     }
 }
@@ -254,6 +323,30 @@ mod tests {
         assert!(!cs.bit_at(7, 0));
         assert!(cs.bit_at(7, 1));
         assert!(cs.bit_at(8, 1)); // constant along a column
+    }
+
+    #[test]
+    fn neighbours_when_equals_five_bit_at_calls() {
+        // Every cell of a small geometry with an odd row count, corners and
+        // edges included, under every family and inverse.
+        let g = ChipGeometry::new(3, 3, 8);
+        let (rows, cols) = (g.total_rows(), g.row_bits());
+        for p in DataPattern::standard_set(5) {
+            for row in 0..rows {
+                for col in 0..cols {
+                    let own = p.bit_at(row, col);
+                    let around = [
+                        p.bit_at((row + rows - 1) % rows, col),
+                        p.bit_at((row + 1) % rows, col),
+                        p.bit_at(row, (col + cols - 1) % cols),
+                        p.bit_at(row, (col + 1) % cols),
+                    ];
+                    let want = around.iter().enumerate().fold(0u8, |m, (i, &b)| m | u8::from(b) << i);
+                    assert_eq!(p.neighbours_when(g, row, col, own), Some(want), "{p} at ({row}, {col})");
+                    assert_eq!(p.neighbours_when(g, row, col, !own), None, "{p} at ({row}, {col})");
+                }
+            }
+        }
     }
 
     #[test]

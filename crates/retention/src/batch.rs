@@ -8,11 +8,14 @@
 //! **cell-major** instead: each in-band lane is visited once per batch —
 //! one index load, one threshold load — and the inner loop walks the (up
 //! to 64) round nonces, recording outcomes as one `u64` **bit-plane** per
-//! cell, bit *r* set iff the cell failed in round *r*. The planes are then
-//! expanded back into per-round failure vectors with popcount/
-//! trailing-zeros iteration (the gsim2 word-packed SoA trick), walking
-//! the three index-sorted lane classes in one merge so every round comes
-//! out sorted.
+//! cell, bit *r* set iff the cell failed in round *r*. Each round owns a
+//! failure bitmap in the chip's rank space (a bit per weak cell, by the
+//! rank of its index): the plan's certain-fail bitmap is ORed into every
+//! round, and each failing lane's plane is scattered into the rounds with
+//! trailing-zeros iteration (the gsim2 word-packed SoA trick). The caller
+//! emits a round once through the chip's rank table, so it comes out
+//! sorted with no merge; a single trial ORs its round straight into its
+//! union's bitmap.
 //!
 //! Two further per-draw savings fall out of the inversion:
 //!
@@ -48,7 +51,7 @@ use reaper_exec::num;
 use reaper_exec::rng::StreamPrefix;
 
 use crate::chip::TRIAL_DOMAIN;
-use crate::plan::{PlanLanes, TrialCtx, TrialPlan, CERTAIN_FAIL, CERTAIN_PASS};
+use crate::plan::{TrialCtx, TrialPlan, CERTAIN_FAIL, CERTAIN_PASS};
 use crate::vrt::TwoStateVrt;
 
 /// Maximum rounds per batch: one bit per round in a `u64` plane.
@@ -82,42 +85,50 @@ pub(crate) fn u53_threshold(thr: f64) -> u64 {
     }
 }
 
-/// The kernel's output for one batch of round nonces.
-pub(crate) struct BatchRounds {
-    /// Per-round failing cell indices, `rounds.len() == nonces.len()`, in
-    /// nonce order. Each round is sorted ascending and duplicate-free
-    /// (lane classes partition the window), so callers can build a
-    /// [`crate::chip::TrialOutcome`] without re-sorting.
-    pub(crate) rounds: Vec<Vec<u64>>,
-    /// Final VRT chain states after the whole batch, one per plan VRT
-    /// lane — the union of what per-round merges would have produced,
-    /// since later observations overwrite earlier ones slot-wise.
-    pub(crate) vrt_updates: Vec<(u32, TwoStateVrt)>,
-}
-
 impl TrialPlan {
-    /// Evaluates one round per nonce in a single cell-major pass.
+    /// Evaluates one round per nonce in a single cell-major pass, ORing
+    /// each round's failures into its bitmap: round `r` owns
+    /// `rounds[r·w..(r+1)·w]`, `w` words with a bit per rank of the chip's
+    /// weak cells. Returns the final VRT chain states, one per VRT lane:
+    /// the union of what per-round merges would have produced, since later
+    /// observations overwrite earlier ones slot-wise.
     ///
     /// `ctx.nonce` is ignored (each lane key takes its nonce from
-    /// `nonces`); all rounds share `ctx.now_ms`. Outcomes are
+    /// `nonces`); all rounds share `ctx.now_ms`; `by_rank` turns a lane's
+    /// rank into the index its hash lane is keyed by. Outcomes are
     /// bit-identical to running the window scan once per nonce in order,
-    /// merging each round's VRT updates into `base_vrt` between calls —
-    /// except each round comes back already sorted ascending.
+    /// merging each round's VRT updates into `base_vrt` between calls.
     ///
     /// # Panics
-    /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`].
+    /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`], or
+    /// if `rounds` does not hold one bitmap per nonce.
     pub(crate) fn run_rounds(
         &self,
         base_vrt: &[TwoStateVrt],
+        by_rank: &[u64],
         ctx: &TrialCtx,
         nonces: &[u64],
-    ) -> BatchRounds {
+        rounds: &mut [u64],
+    ) -> Vec<(u32, TwoStateVrt)> {
         let k = nonces.len();
         assert!(
             (1..=MAX_BATCH_ROUNDS).contains(&k),
             "batch size must be in 1..={MAX_BATCH_ROUNDS}, got {k}"
         );
         debug_assert!(self.lanes_consistent(), "plan SoA lanes out of sync");
+        let lanes = &self.lanes;
+        let words = lanes.certain.len();
+        assert_eq!(rounds.len(), k * words, "one failure bitmap per round");
+
+        // Certain-fail cells fail every round.
+        for r in 0..k {
+            let round = rounds
+                .get_mut(r * words..(r + 1) * words)
+                .expect("invariant: rounds holds k bitmaps of `words` words");
+            for (word, &certain) in round.iter_mut().zip(&lanes.certain) {
+                *word |= certain;
+            }
+        }
 
         // Hash the shared tuple prefix once per batch and each nonce
         // extension once per batch.
@@ -126,32 +137,39 @@ impl TrialPlan {
             .push(TRIAL_DOMAIN);
         let nonce_prefixes: Vec<StreamPrefix> =
             nonces.iter().map(|&nonce| trial_prefix.push(nonce)).collect();
+        let index_of = |rank: u32| {
+            *by_rank
+                .get(num::idx(rank))
+                .expect("invariant: plan ranks lie below the chip's cell count")
+        };
 
         // In-band non-VRT lanes, cell-major, on the calling thread.
-        let lanes = &self.lanes;
-        let planes = prob_planes(lanes, &nonce_prefixes);
+        for (&rank, &thr_u) in lanes.prob_rank.iter().zip(&lanes.prob_thr_u) {
+            let plane = prob_plane(index_of(rank), thr_u, &nonce_prefixes);
+            scatter_plane(plane, rank, words, rounds);
+        }
 
         // VRT lanes: sequential per-cell replay across the batch,
         // carrying the chain state from round to round. Draw order per
         // (cell, round) matches the window scan: observation first, then
         // the failure draw only for in-band thresholds.
-        let mut vrt_planes = Vec::with_capacity(lanes.vrt_slot.len());
         let mut vrt_updates = Vec::with_capacity(lanes.vrt_slot.len());
-        for ((slot, idx), pair) in lanes
+        for ((&slot, &rank), pair) in lanes
             .vrt_slot
             .iter()
-            .zip(&lanes.vrt_idx)
+            .zip(&lanes.vrt_rank)
             .zip(lanes.vrt_thr.chunks_exact(2))
         {
             let [thr_high, thr_low]: [f64; 2] = pair
                 .try_into()
                 .expect("invariant: vrt_thr holds two thresholds per cell");
             let mut vrt = *base_vrt
-                .get(num::idx(*slot))
+                .get(num::idx(slot))
                 .expect("invariant: plan VRT slots are positions pushed into base_vrt");
+            let idx = index_of(rank);
             let mut plane = 0u64;
             for (r, np) in nonce_prefixes.iter().enumerate() {
-                let mut lane = np.push(*idx).stream();
+                let mut lane = np.push(idx).stream();
                 let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
                 let thr = if in_low { thr_low } else { thr_high };
                 // Certain-fail consumes no uniform, matching the scan's
@@ -163,121 +181,63 @@ impl TrialPlan {
                 };
                 plane |= u64::from(fails) << r;
             }
-            vrt_updates.push((*slot, vrt));
-            vrt_planes.push(plane);
+            vrt_updates.push((slot, vrt));
+            scatter_plane(plane, rank, words, rounds);
         }
+        vrt_updates
+    }
+}
 
-        // Size each round's vector from the mean failures per round (one
-        // popcount per plane — a per-bit exact count would cost as much
-        // as the expansion itself). Rounds are near-iid draws, so mean
-        // plus a 1/8 margin almost always avoids regrowth, and a rare
-        // outlier round just pays one amortized `Vec` doubling.
-        let popcount = |v: &[u64]| -> usize { v.iter().map(|p| num::idx(p.count_ones())).sum() };
-        let total = lanes.certain.len() * k + popcount(&planes) + popcount(&vrt_planes);
-        let per_round = total / k + total / (k * 8) + 8;
-        let mut rounds: Vec<Vec<u64>> =
-            (0..k).map(|_| Vec::with_capacity(per_round)).collect();
-
-        // Expand bit-planes into per-round failure vectors, sorted. The
-        // lane classes partition the window (a cell appears in exactly
-        // one of certain / prob / VRT) and each is index-sorted, so one
-        // 3-way merge over them visits failing cells in ascending index
-        // order and every round's expansion comes out sorted.
-        let full_mask = if k == MAX_BATCH_ROUNDS {
-            u64::MAX
-        } else {
-            (1u64 << k) - 1
+/// The cell-major hot loop of one in-band non-VRT lane: its bit-plane,
+/// one 53-bit draw and one integer compare per round.
+fn prob_plane(idx: u64, thr_u: u64, nonce_prefixes: &[StreamPrefix]) -> u64 {
+    let mut plane = 0u64;
+    // Four independent hash chains per step: one chain's ~7 serial
+    // multiplies leave the multiplier idle most cycles, so the loop is
+    // latency-bound without explicit interleaving.
+    let mut chunks = nonce_prefixes.chunks_exact(4);
+    let mut r = 0usize;
+    for quad in chunks.by_ref() {
+        let &[p0, p1, p2, p3] = quad else {
+            unreachable!("chunks_exact(4) yields 4-element slices")
         };
-        let mut certain = lanes.certain.iter().map(|&idx| (idx, full_mask)).peekable();
-        let mut prob = lanes
-            .prob_idx
-            .iter()
-            .copied()
-            .zip(planes)
-            .filter(|&(_, plane)| plane != 0)
-            .peekable();
-        let mut vrt = lanes
-            .vrt_idx
-            .iter()
-            .copied()
-            .zip(vrt_planes)
-            .filter(|&(_, plane)| plane != 0)
-            .peekable();
-        loop {
-            // Cell indices lie below the chip density, so `u64::MAX`
-            // stands for an exhausted class.
-            let head = |e: Option<&(u64, u64)>| e.map_or(u64::MAX, |&(idx, _)| idx);
-            let (c, p, v) = (head(certain.peek()), head(prob.peek()), head(vrt.peek()));
-            let next = if c <= p && c <= v {
-                certain.next()
-            } else if p <= v {
-                prob.next()
-            } else {
-                vrt.next()
-            };
-            let Some((idx, plane)) = next else { break };
-            expand_plane(plane, idx, &mut rounds);
-        }
-
-        BatchRounds {
-            rounds,
-            vrt_updates,
-        }
+        let d0 = p0.push(idx).stream().next_u64() >> 11;
+        let d1 = p1.push(idx).stream().next_u64() >> 11;
+        let d2 = p2.push(idx).stream().next_u64() >> 11;
+        let d3 = p3.push(idx).stream().next_u64() >> 11;
+        plane |= u64::from(d0 < thr_u) << r;
+        plane |= u64::from(d1 < thr_u) << (r + 1);
+        plane |= u64::from(d2 < thr_u) << (r + 2);
+        plane |= u64::from(d3 < thr_u) << (r + 3);
+        r += 4;
     }
+    for np in chunks.remainder() {
+        let draw = np.push(idx).stream().next_u64() >> 11;
+        plane |= u64::from(draw < thr_u) << r;
+        r += 1;
+    }
+    plane
 }
 
-/// The cell-major hot loop over the in-band non-VRT lanes: one bit-plane
-/// per lane, one 53-bit draw and one integer compare per (cell, round).
-fn prob_planes(lanes: &PlanLanes, nonce_prefixes: &[StreamPrefix]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(lanes.prob_idx.len());
-    for (&idx, &thr_u) in lanes.prob_idx.iter().zip(&lanes.prob_thr_u) {
-        let mut plane = 0u64;
-        // Four independent hash chains per step: one chain's ~7 serial
-        // multiplies leave the multiplier idle most cycles, so the loop
-        // is latency-bound without explicit interleaving.
-        let mut chunks = nonce_prefixes.chunks_exact(4);
-        let mut r = 0usize;
-        for quad in chunks.by_ref() {
-            let &[p0, p1, p2, p3] = quad else {
-                unreachable!("chunks_exact(4) yields 4-element slices")
-            };
-            let d0 = p0.push(idx).stream().next_u64() >> 11;
-            let d1 = p1.push(idx).stream().next_u64() >> 11;
-            let d2 = p2.push(idx).stream().next_u64() >> 11;
-            let d3 = p3.push(idx).stream().next_u64() >> 11;
-            plane |= u64::from(d0 < thr_u) << r;
-            plane |= u64::from(d1 < thr_u) << (r + 1);
-            plane |= u64::from(d2 < thr_u) << (r + 2);
-            plane |= u64::from(d3 < thr_u) << (r + 3);
-            r += 4;
-        }
-        for np in chunks.remainder() {
-            let draw = np.push(idx).stream().next_u64() >> 11;
-            plane |= u64::from(draw < thr_u) << r;
-            r += 1;
-        }
-        out.push(plane);
-    }
-    out
-}
-
-/// Scatters one cell's bit-plane into the per-round failure vectors.
-fn expand_plane(plane: u64, idx: u64, rounds: &mut [Vec<u64>]) {
-    let mut bits = plane;
-    while bits != 0 {
-        let r = num::idx(bits.trailing_zeros());
-        rounds
-            .get_mut(r)
-            .expect("invariant: plane bits sit below the batch size")
-            .push(idx);
-        bits &= bits - 1;
+/// Sets `rank`'s bit in the bitmap of every round whose bit is set in
+/// one cell's bit-plane.
+fn scatter_plane(plane: u64, rank: u32, words: usize, rounds: &mut [u64]) {
+    let rank = num::idx(rank);
+    let (word, bit) = (rank / 64, 1u64 << (rank % 64));
+    let mut plane = plane;
+    while plane != 0 {
+        let r = num::idx(plane.trailing_zeros());
+        *rounds
+            .get_mut(r * words + word)
+            .expect("invariant: plane bits sit below the batch size, ranks below the bitmap") |= bit;
+        plane &= plane - 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::{SimulatedChip, Window};
+    use crate::chip::{emit_ranks, SimulatedChip, Window};
     use crate::config::RetentionConfig;
     use crate::plan::PatternLowering;
     use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
@@ -343,11 +303,10 @@ mod tests {
         let plan = TrialPlan::compile(
             chip.config(),
             chip.cells(),
+            &chip.rank_tables_for_tests().0,
             window,
             Some(&low),
-            pattern,
-            interval,
-            temp,
+            (pattern, interval, temp),
         );
         let ctx = TrialCtx {
             t_secs: interval.as_secs(),
@@ -359,6 +318,29 @@ mod tests {
             low_mu_factor: chip.config().vrt_low_mu_factor,
         };
         (plan, ctx, chip.window(interval, temp))
+    }
+
+    /// Runs one batch of `nonces` on `chip`'s chain states: each round's
+    /// failures, emitted sorted, and the final VRT chain states.
+    fn run_batch(
+        plan: &TrialPlan,
+        chip: &SimulatedChip,
+        ctx: &TrialCtx,
+        nonces: &[u64],
+    ) -> (Vec<Vec<u64>>, Vec<(u32, TwoStateVrt)>) {
+        let by_rank = chip.rank_tables_for_tests().1;
+        let words = plan.lanes.certain.len();
+        let mut bits = vec![0; nonces.len() * words];
+        let updates = plan.run_rounds(chip.base_vrt_for_tests(), &by_rank, ctx, nonces, &mut bits);
+        let rounds = bits
+            .chunks(words)
+            .map(|round| {
+                let mut failures = Vec::new();
+                emit_ranks(round, &by_rank, &mut failures);
+                failures
+            })
+            .collect();
+        (rounds, updates)
     }
 
     /// Replays `nonces` through the reference scan on a copy of `chip`,
@@ -386,15 +368,15 @@ mod tests {
         let chip = quick_chip();
         let (plan, ctx, window) = compile_pair(&chip);
         let nonces: Vec<u64> = (40..47).collect();
-        let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
+        let (rounds, vrt_updates) = run_batch(&plan, &chip, &ctx, &nonces);
         let (want, base_vrt) = reference_replay(&chip, &ctx, &window, &nonces);
-        assert_eq!(batch.rounds, want);
+        assert_eq!(rounds, want);
         // Final chain states match the merged sequential replay.
-        for (slot, state) in &batch.vrt_updates {
+        for (slot, state) in &vrt_updates {
             assert_eq!(base_vrt.get(num::idx(*slot)).expect("slot"), state);
         }
         assert_eq!(
-            batch.vrt_updates.len(),
+            vrt_updates.len(),
             plan.lanes.vrt_slot.len(),
             "one final state per VRT lane"
         );
@@ -404,16 +386,16 @@ mod tests {
     fn batch_of_one_equals_reference_scan() {
         let mut chip = quick_chip();
         let (plan, ctx, window) = compile_pair(&chip);
-        let mut batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &[99]);
+        let (mut rounds, mut vrt_updates) = run_batch(&plan, &chip, &ctx, &[99]);
         let round_ctx = TrialCtx { nonce: 99, ..ctx };
         let (fails, mut updates) = chip.reference_round_for_tests(pattern(), &window, &round_ctx);
-        assert_eq!(batch.rounds.len(), 1);
-        assert_eq!(batch.rounds.pop().expect("one round"), fails);
-        // Plan lanes are index-ordered, the scan walks window order: compare
+        assert_eq!(rounds.len(), 1);
+        assert_eq!(rounds.pop().expect("one round"), fails);
+        // Plan lanes are rank-ordered, the scan walks window order: compare
         // the chain updates slot by slot.
         updates.sort_unstable_by_key(|&(slot, _)| slot);
-        batch.vrt_updates.sort_unstable_by_key(|&(slot, _)| slot);
-        assert_eq!(batch.vrt_updates, updates);
+        vrt_updates.sort_unstable_by_key(|&(slot, _)| slot);
+        assert_eq!(vrt_updates, updates);
     }
 
     #[test]
@@ -421,12 +403,12 @@ mod tests {
         let chip = quick_chip();
         let (plan, ctx, window) = compile_pair(&chip);
         let nonces: Vec<u64> = (1000..1064).collect();
-        let batch = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
-        assert_eq!(batch.rounds.len(), MAX_BATCH_ROUNDS);
+        let (rounds, _) = run_batch(&plan, &chip, &ctx, &nonces);
+        assert_eq!(rounds.len(), MAX_BATCH_ROUNDS);
         // Every round, the last one (bit 63) included, against a
         // sequential reference replay.
         let (want, _) = reference_replay(&chip, &ctx, &window, &nonces);
-        assert_eq!(batch.rounds, want);
+        assert_eq!(rounds, want);
         assert!(!want.last().expect("64 rounds").is_empty());
     }
 
@@ -436,7 +418,7 @@ mod tests {
         let chip = quick_chip();
         let (plan, ctx, _) = compile_pair(&chip);
         let nonces: Vec<u64> = (0..65).collect();
-        let _ = plan.run_rounds(chip.base_vrt_for_tests(), &ctx, &nonces);
+        let _ = run_batch(&plan, &chip, &ctx, &nonces);
     }
 }
 

@@ -122,18 +122,10 @@ impl WeakCell {
         (self.index / row_bits, num::u64_to_u32(self.index % row_bits))
     }
 
-    /// Matches-of-4 of the neighbours of `(row, col)` against the
-    /// aggressor signature. Neighbours wrap around the chip's edges by
-    /// compare, not by modulo: `row` and `col` lie inside the geometry.
-    fn stress_at(&self, pattern: DataPattern, geometry: ChipGeometry, row: u64, col: u32) -> u8 {
-        let (last_row, last_col) = (geometry.total_rows() - 1, geometry.row_bits() - 1);
-        let north = pattern.bit_at(if row == 0 { last_row } else { row - 1 }, col);
-        let south = pattern.bit_at(if row == last_row { 0 } else { row + 1 }, col);
-        let west = pattern.bit_at(row, if col == 0 { last_col } else { col - 1 });
-        let east = pattern.bit_at(row, if col == last_col { 0 } else { col + 1 });
-        // Bit i of `stored` is neighbour i's value, in signature order.
-        let stored =
-            u8::from(north) | u8::from(south) << 1 | u8::from(west) << 2 | u8::from(east) << 3;
+    /// Matches-of-4 of the neighbours' `stored` bits (north, south, west,
+    /// east in bits 0–3, as [`DataPattern::neighbours_when`] packs them)
+    /// against the aggressor signature.
+    fn matches(&self, stored: u8) -> u8 {
         let mismatches = (stored ^ self.dpd_signature) & 0b1111;
         4 - u8::try_from(mismatches.count_ones()).expect("invariant: a 4-bit mask has at most 4 ones")
     }
@@ -144,7 +136,10 @@ impl WeakCell {
     /// into a one-byte DPD lane.
     pub fn stress_matches(&self, pattern: DataPattern, geometry: ChipGeometry) -> u8 {
         let (row, col) = self.row_col(geometry);
-        self.stress_at(pattern, geometry, row, col)
+        let stored = pattern
+            .neighbours_when(geometry, row, col, pattern.bit_at(row, col))
+            .expect("invariant: the cell stores the bit it stores");
+        self.matches(stored)
     }
 
     /// DPD stress fraction in `[0, 1]` for this cell under `pattern`:
@@ -160,14 +155,17 @@ impl WeakCell {
         pattern.bit_at(row, col)
     }
 
-    /// The polarity gate and DPD stress under `pattern` from one divmod:
-    /// [`WeakCell::stress_matches`] when the cell stores its vulnerable
-    /// bit, `None` when it cannot fail. The window scan, pattern lowering
-    /// and plan compile all gate cells through this.
+    /// The polarity gate and DPD stress under `pattern` from one divmod
+    /// and one resolution of the pattern's family
+    /// ([`DataPattern::neighbours_when`]): [`WeakCell::stress_matches`]
+    /// when the cell stores its vulnerable bit, `None` when it cannot
+    /// fail. The window scan, pattern lowering and plan compile all gate
+    /// cells through this.
     pub(crate) fn active_stress(&self, pattern: DataPattern, geometry: ChipGeometry) -> Option<u8> {
         let (row, col) = self.row_col(geometry);
-        (pattern.bit_at(row, col) == self.vulnerable_bit)
-            .then(|| self.stress_at(pattern, geometry, row, col))
+        pattern
+            .neighbours_when(geometry, row, col, self.vulnerable_bit)
+            .map(|stored| self.matches(stored))
     }
 
     /// Effective CDF mean in seconds given a temperature μ-scale factor, a

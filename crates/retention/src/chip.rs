@@ -1,5 +1,15 @@
 //! The simulated DRAM chip: weak-cell population synthesis and retention
 //! trials.
+//!
+//! Trials run in the chip's rank space. Beside the window-ordered cell
+//! array the chip keeps `index_rank` (each cell's rank among the weak
+//! cells' indices) and `by_rank` (the indices ascending). The window scan
+//! and the batch kernel record a failure as its cell's rank bit, and VRT
+//! arrivals as bits of their ranks in `arrival_order`; `emit_ranks`
+//! turns a bitmap into ascending indices. An outcome is therefore emitted
+//! sorted, with no per-trial sort or merge, and a union of same-clock
+//! trials ([`SimulatedChip::retention_trial_union`]) ORs its trials'
+//! bitmaps and emits once.
 
 use std::ops::Range;
 
@@ -386,15 +396,24 @@ impl TrialOutcome {
         Self { failures: v }
     }
 
-    /// Builds the outcome from two strictly ascending runs: the window's
-    /// failures (a kernel round, or the scan's failures sorted once) and
-    /// the arrival failures `arrival_round` emits in index order. On a chip
-    /// the runs are disjoint, since arrival indices are drawn around the
-    /// weak cells; a cell in both would count once, so this equals
-    /// [`TrialOutcome::from_unsorted`] of the concatenation.
-    fn from_sorted_runs(window: Vec<u64>, arrivals: &[u64]) -> Self {
+    /// The outcome of a trial, or of a union of same-clock trials, from
+    /// its two failure bitmaps: `window` over the weak cells' ranks
+    /// (`by_rank`) and `arrivals` over the active arrivals' ranks
+    /// (`arrival_order`).
+    fn from_rank_bits(window: &[u64], by_rank: &[u64], arrivals: &[u64], arrival_order: &[u64]) -> Self {
+        let mut failures = Vec::with_capacity(count_ranks(window));
+        emit_ranks(window, by_rank, &mut failures);
+        Self::with_arrivals(failures, arrivals, arrival_order)
+    }
+
+    /// Merges the arrival failures of the `arrivals` bitmap into the
+    /// ascending window failures `failures`. On a chip the two are
+    /// disjoint, since arrival indices are drawn around the weak cells.
+    fn with_arrivals(failures: Vec<u64>, arrivals: &[u64], arrival_order: &[u64]) -> Self {
+        let mut run = Vec::with_capacity(count_ranks(arrivals));
+        emit_ranks(arrivals, arrival_order, &mut run);
         Self {
-            failures: merge_ascending(window, arrivals),
+            failures: merge_ascending(failures, &run),
         }
     }
 
@@ -462,6 +481,14 @@ pub struct SimulatedChip {
     cells: Vec<WeakCell>,
     /// Window keys parallel to `cells`.
     sort_keys: Vec<f64>,
+    /// Parallel to `cells`: the rank of each cell's index among all the
+    /// cells' indices. Trials record failures as bits of these ranks.
+    /// Built with `by_rank` by the chip's first trial (`rank_cells`), so a
+    /// chip that is only cloned, as a population's are, never holds them.
+    index_rank: Vec<u32>,
+    /// The cells' indices by rank, ascending: a failure bitmap's emission
+    /// table.
+    by_rank: Vec<u64>,
     /// Start of the VRT segment of `cells`.
     vrt_start: usize,
     /// Two-state processes for base cells with `vrt_index`.
@@ -498,12 +525,95 @@ pub struct SimulatedChip {
     plan_cache: PlanCache,
 }
 
-/// Sets the bit of `rank` in a round's failure bitmap.
-fn set_rank(bits: &mut [u64], rank: u32) {
+/// Sets the bit of `rank` in a failure bitmap.
+pub(crate) fn set_rank(bits: &mut [u64], rank: u32) {
     let rank = num::idx(rank);
     *bits
         .get_mut(rank / 64)
-        .expect("invariant: ranks lie below arrival_order.len()") |= 1 << (rank % 64);
+        .expect("invariant: a bitmap has a bit per rank") |= 1 << (rank % 64);
+}
+
+/// Words of a bitmap with one bit per rank of `n` entries.
+pub(crate) fn rank_words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// Number of set bits of a failure bitmap.
+pub(crate) fn count_ranks(bits: &[u64]) -> usize {
+    bits.iter().map(|w| num::idx(w.count_ones())).sum()
+}
+
+/// Appends `by_rank[rank]` for every rank set in `bits`, ascending: the
+/// one emission of every trial path. Weak-cell bitmaps emit through the
+/// chip's `by_rank`, arrival bitmaps through `arrival_order`; both are
+/// ascending, so the output is sorted without a sort.
+pub(crate) fn emit_ranks(bits: &[u64], by_rank: &[u64], out: &mut Vec<u64>) {
+    for (ranks, &word) in by_rank.chunks(64).zip(bits) {
+        let mut word = word;
+        while word != 0 {
+            out.push(
+                *ranks
+                    .get(num::idx(word.trailing_zeros()))
+                    .expect("invariant: set bits are ranks below by_rank.len()"),
+            );
+            word &= word - 1;
+        }
+    }
+}
+
+/// The weak cells' rank tables: `index_rank[ord]` is the rank of cell
+/// `ord`'s index among all the cells' indices, and `by_rank` lists the
+/// indices ascending, so `by_rank[index_rank[ord]] == cells[ord].index`.
+///
+/// A counting sort into `n` buckets by the index's leading fraction
+/// `⌊index · n / (max + 1)⌋`, which is monotone in the index, then a sort
+/// of each bucket of two or more. Synthesis draws indices uniformly, so a
+/// bucket holds about one cell and the tables cost a few passes over the
+/// cells instead of a comparison sort of them all.
+fn rank_tables(cells: &[WeakCell]) -> (Vec<u32>, Vec<u64>) {
+    let n = cells.len();
+    let top = cells.iter().map(|c| u128::from(c.index)).max().map_or(1, |max| max + 1);
+    let scale = u64::try_from((u128::from(num::to_u64(n)) << 64) / top).unwrap_or(u64::MAX);
+    // Below n, since index < top.
+    let bucket = |c: &WeakCell| {
+        #[allow(clippy::cast_possible_truncation)]
+        // lint: allow(lossy-cast) the high half of a u64 × u64 product fits a u64
+        let b = ((u128::from(c.index) * u128::from(scale)) >> 64) as u64;
+        num::idx_u64(b)
+    };
+    // `ends[b + 1]` counts bucket b, then the prefix sums make `ends[b]`
+    // its start, and the scatter moves each start to the bucket's end.
+    let mut ends = vec![0u32; n + 1];
+    for c in cells {
+        // lint: allow(panic) buckets lie below n
+        ends[bucket(c) + 1] += 1;
+    }
+    for b in 1..=n {
+        // lint: allow(panic) b ≤ n < ends.len()
+        ends[b] += ends[b - 1];
+    }
+    let mut sorted = vec![(0u64, 0u32); n];
+    for (ord, c) in cells.iter().enumerate() {
+        let end = ends.get_mut(bucket(c)).expect("invariant: buckets lie below n");
+        // lint: allow(panic) a bucket's slots lie below n
+        sorted[num::idx(*end)] = (c.index, num::to_u32(ord));
+        *end += 1;
+    }
+    let mut start = 0;
+    for &end in ends.iter().take(n) {
+        let end = num::idx(end);
+        if end - start > 1 {
+            // lint: allow(panic) start ≤ end ≤ n: the bucket's slots
+            sorted[start..end].sort_unstable();
+        }
+        start = end;
+    }
+    let mut index_rank = vec![0u32; n];
+    for (rank, &(_, ord)) in sorted.iter().enumerate() {
+        // lint: allow(panic) ordinals lie below n
+        index_rank[num::idx(ord)] = num::to_u32(rank);
+    }
+    (index_rank, sorted.into_iter().map(|(index, _)| index).collect())
 }
 
 /// How one single trial is served, resolved by `route_trial`: the window
@@ -577,6 +687,8 @@ impl SimulatedChip {
         drop(drawn);
         let mut chip = Self {
             sort_keys: Vec::new(),
+            index_rank: Vec::new(),
+            by_rank: Vec::new(),
             vrt_start: 0,
             cells,
             base_vrt,
@@ -640,6 +752,13 @@ impl SimulatedChip {
             .extend(self.cells.iter().map(|c| Self::window_key_of(cfg, c)));
         stable_cosort_by_key(&mut self.sort_keys, &mut self.cells, |c| c.vrt_index.is_some());
         self.vrt_start = self.cells.partition_point(|c| c.vrt_index.is_none());
+    }
+
+    /// Builds the rank tables if no trial has yet.
+    fn rank_cells(&mut self) {
+        if self.by_rank.len() != self.cells.len() {
+            (self.index_rank, self.by_rank) = rank_tables(&self.cells);
+        }
     }
 
     /// The trial window at `(interval, temp)`.
@@ -713,6 +832,7 @@ impl SimulatedChip {
     /// sighting compiles a plan, and every trial on a cached plan runs
     /// through the bit-plane kernel as a batch of one. All routes are
     /// bit-identical to [`SimulatedChip::retention_trial_reference`].
+    /// A [`SimulatedChip::retention_trial_union`] of one pattern.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -722,7 +842,7 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
-        self.single_trial(pattern, interval, temp, true)
+        self.trial_union(&[pattern], interval, temp, true)
     }
 
     /// [`SimulatedChip::retention_trial`] through the window scan without
@@ -739,55 +859,75 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
-        self.single_trial(pattern, interval, temp, false)
+        self.trial_union(&[pattern], interval, temp, false)
     }
 
-    /// The body of both single-trial entry points; `use_caches == false`
-    /// forces the reference route.
-    fn single_trial(
+    /// One [`SimulatedChip::retention_trial`] per pattern, in order, at one
+    /// clock and condition, returning the union of their failures: the
+    /// cells that failed at least one of the trials. Bit-identical to
+    /// merging the outcomes of a `retention_trial` loop over `patterns`,
+    /// and it leaves the chip in the same state (nonces, VRT chains, the
+    /// sequential RNG, the caches). The trials OR their failures into one
+    /// weak-cell and one arrival bitmap, which are emitted once, so a
+    /// union costs one emission instead of one per trial and a merge per
+    /// trial. An empty `patterns` runs nothing.
+    ///
+    /// # Panics
+    /// Panics if `interval` is not positive.
+    pub fn retention_trial_union(
         &mut self,
-        pattern: DataPattern,
+        patterns: &[DataPattern],
+        interval: Ms,
+        temp: Celsius,
+    ) -> TrialOutcome {
+        self.trial_union(patterns, interval, temp, true)
+    }
+
+    /// The body of the single-trial and union entry points;
+    /// `use_caches == false` forces the reference route.
+    fn trial_union(
+        &mut self,
+        patterns: &[DataPattern],
         interval: Ms,
         temp: Celsius,
         use_caches: bool,
     ) -> TrialOutcome {
         assert!(interval.is_positive(), "retention interval must be positive");
-        self.process_arrivals(interval.as_secs(), temp);
-        let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
-        self.trial_nonce += 1;
+        self.rank_cells();
+        let mut window_bits = vec![0u64; rank_words(self.cells.len())];
+        let mut arrival_bits = Vec::new();
+        for &pattern in patterns {
+            // The first trial draws and retires arrivals; the clock does
+            // not move between the trials, so the rest find nothing to do,
+            // the arrival ranks stay put and the resize is a no-op.
+            self.process_arrivals(interval.as_secs(), temp);
+            arrival_bits.resize(rank_words(self.arrival_order.len()), 0);
+            let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
+            self.trial_nonce += 1;
 
-        let route = if use_caches {
-            self.route_trial(pattern, interval, temp)
-        } else {
-            self.plan_cache.stats.scalar_trials += 1;
-            TrialRoute::Scan(None, self.window(interval, temp))
-        };
-        // A kernel round comes out sorted; the scan's follows window order
-        // and is sorted once.
-        let (failures, vrt_updates) = match route {
-            TrialRoute::Plan(i) => {
-                let mut batch = self
-                    .plan_cache
-                    .plan_at(i)
-                    .run_rounds(&self.base_vrt, &ctx, &[ctx.nonce]);
-                let failures = batch
-                    .rounds
-                    .pop()
-                    .expect("invariant: one nonce in yields one round out");
-                (failures, batch.vrt_updates)
-            }
-            TrialRoute::Scan(lowering, window) => {
-                let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
-                let (mut failures, updates) = self.scalar_window_scan(pattern, &window, &ctx, lowering);
-                // Each window cell is visited once, so there is nothing to dedup.
-                failures.sort_unstable();
-                (failures, updates)
-            }
-        };
-        self.merge_vrt(vrt_updates);
-        let mut arrived = Vec::new();
-        self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrived);
-        TrialOutcome::from_sorted_runs(failures, &arrived)
+            let route = if use_caches {
+                self.route_trial(pattern, interval, temp)
+            } else {
+                self.plan_cache.stats.scalar_trials += 1;
+                TrialRoute::Scan(None, self.window(interval, temp))
+            };
+            let vrt_updates = match route {
+                TrialRoute::Plan(i) => self.plan_cache.plan_at(i).run_rounds(
+                    &self.base_vrt,
+                    &self.by_rank,
+                    &ctx,
+                    &[ctx.nonce],
+                    &mut window_bits,
+                ),
+                TrialRoute::Scan(lowering, window) => {
+                    let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
+                    self.scalar_window_scan(pattern, &window, &ctx, lowering, &mut window_bits)
+                }
+            };
+            self.merge_vrt(vrt_updates);
+            self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrival_bits);
+        }
+        TrialOutcome::from_rank_bits(&window_bits, &self.by_rank, &arrival_bits, &self.arrival_order)
     }
 
     /// The per-trial context at `(interval, temp)` for trial `nonce`.
@@ -821,30 +961,17 @@ impl SimulatedChip {
     /// A round at the clock and condition of the previous one replays its
     /// list (`replay_round`); any other walks every arrival
     /// (`full_round`). Each failure sets the bit of its rank in
-    /// `arrival_order`, and a scan of those bits replaces `failed` with
-    /// the failing indices, ascending.
-    fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, failed: &mut Vec<u64>) {
+    /// `arrival_order` in `bits`, which has a bit per active arrival and
+    /// may hold the failures of earlier same-clock rounds already: the
+    /// caller emits the union once ([`emit_ranks`]).
+    fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, bits: &mut [u64]) {
+        debug_assert_eq!(bits.len(), rank_words(self.arrival_order.len()));
         let key = [self.now_ms, t_secs, ms_scale, ss_scale].map(f64::to_bits);
-        let mut bits = vec![0u64; self.arrival_order.len().div_ceil(64)];
         if self.replay.key == Some(key) {
-            self.replay_round(&mut bits);
+            self.replay_round(bits);
         } else {
-            self.full_round(t_secs, ms_scale, ss_scale, &mut bits);
+            self.full_round(t_secs, ms_scale, ss_scale, bits);
             self.replay.key = Some(key);
-        }
-        failed.clear();
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let rank = w * 64 + num::idx(word.trailing_zeros());
-                failed.push(
-                    *self
-                        .arrival_order
-                        .get(rank)
-                        .expect("invariant: set bits are ranks of active arrivals"),
-                );
-                word &= word - 1;
-            }
         }
     }
 
@@ -900,7 +1027,9 @@ impl SimulatedChip {
     /// again, for their failure.
     fn replay_round(&mut self, bits: &mut [u64]) {
         debug_assert!(self.arrivals.iter().all(|a| !a.fresh && a.is_active(self.now_ms)));
-        bits.copy_from_slice(&self.replay.certain);
+        for (word, &certain) in bits.iter_mut().zip(&self.replay.certain) {
+            *word |= certain;
+        }
         // A local generator stays in registers through the skip loops.
         let mut rng = self.rng.clone();
         let mut next = 0;
@@ -932,39 +1061,43 @@ impl SimulatedChip {
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
-    /// evaluation order and therefore of thread count. VRT cells are
-    /// observed on a *copy* of their chain state; the caller merges the
-    /// advanced states back (each vrt_index belongs to exactly one cell,
-    /// so merges never conflict).
+    /// evaluation order and therefore of thread count. Each failure sets
+    /// the cell's rank bit in `bits` (ORed, so a union of trials can share
+    /// one bitmap), which emits in index order without a sort. VRT cells
+    /// are observed on a *copy* of their chain state; the returned updates
+    /// are merged back by the caller (each vrt_index belongs to exactly
+    /// one cell, so merges never conflict).
     fn scalar_window_scan(
         &self,
         pattern: DataPattern,
         window: &Window,
         ctx: &TrialCtx,
         lowering: Option<&PatternLowering>,
-    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
+        bits: &mut [u64],
+    ) -> Vec<(u32, TwoStateVrt)> {
         let geometry = self.cfg.geometry;
         let cells = &self.cells;
+        let cell = |ord: usize| {
+            cells
+                .get(ord)
+                .expect("invariant: window ranges and lowering ordinals index the cell array")
+        };
         match lowering {
-            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), |segment, j| {
+            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), bits, |segment, j| {
                 let (ord, lvl) = low.lane(segment, j);
-                let cell = cells
-                    .get(ord)
-                    .expect("invariant: lowering ordinals index the cell array it was built from");
-                Some((cell, f64::from(lvl) / 4.0))
+                Some((ord, cell(ord), f64::from(lvl) / 4.0))
             }),
-            None => self.scan_lanes(ctx, window, |_, i| {
-                let cell = cells.get(i).expect("invariant: window ranges lie inside the cell array");
-                let lvl = cell.active_stress(pattern, geometry)?;
-                Some((cell, f64::from(lvl) / 4.0))
+            None => self.scan_lanes(ctx, window, bits, |_, ord| {
+                let lvl = cell(ord).active_stress(pattern, geometry)?;
+                Some((ord, cell(ord), f64::from(lvl) / 4.0))
             }),
         }
     }
 
     /// The scan body over the positions of `lanes` (cells or lowering
     /// lanes), one range per window segment: `cell_at(segment, i)` yields
-    /// the cell at position `i` and its DPD stress fraction, or `None` for
-    /// a polarity-inactive cell. Generic so
+    /// the ordinal of the cell at position `i`, the cell and its DPD
+    /// stress fraction, or `None` for a polarity-inactive cell. Generic so
     /// each lane source compiles to its own loop. It runs inline on the
     /// calling thread at every thread count: a window of a few thousand
     /// cells is tens of microseconds of work, too little to repay a
@@ -973,24 +1106,21 @@ impl SimulatedChip {
         &self,
         ctx: &TrialCtx,
         lanes: &Window,
-        cell_at: impl Fn(usize, usize) -> Option<(&'c WeakCell, f64)>,
-    ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        // The VRT range bounds the chain updates and the window bounds the
-        // failures, so neither vector regrows (regrowing both in lockstep
-        // fragments the heap of long drift runs). Every visited cell is
-        // written to the next failure slot and the slot is kept only if
-        // the cell failed: a store and an add instead of a branch on a
-        // draw that goes either way.
+        bits: &mut [u64],
+        cell_at: impl Fn(usize, usize) -> Option<(usize, &'c WeakCell, f64)>,
+    ) -> Vec<(u32, TwoStateVrt)> {
+        // The VRT range bounds the chain updates, so the vector never
+        // regrows. A visited cell ORs its outcome into its rank bit: a
+        // shift and an OR instead of a branch on a draw that goes either
+        // way.
         let [_, vrt_lanes] = lanes;
-        let mut failures = vec![0; window_len(lanes)];
-        let mut failed = 0;
         let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
         let positions = lanes
             .iter()
             .enumerate()
             .flat_map(|(segment, range)| range.clone().map(move |j| (segment, j)));
         for (segment, j) in positions {
-            let Some((cell, stress)) = cell_at(segment, j) else {
+            let Some((ord, cell, stress)) = cell_at(segment, j) else {
                 continue;
             };
             let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
@@ -1015,14 +1145,17 @@ impl SimulatedChip {
                 continue;
             }
             let fails = z > Z_CUTOFF || below_phi(lane.next_f64(), z);
-            *failures
-                .get_mut(failed)
-                .expect("invariant: each window position fills at most one failure slot") = cell.index;
-            failed += usize::from(fails);
+            let rank = num::idx(
+                *self
+                    .index_rank
+                    .get(ord)
+                    .expect("invariant: index_rank is parallel to the cell array"),
+            );
+            *bits
+                .get_mut(rank / 64)
+                .expect("invariant: the bitmap has a bit per cell") |= u64::from(fails) << (rank % 64);
         }
-        failures.truncate(failed);
-        failures.shrink_to_fit();
-        (failures, vrt_updates)
+        vrt_updates
     }
 
     /// One reference-scan round at `ctx` (no lowering) with its VRT
@@ -1036,9 +1169,19 @@ impl SimulatedChip {
         window: &Window,
         ctx: &TrialCtx,
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
-        let (failures, updates) = self.scalar_window_scan(pattern, window, ctx, None);
+        self.rank_cells();
+        let mut bits = vec![0; rank_words(self.cells.len())];
+        let updates = self.scalar_window_scan(pattern, window, ctx, None, &mut bits);
         self.merge_vrt(updates.clone());
-        (TrialOutcome::from_unsorted(failures).into_vec(), updates)
+        let mut failures = Vec::new();
+        emit_ranks(&bits, &self.by_rank, &mut failures);
+        (failures, updates)
+    }
+
+    /// The rank tables, for in-crate tests that run plans directly.
+    #[cfg(test)]
+    pub(crate) fn rank_tables_for_tests(&self) -> (Vec<u32>, Vec<u64>) {
+        rank_tables(&self.cells)
     }
 
     /// Resolves how a single trial is served: a cached plan, a plan
@@ -1094,7 +1237,14 @@ impl SimulatedChip {
             low.extend(&self.cells, self.cfg.geometry, &window);
             &*low
         });
-        let plan = TrialPlan::compile(&self.cfg, &self.cells, window, lowering, pattern, interval, temp);
+        let plan = TrialPlan::compile(
+            &self.cfg,
+            &self.cells,
+            &self.index_rank,
+            window,
+            lowering,
+            (pattern, interval, temp),
+        );
         self.plan_cache.stats.plans_compiled += 1;
         self.plan_cache.insert_plan(plan)
     }
@@ -1178,6 +1328,7 @@ impl SimulatedChip {
 
         let first_nonce = self.trial_nonce;
         self.trial_nonce += num::to_u64(schedule.len());
+        self.rank_cells();
 
         // Group schedule positions by exact condition, first-seen order.
         struct Group {
@@ -1204,6 +1355,8 @@ impl SimulatedChip {
 
         let mut failures_by_pos: Vec<Option<Vec<u64>>> = vec![None; schedule.len()];
         let mut cancelled = false;
+        let words = rank_words(self.cells.len());
+        let mut bits = Vec::new();
         'groups: for g in &groups {
             // Per-round nonces come from the batch.
             let ctx = self.trial_ctx(g.interval, g.temp, 0);
@@ -1224,13 +1377,23 @@ impl SimulatedChip {
                     .iter()
                     .map(|&pos| first_nonce + num::to_u64(pos))
                     .collect();
-                let batch = self
-                    .plan_cache
-                    .plan_at(plan)
-                    .run_rounds(&self.base_vrt, &ctx, &nonces);
+                bits.clear();
+                bits.resize(chunk.len() * words, 0);
+                let updates = self.plan_cache.plan_at(plan).run_rounds(
+                    &self.base_vrt,
+                    &self.by_rank,
+                    &ctx,
+                    &nonces,
+                    &mut bits,
+                );
                 self.count_plan_trials(num::to_u64(chunk.len()));
-                self.merge_vrt(batch.vrt_updates);
-                for (&pos, fails) in chunk.iter().zip(batch.rounds) {
+                self.merge_vrt(updates);
+                for (r, &pos) in chunk.iter().enumerate() {
+                    let round = bits
+                        .get(r * words..(r + 1) * words)
+                        .expect("invariant: the batch holds one bitmap per round");
+                    let mut fails = Vec::with_capacity(count_ranks(round));
+                    emit_ranks(round, &self.by_rank, &mut fails);
                     *failures_by_pos
                         .get_mut(pos)
                         .expect("invariant: positions enumerate the schedule") = Some(fails);
@@ -1250,20 +1413,21 @@ impl SimulatedChip {
 
         // Replay arrivals on the sequential RNG in schedule order, over
         // exactly the completed prefix, and merge each position's arrival
-        // run into its kernel round.
+        // failures into its kernel round.
         let mut outcomes = Vec::with_capacity(completed);
-        let mut arrived = Vec::new();
+        let mut arrived = vec![0; rank_words(self.arrival_order.len())];
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
             let failures = slot
                 .take()
                 .expect("invariant: positions before the prefix boundary are filled");
+            arrived.fill(0);
             self.arrival_round(
                 interval.as_secs(),
                 self.cfg.mu_temp_scale(temp),
                 self.cfg.sigma_temp_scale(temp),
                 &mut arrived,
             );
-            outcomes.push(TrialOutcome::from_sorted_runs(failures, &arrived));
+            outcomes.push(TrialOutcome::with_arrivals(failures, &arrived, &self.arrival_order));
         }
         PartialTrials {
             outcomes,
@@ -1704,16 +1868,31 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn sorted_run_merge_equals_from_unsorted(
-            window in proptest::collection::btree_set(0u64..200, 0..40),
-            arrivals in proptest::collection::btree_set(0u64..200, 0..24),
+        fn rank_bit_assembly_equals_from_unsorted(
+            cells in proptest::collection::btree_set(0u64..400, 0..64),
+            side in 0u64..u64::MAX,
+            window_fails in 0u64..u64::MAX,
+            arrival_fails in 0u64..u64::MAX,
         ) {
-            // Runs drawn from one range overlap; the merge must still equal
-            // a full sort and dedup of the concatenation.
-            let window: Vec<u64> = window.into_iter().collect();
-            let arrivals: Vec<u64> = arrivals.into_iter().collect();
-            let want = TrialOutcome::from_unsorted([window.clone(), arrivals.clone()].concat());
-            proptest::prop_assert_eq!(TrialOutcome::from_sorted_runs(window, &arrivals), want);
+            // Disjoint weak-cell and arrival index sets, as on a chip (bit
+            // `k` of `side` puts the k-th cell among the arrivals), each
+            // with an arbitrary failure bitmap over its ranks: the
+            // emissions and their back merge must equal a full sort of the
+            // failing indices.
+            let (mut by_rank, mut arrival_order) = (Vec::new(), Vec::new());
+            for (k, cell) in cells.into_iter().enumerate() {
+                if side >> k & 1 == 1 { arrival_order.push(cell) } else { by_rank.push(cell) }
+            }
+            fn fails(mask: u64, order: &[u64]) -> (u64, &[u64]) {
+                (mask & 1u64.checked_shl(num::to_u32(order.len())).map_or(u64::MAX, |b| b - 1), order)
+            }
+            let (window, arrivals) = (fails(window_fails, &by_rank), fails(arrival_fails, &arrival_order));
+            let failing = |(mask, order): (u64, &[u64])| -> Vec<u64> {
+                order.iter().enumerate().filter(|(k, _)| mask >> k & 1 == 1).map(|(_, &i)| i).collect()
+            };
+            let want = TrialOutcome::from_unsorted([failing(window), failing(arrivals)].concat());
+            let got = TrialOutcome::from_rank_bits(&[window.0], &by_rank, &[arrivals.0], &arrival_order);
+            proptest::prop_assert_eq!(got, want);
         }
     }
 
@@ -1775,8 +1954,10 @@ mod tests {
                 let mut want = draw_order_round(&mut reference, t, ms, ss);
                 want.sort_unstable();
                 let replays = chip.replay.key == Some([chip.now_ms, t, ms, ss].map(f64::to_bits));
-                let mut got = vec![u64::MAX];
-                chip.arrival_round(t, ms, ss, &mut got);
+                let mut bits = vec![0; rank_words(chip.arrival_order.len())];
+                chip.arrival_round(t, ms, ss, &mut bits);
+                let mut got = Vec::new();
+                emit_ranks(&bits, &chip.arrival_order, &mut got);
                 assert!(got.is_sorted_by(|a, b| a < b), "emission must be strictly ascending");
                 assert_eq!(got, want);
                 assert_eq!(chip.rng, reference.rng, "the same draws, in the same order");
@@ -1811,6 +1992,30 @@ mod tests {
         let chip = SimulatedChip::new(quick_cfg(), 15);
         let bits = chip.config().represented_bits;
         assert!((chip.ber_of_count(bits as usize) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn by_rank_is_ascending_and_inverts_index_rank() {
+        // A synthesized chip; indices near the top of the range, all in one
+        // bucket; dense indices, one to a bucket; no cells.
+        let mut chip = SimulatedChip::new(quick_cfg(), 18);
+        let (mut huge, mut dense) = (chip.cells()[..100].to_vec(), chip.cells()[..100].to_vec());
+        for (k, (top, low)) in huge.iter_mut().zip(&mut dense).enumerate() {
+            top.index = u64::MAX - 7 * (k as u64 * 37 % 101);
+            low.index = k as u64 * 37 % 101;
+        }
+        for cells in [chip.cells(), &huge[..], &dense[..], &[]] {
+            let (index_rank, by_rank) = rank_tables(cells);
+            assert_eq!((index_rank.len(), by_rank.len()), (cells.len(), cells.len()));
+            assert!(by_rank.is_sorted_by(|a, b| a < b), "by_rank must be strictly ascending");
+            for (cell, &rank) in cells.iter().zip(&index_rank) {
+                assert_eq!(by_rank[rank as usize], cell.index);
+            }
+        }
+        // The first trial builds the tables of the window-ordered cells.
+        assert!(chip.by_rank.is_empty());
+        let _ = chip.retention_trial(DataPattern::solid0(), Ms::new(1024.0), Celsius::new(60.0));
+        assert_eq!(rank_tables(chip.cells()), (chip.index_rank.clone(), chip.by_rank.clone()));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   and a profiling job lowers ~750 cells of a ~6.3k-cell chip.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
 //!   trial window all the way to per-cell integer thresholds
-//!   `ceil(phi(z) · 2⁵³)`, stored in index-sorted lanes that the
-//!   bit-plane kernel ([`crate::batch`]) runs — no erf, no struct chasing,
-//!   no VRT copy for non-VRT cells.
+//!   `ceil(phi(z) · 2⁵³)`, stored in rank-keyed lanes (see `PlanLanes`)
+//!   that the bit-plane kernel ([`crate::batch`]) runs — no erf, no struct
+//!   chasing, no VRT copy for non-VRT cells.
 //!
 //! A single trial whose condition is seen for the first time runs the
 //! window scan (with a lowering, built over its window, once its pattern
@@ -49,8 +49,8 @@
 //! μ, σ, z with the exact same floating-point expression order, so the
 //! cached threshold decides exactly as `next_f64() < phi(z)` would in the
 //! scan. Because every hash lane is keyed by its own (cell, nonce), lane
-//! order is outcome-neutral; outcomes are sorted and VRT writes are
-//! per-slot — hence identical at any thread count. See DESIGN.md
+//! order is outcome-neutral; failures are bits of a bitmap and VRT writes
+//! are per-slot — hence identical at any thread count. See DESIGN.md
 //! §"Compiled trial plans".
 
 use reaper_analysis::special::phi;
@@ -59,7 +59,7 @@ use reaper_exec::num;
 
 use crate::batch::u53_threshold;
 use crate::cell::WeakCell;
-use crate::chip::{window_len, Window, Z_CUTOFF};
+use crate::chip::{count_ranks, rank_words, set_rank, window_len, Window, Z_CUTOFF};
 use crate::config::RetentionConfig;
 
 /// Counters describing how trials were served; see
@@ -247,35 +247,56 @@ fn threshold_of(z: f64) -> f64 {
     }
 }
 
-/// The compiled SoA lanes of a [`TrialPlan`].
+/// The compiled lanes of a [`TrialPlan`], in the chip's rank space: a
+/// cell is named by the rank of its index among the chip's weak cells
+/// (`index_rank`), and the chip's `by_rank` table turns a rank back into
+/// the index where a lane hashes or a round is emitted.
 ///
-/// Each lane class is sorted ascending by cell index, so the kernel
-/// emits sorted rounds by merging the three classes instead of sorting.
-/// Lane order is outcome-neutral: every hash lane is keyed by its own
-/// (cell, nonce) and every VRT lane owns its chain slot.
+/// The in-band and VRT lanes are sorted ascending by rank, which is index
+/// order, so the kernel reads `by_rank` front to back. Lane order is
+/// outcome-neutral: every hash lane is keyed by its own (cell, nonce),
+/// every VRT lane owns its chain slot, and a round's failures are bits of
+/// a bitmap.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct PlanLanes {
-    /// Non-VRT cells with `z > Z_CUTOFF`: fail every round, no draw.
+    /// Non-VRT cells with `z > Z_CUTOFF`, which fail every round with no
+    /// draw: a bitmap with a bit per rank (`⌈cells/64⌉` words), ORed into
+    /// every round as it is.
     pub(crate) certain: Vec<u64>,
-    /// In-band non-VRT lanes (structure-of-arrays, index-aligned): the
-    /// cell index and its threshold `phi(z)` rescaled to
-    /// `ceil(phi(z) · 2⁵³)`, so `(next_u64() >> 11) < prob_thr_u[i]` iff
-    /// `next_f64() < phi(z)`, exactly (see [`crate::batch::u53_threshold`]).
-    pub(crate) prob_idx: Vec<u64>,
+    /// In-band non-VRT lanes (structure-of-arrays, parallel): the cell's
+    /// rank and its threshold `phi(z)` rescaled to `ceil(phi(z) · 2⁵³)`,
+    /// so `(next_u64() >> 11) < prob_thr_u[i]` iff `next_f64() < phi(z)`,
+    /// exactly (see [`crate::batch::u53_threshold`]).
+    pub(crate) prob_rank: Vec<u32>,
     pub(crate) prob_thr_u: Vec<u64>,
-    /// VRT lanes: base_vrt slot, cell index, and per-cell `[high, low]`
+    /// VRT lanes: base_vrt slot, cell rank, and per-cell `[high, low]`
     /// state thresholds (flattened pairs, sentinel-encoded).
     pub(crate) vrt_slot: Vec<u32>,
-    pub(crate) vrt_idx: Vec<u64>,
+    pub(crate) vrt_rank: Vec<u32>,
     pub(crate) vrt_thr: Vec<f64>,
+}
+
+impl PlanLanes {
+    /// Heap bytes held by each lane class: certain, in-band, VRT.
+    #[cfg(test)]
+    pub(crate) fn class_bytes(&self) -> [usize; 3] {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        [
+            bytes(&self.certain),
+            bytes(&self.prob_rank) + bytes(&self.prob_thr_u),
+            bytes(&self.vrt_slot) + bytes(&self.vrt_rank) + bytes(&self.vrt_thr),
+        ]
+    }
 }
 
 /// Tier 2: a fully compiled plan for one `(pattern, interval, temp)`.
 ///
 /// Non-VRT cells are resolved at compile time into three classes: certain
 /// pass (dropped — no lane, no draw, exactly like the window scan),
-/// certain fail (index emitted verbatim each round), and in-band (one
-/// uniform draw against the cached `phi(z)`). VRT cells keep both per-state
+/// certain fail (a rank bit set in every round), and in-band (one uniform
+/// draw against the cached `phi(z)`). VRT cells keep both per-state
 /// thresholds and are observed every round, exactly like the window scan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrialPlan {
@@ -289,43 +310,49 @@ pub(crate) struct TrialPlan {
 
 impl TrialPlan {
     /// Compiles the plan over `window`, the chip's trial window at
-    /// `(interval, temp)` ([`crate::chip::window_ranges`]). When a
+    /// `(interval, temp)` ([`crate::chip::window_ranges`]), naming each
+    /// cell by `index_rank` (parallel to `cells`). When a
     /// [`PatternLowering`] for the same pattern, extended to `window`, is
     /// available its packed lanes shortcut the polarity/stress scan; with
     /// or without one the resulting plan is identical.
     pub(crate) fn compile(
         cfg: &RetentionConfig,
         cells: &[WeakCell],
+        index_rank: &[u32],
         window: Window,
         lowering: Option<&PatternLowering>,
-        pattern: DataPattern,
-        interval: Ms,
-        temp: Celsius,
+        (pattern, interval, temp): (DataPattern, Ms, Celsius),
     ) -> Self {
         let t = interval.as_secs();
         let ms_scale = cfg.mu_temp_scale(temp);
         let ss_scale = cfg.sigma_temp_scale(temp);
         let geometry = cfg.geometry;
 
-        let mut certain = Vec::new();
-        let mut prob: Vec<(u64, u64)> = Vec::new();
+        let mut certain = vec![0; rank_words(cells.len())];
+        let mut prob: Vec<(u32, u64)> = Vec::new();
         // The window's VRT range bounds the VRT lanes (see the scan).
         let [_, vrt_cells] = &window;
-        let mut vrt: Vec<(u64, u32, [f64; 2])> = Vec::with_capacity(vrt_cells.len());
-        let mut add = |cell: &WeakCell, lvl: u8| {
+        let mut vrt: Vec<(u32, u32, [f64; 2])> = Vec::with_capacity(vrt_cells.len());
+        let mut add = |ord: usize, lvl: u8| {
+            let cell = cells
+                .get(ord)
+                .expect("invariant: window ranges and lowering ordinals index the cell array");
+            let rank = *index_rank
+                .get(ord)
+                .expect("invariant: index_rank is parallel to the cell array");
             let stress = f64::from(lvl) / 4.0;
             let z = |vrt_factor| cell.z_score(t, ms_scale, ss_scale, stress, vrt_factor);
             match cell.vrt_index {
                 Some(slot) => {
                     let thr = [z(1.0), z(cfg.vrt_low_mu_factor)].map(threshold_of);
-                    vrt.push((cell.index, slot, thr));
+                    vrt.push((rank, slot, thr));
                 }
                 None => {
                     let z = z(1.0);
                     if z > Z_CUTOFF {
-                        certain.push(cell.index);
+                        set_rank(&mut certain, rank);
                     } else if z >= -Z_CUTOFF {
-                        prob.push((cell.index, u53_threshold(phi(z))));
+                        prob.push((rank, u53_threshold(phi(z))));
                     }
                     // z < -Z_CUTOFF: certain pass, dropped — the scan
                     // opens a lane but draws nothing for these, so
@@ -340,39 +367,33 @@ impl TrialPlan {
                 for (segment, lanes) in low.active_lanes(&window).into_iter().enumerate() {
                     for j in lanes {
                         let (ord, lvl) = low.lane(segment, j);
-                        let cell = cells
-                            .get(ord)
-                            .expect("invariant: lowering ordinals index the cell array it was built from");
-                        add(cell, lvl);
+                        add(ord, lvl);
                     }
                 }
             }
             None => {
-                for i in window.clone().into_iter().flatten() {
+                for ord in window.clone().into_iter().flatten() {
                     let cell = cells
-                        .get(i)
+                        .get(ord)
                         .expect("invariant: window ranges lie inside the cell array");
                     if let Some(lvl) = cell.active_stress(pattern, geometry) {
-                        add(cell, lvl);
+                        add(ord, lvl);
                     }
                 }
             }
         }
 
-        // Cells were visited in window-key order; store each class by index.
-        // `certain` grew by doubling and is kept as long as the plan: trim
-        // its spare capacity (a standard-set cycle keeps 24 plans resident).
-        certain.sort_unstable();
-        certain.shrink_to_fit();
-        prob.sort_unstable_by_key(|&(idx, _)| idx);
-        vrt.sort_unstable_by_key(|&(idx, ..)| idx);
-        let (prob_idx, prob_thr_u) = prob.into_iter().unzip();
+        // Cells were visited in window-key order; store the lanes by rank.
+        // Each lane is collected from an exact-size iterator, so none holds
+        // spare capacity (a standard-set cycle keeps 24 plans resident).
+        prob.sort_unstable_by_key(|&(rank, _)| rank);
+        vrt.sort_unstable_by_key(|&(rank, ..)| rank);
         let lanes = PlanLanes {
             certain,
-            prob_idx,
-            prob_thr_u,
+            prob_rank: prob.iter().map(|&(rank, _)| rank).collect(),
+            prob_thr_u: prob.iter().map(|&(_, thr)| thr).collect(),
             vrt_slot: vrt.iter().map(|&(_, slot, _)| slot).collect(),
-            vrt_idx: vrt.iter().map(|&(idx, ..)| idx).collect(),
+            vrt_rank: vrt.iter().map(|&(rank, ..)| rank).collect(),
             vrt_thr: vrt.iter().flat_map(|&(.., thr)| thr).collect(),
         };
         Self {
@@ -384,19 +405,20 @@ impl TrialPlan {
 
     /// The lane invariants the kernel relies on: parallel lanes have equal
     /// lengths, the three lane classes fit inside the trial window they
-    /// partition, and each class is strictly ascending by cell index.
-    /// Checked via `debug_assert!`.
+    /// partition, and the in-band and VRT lanes are strictly ascending by
+    /// rank and inside the certain bitmap's ranks. Checked via
+    /// `debug_assert!`.
     pub(crate) fn lanes_consistent(&self) -> bool {
         let lanes = &self.lanes;
-        let n = lanes.prob_idx.len();
-        let ascending = |v: &[u64]| v.is_sorted_by(|a, b| a < b);
+        let n = lanes.prob_rank.len();
+        let ranks = lanes.certain.len() * 64;
+        let ranked = |v: &[u32]| v.is_sorted_by(|a, b| a < b) && v.last().is_none_or(|&r| num::idx(r) < ranks);
         n == lanes.prob_thr_u.len()
-            && lanes.vrt_slot.len() == lanes.vrt_idx.len()
+            && lanes.vrt_slot.len() == lanes.vrt_rank.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
-            && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.window_cells
-            && ascending(&lanes.certain)
-            && ascending(&lanes.prob_idx)
-            && ascending(&lanes.vrt_idx)
+            && count_ranks(&lanes.certain) + n + lanes.vrt_rank.len() <= self.window_cells
+            && ranked(&lanes.prob_rank)
+            && ranked(&lanes.vrt_rank)
     }
 }
 
@@ -557,7 +579,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::SimulatedChip;
+    use crate::chip::{emit_ranks, SimulatedChip};
     use reaper_dram_model::Vendor;
 
     fn quick_chip() -> SimulatedChip {
@@ -621,6 +643,25 @@ mod tests {
         }
     }
 
+    /// Compiles the plan of `(pattern, interval, temp)` on `chip`, with or
+    /// without a lowering.
+    fn compile(
+        chip: &SimulatedChip,
+        lowering: Option<&PatternLowering>,
+        condition: (DataPattern, Ms, Celsius),
+    ) -> TrialPlan {
+        let (_, interval, temp) = condition;
+        let (index_rank, _) = chip.rank_tables_for_tests();
+        TrialPlan::compile(
+            chip.config(),
+            chip.cells(),
+            &index_rank,
+            chip.window(interval, temp),
+            lowering,
+            condition,
+        )
+    }
+
     #[test]
     fn compile_with_and_without_lowering_is_identical() {
         let chip = quick_chip();
@@ -629,41 +670,27 @@ mod tests {
         let temp = Celsius::new(60.0);
         let window = chip.window(interval, temp);
         let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
-        let direct = TrialPlan::compile(
-            chip.config(),
-            chip.cells(),
-            window,
-            None,
-            pattern,
-            interval,
-            temp,
-        );
-        let via_lowering = TrialPlan::compile(
-            chip.config(),
-            chip.cells(),
-            chip.window(interval, temp),
-            Some(&low),
-            pattern,
-            interval,
-            temp,
-        );
+        let direct = compile(&chip, None, (pattern, interval, temp));
+        let via_lowering = compile(&chip, Some(&low), (pattern, interval, temp));
         assert_eq!(direct, via_lowering);
         assert!(direct.lanes_consistent());
         // the three classes partition the polarity-active window
         let lanes = &direct.lanes;
-        let n_lanes = lanes.certain.len() + lanes.prob_idx.len() + lanes.vrt_idx.len();
+        let n_lanes = count_ranks(&lanes.certain) + lanes.prob_rank.len() + lanes.vrt_rank.len();
         assert!(n_lanes <= direct.window_cells);
-        assert!(!lanes.prob_idx.is_empty(), "expected in-band cells");
+        assert!(!lanes.prob_rank.is_empty(), "expected in-band cells");
     }
 
     #[test]
-    fn compiled_lane_classes_are_index_sorted() {
-        // The kernel merges the three classes into sorted rounds, so each
-        // must come out of compile strictly ascending by cell index —
-        // although compile visits cells in window-key order. Several
-        // conditions, with and without a lowering, on a chip with VRT
-        // cells so every class is populated.
+    fn compiled_lane_classes_are_rank_sorted_and_disjoint() {
+        // The kernel reads `by_rank` front to back along the in-band and
+        // VRT lanes, so each must come out of compile strictly ascending
+        // by rank — although compile visits cells in window-key order —
+        // and no rank may sit in two classes. Several conditions, with
+        // and without a lowering, on a chip with VRT cells so every class
+        // is populated.
         let chip = quick_chip();
+        let by_rank = chip.rank_tables_for_tests().1;
         let mut populated = [false; 3];
         for (pattern, interval_ms, temp_c) in [
             (DataPattern::checkerboard(), 1024.0, 60.0),
@@ -674,30 +701,48 @@ mod tests {
             let window = chip.window(interval, temp);
             let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
             for lowering in [None, Some(&low)] {
-                let plan = TrialPlan::compile(
-                    chip.config(),
-                    chip.cells(),
-                    chip.window(interval, temp),
-                    lowering,
-                    pattern,
-                    interval,
-                    temp,
-                );
+                let plan = compile(&chip, lowering, (pattern, interval, temp));
                 let lanes = &plan.lanes;
-                for (class, idx) in [&lanes.certain, &lanes.prob_idx, &lanes.vrt_idx]
-                    .into_iter()
-                    .enumerate()
-                {
+                let mut certain = Vec::new();
+                emit_ranks(&lanes.certain, &by_rank, &mut certain);
+                let mut all = certain.clone();
+                for (class, ranks) in [&lanes.prob_rank, &lanes.vrt_rank].into_iter().enumerate() {
                     assert!(
-                        idx.windows(2).all(|w| w[0] < w[1]),
-                        "lane class {class} not index-sorted at {interval_ms} ms / {temp_c} °C"
+                        ranks.windows(2).all(|w| w[0] < w[1]),
+                        "lane class {class} not rank-sorted at {interval_ms} ms / {temp_c} °C"
                     );
-                    populated[class] |= idx.len() > 1;
+                    all.extend(ranks.iter().map(|&r| by_rank[r as usize]));
+                    populated[class + 1] |= ranks.len() > 1;
                 }
+                populated[0] |= certain.len() > 1;
+                let n = all.len();
+                all.sort_unstable();
+                all.dedup();
+                assert_eq!(all.len(), n, "a cell sits in two lane classes");
                 assert!(plan.lanes_consistent());
             }
         }
         assert_eq!(populated, [true; 3], "every lane class must be exercised");
+    }
+
+    #[test]
+    fn plan_lane_bytes_match_the_rank_layout() {
+        // Per class: the certain-fail bitmap holds ⌈cells/64⌉ words; an
+        // in-band lane is a u32 rank and a u64 threshold (12 bytes); a VRT
+        // lane a u32 slot, a u32 rank and two f64 thresholds (24 bytes).
+        // No lane holds spare capacity.
+        let chip = quick_chip();
+        for (pattern, interval_ms) in [(DataPattern::checkerboard(), 1024.0), (DataPattern::solid0(), 3072.0)] {
+            let plan = compile(&chip, None, (pattern, Ms::new(interval_ms), Celsius::new(60.0)));
+            let lanes = &plan.lanes;
+            let (prob, vrt) = (lanes.prob_rank.len(), lanes.vrt_rank.len());
+            assert!(prob > 0 && vrt > 0 && count_ranks(&lanes.certain) > 0);
+            assert_eq!(
+                lanes.class_bytes(),
+                [chip.cells().len().div_ceil(64) * 8, prob * 12, vrt * 24],
+                "{pattern} at {interval_ms} ms"
+            );
+        }
     }
 
     #[test]
@@ -747,14 +792,10 @@ mod tests {
         assert!(cache.note_pattern(pat));
 
         let chip = quick_chip();
-        let plan = TrialPlan::compile(
-            chip.config(),
-            chip.cells(),
-            chip.window(Ms::new(512.0), Celsius::new(45.0)),
+        let plan = compile(
+            &chip,
             None,
-            reaper_dram_model::DataPattern::solid0(),
-            Ms::new(512.0),
-            Celsius::new(45.0),
+            (DataPattern::solid0(), Ms::new(512.0), Celsius::new(45.0)),
         );
         let low = PatternLowering::covering(
             chip.cells(),
@@ -809,14 +850,10 @@ mod tests {
 
         let chip = quick_chip();
         for i in 0..(PLAN_CAP + 4) {
-            let plan = TrialPlan::compile(
-                chip.config(),
-                chip.cells(),
-                chip.window(Ms::new(512.0), Celsius::new(45.0)),
+            let plan = compile(
+                &chip,
                 None,
-                reaper_dram_model::DataPattern::random(i as u64),
-                Ms::new(512.0),
-                Celsius::new(45.0),
+                (DataPattern::random(i as u64), Ms::new(512.0), Celsius::new(45.0)),
             );
             cache.insert_plan(plan);
         }

@@ -9,6 +9,13 @@
 //! edge value (zeros of both signs, subnormals, the chamber and interval
 //! bounds and their neighbours, huge values, infinities, NaN).
 //!
+//! Those generators stay far below the job-size bound, so a second
+//! generator draws otherwise-valid requests whose cost (capacity ×
+//! longest interval × rounds) lies within a factor of two of
+//! `MAX_JOB_COST` on either side, the bound itself included: `validate`
+//! and `POST /v1/jobs` must reject exactly the ones over it, and no
+//! worker may see those.
+//!
 //! Run in release, as the service CI job does (a debug build runs an
 //! eighth of the cases):
 //!
@@ -22,10 +29,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
-use reaper_core::{PatternSpec, ProfilingRequest, MAX_PROFILED_INTERVAL_MS};
+use reaper_core::{
+    PatternSpec, ProfilingRequest, JOB_COST_MIN_INTERVAL_MS, MAX_JOB_COST, MAX_PROFILED_INTERVAL_MS,
+};
 use reaper_dram_model::Vendor;
 use reaper_portfolio::PortfolioRequest;
-use reaper_serve::{ConnectionPool, Server, ServerConfig};
+use reaper_serve::api::{encode_job_body, parse_job_body};
+use reaper_serve::{ConnectionPool, JobRequest, Server, ServerConfig};
 
 /// The thermal chamber's range in °C (`reaper_softmc::thermal`).
 const CHAMBER: (f64, f64) = (40.0, 55.0);
@@ -209,5 +219,124 @@ fn oversized_jobs_get_a_400_from_post_jobs() {
             .expect("the server answers");
         assert_eq!(response.status, 400, "{body}");
     }
+    server.shutdown();
+}
+
+/// The reach offset a portfolio job's cost counts: the interval offset of
+/// its hottest candidate strategy.
+const PORTFOLIO_REACH_MS: f64 = 512.0;
+
+/// A job's cost as `validate` counts it, in the same expression order.
+fn job_cost(num: u64, den: u64, longest_ms: f64, rounds: u32) -> f64 {
+    num as f64 / den as f64 * longest_ms.max(JOB_COST_MIN_INTERVAL_MS) * f64::from(rounds)
+}
+
+/// An otherwise-valid profiling or portfolio request whose cost lies
+/// within a factor of two of [`MAX_JOB_COST`], with its cost. Half the
+/// draws take a power-of-two capacity and longest interval, whose costs
+/// land on the bound exactly.
+fn sized_request(rng: &mut TestRng) -> (JobRequest, f64) {
+    let portfolio = rng.below(2) == 1;
+    let reach = if portfolio { PORTFOLIO_REACH_MS } else { 0.0 };
+    let (num, den) = (1 + rng.below(4), 1 << rng.below(7));
+    // From 512 ms (1,024 for a portfolio, whose target must stay
+    // positive), below the interval the cost stops shrinking at.
+    let shortest = if portfolio { 10 } else { 9 };
+    let longest = if rng.below(2) == 0 {
+        f64::from(1u32 << (shortest + rng.below(14 - shortest)))
+    } else {
+        let lo = f64::from(1u32 << shortest);
+        lo + (MAX_PROFILED_INTERVAL_MS - lo) * rng.next_f64()
+    };
+    let cost = |rounds| job_cost(num, den, longest, rounds);
+    let goal = MAX_JOB_COST * (0.5 + 1.5 * rng.next_f64());
+    // The rounds whose cost is nearest the goal or, one draw in four, the
+    // most rounds within the bound or one more, within the rounds cap.
+    let rounds = if rng.below(4) == 0 {
+        let within = (1..64).rev().find(|&r| cost(r) <= MAX_JOB_COST).unwrap_or(1);
+        within + u32::from(rng.below(2) == 1)
+    } else {
+        (1..=64)
+            .min_by(|&a, &b| (cost(a) - goal).abs().total_cmp(&(cost(b) - goal).abs()))
+            .expect("a nonempty range")
+    };
+    let (target, reach_delta) = if portfolio {
+        (longest - reach, 0.0)
+    } else {
+        let target = (longest * (0.5 + 0.5 * rng.next_f64())).max(64.0);
+        (target, longest - target)
+    };
+    let vendor = one_of(rng, &Vendor::ALL);
+    let patterns = one_of(rng, &[PatternSpec::Standard, PatternSpec::RandomOnly]);
+    let request = if portfolio {
+        JobRequest::Portfolio(PortfolioRequest {
+            vendor,
+            capacity_num: num,
+            capacity_den: den,
+            seed: rng.next_u64(),
+            target_interval_ms: target,
+            target_ambient_c: 45.0,
+            coverage_goal: 0.95,
+            max_fpr: 0.5,
+            rounds,
+            patterns,
+        })
+    } else {
+        JobRequest::Profiling(ProfilingRequest {
+            vendor,
+            capacity_num: num,
+            capacity_den: den,
+            seed: rng.next_u64(),
+            target_interval_ms: target,
+            target_ambient_c: 45.0,
+            reach_delta_ms: reach_delta,
+            reach_delta_temp_c: 5.0 * rng.next_f64(),
+            rounds,
+            patterns,
+        })
+    };
+    (request, job_cost(num, den, target + reach_delta + reach, rounds))
+}
+
+#[test]
+fn exactly_the_jobs_over_the_size_bound_are_rejected() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: 4,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let pool = ConnectionPool::new(server.local_addr(), 1);
+    let mut rng = TestRng::from_seed(0x51_2E);
+    let (mut over, mut under, mut on_bound) = (0, 0, 0);
+    for _ in 0..400 {
+        let (request, cost) = sized_request(&mut rng);
+        let body = encode_job_body(&request);
+        let verdict = request.validate();
+        // The body a client sends parses back to the request `POST`
+        // validates.
+        let parsed = parse_job_body(body.as_bytes()).expect("an encoded request parses");
+        assert_eq!(parsed.validate().is_ok(), verdict.is_ok(), "{body}");
+        if cost > MAX_JOB_COST {
+            over += 1;
+            let e = verdict.expect_err("over the job-size bound");
+            assert!(e.to_string().contains("too large"), "{e}: {body}");
+            let response = pool
+                .request("POST", "/v1/jobs", &[], body.as_bytes())
+                .expect("the server answers");
+            assert_eq!(response.status, 400, "{body}");
+        } else {
+            // Accepted, but not run here: a job at the bound takes a
+            // second or more.
+            verdict.unwrap_or_else(|e| panic!("{e}: {body}"));
+            under += 1;
+            on_bound += usize::from(cost == MAX_JOB_COST);
+        }
+    }
+    assert!(over > 100 && under > 100 && on_bound > 10, "{over} over, {under} under, {on_bound} on the bound");
+    // No rejected job reached the queue.
+    let metrics = pool.request("GET", "/metrics", &[], b"").expect("the server answers");
+    let text = String::from_utf8(metrics.body).expect("metrics are UTF-8");
+    assert!(text.lines().any(|l| l == "reaper_jobs_submitted_total 0"), "{text}");
     server.shutdown();
 }
