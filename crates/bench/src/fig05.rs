@@ -5,8 +5,7 @@
 //! reaches — full coverage on its own; a robust profiler needs multiple
 //! patterns.
 
-use std::collections::BTreeSet;
-
+use reaper_core::merge_sorted_union;
 use reaper_dram_model::{Celsius, DataPattern, Ms, PatternFamily};
 
 use crate::table::{fmt_pct, Scale, Table};
@@ -31,19 +30,24 @@ pub fn run(scale: Scale) -> Table {
     let temp = dram_temp(Celsius::new(45.0));
     let interval = Ms::new(2048.0);
 
-    let mut per_family: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); PatternFamily::ALL.len()];
-    let mut grand: BTreeSet<u64> = BTreeSet::new();
+    // Sorted, deduplicated cell sets. `grand` holds every family's set,
+    // so a cell new to it is new to its family too: each union merges
+    // into its family's set first, then what was new there into `grand`.
+    let mut per_family: Vec<Vec<u64>> = vec![Vec::new(); PatternFamily::ALL.len()];
+    let mut grand: Vec<u64> = Vec::new();
     let mut rows: Vec<(u64, Vec<f64>)> = Vec::new();
 
     for it in 0..iterations {
         chip.advance(Ms::from_secs(secs_per_iter));
         for (fi, &family) in PatternFamily::ALL.iter().enumerate() {
+            // A pattern and its inverse as one union: one walk of the
+            // window serves both trials.
             let base = pattern_for(family, it);
-            for p in [base, base.inverse()] {
-                let found = chip.retention_trial(p, interval, temp).into_vec();
-                per_family[fi].extend(found.iter().copied());
-                grand.extend(found);
-            }
+            let mut found = chip
+                .retention_trial_union(&[base, base.inverse()], interval, temp)
+                .into_vec();
+            merge_sorted_union(&mut per_family[fi], &mut found);
+            merge_sorted_union(&mut grand, &mut found);
         }
         if checkpoints.contains(&(it + 1)) {
             let total = grand.len().max(1) as f64;

@@ -190,39 +190,70 @@ impl DataPattern {
     /// assert_eq!(cb.neighbours_when(g, 1, 1, true), None);
     /// ```
     pub fn neighbours_when(self, geometry: ChipGeometry, row: u64, col: u32, own: bool) -> Option<u8> {
+        self.gather(geometry, row, col, Some(own)).map(|(_, around)| around)
+    }
+
+    /// The bit the cell at `(row, col)` of `geometry` stores and those of
+    /// its four neighbours, packed as in [`DataPattern::neighbours_when`]:
+    /// one gather serves both members of a pattern/inverse pair, since
+    /// the inverse stores the complement of all five.
+    ///
+    /// # Example
+    /// ```
+    /// use reaper_dram_model::{ChipGeometry, DataPattern};
+    ///
+    /// let g = ChipGeometry::small();
+    /// let cb = DataPattern::checkerboard();
+    /// assert_eq!(cb.neighbourhood(g, 1, 1), (false, 0b1111));
+    /// assert_eq!(cb.inverse().neighbourhood(g, 1, 1), (true, 0b0000));
+    /// ```
+    pub fn neighbourhood(self, geometry: ChipGeometry, row: u64, col: u32) -> (bool, u8) {
+        // A gather with no required own bit always yields.
+        self.gather(geometry, row, col, None).unwrap_or_default()
+    }
+
+    /// The cell's own bit and its neighbours' bits, or `None` when `own`
+    /// names a bit the cell does not store. The family is resolved once
+    /// for all five bits, where five [`DataPattern::bit_at`] calls
+    /// resolve it five times.
+    #[inline(always)]
+    fn gather(self, geometry: ChipGeometry, row: u64, col: u32, own: Option<bool>) -> Option<(bool, u8)> {
         let p = self.param;
         let (g, r, c) = (geometry, row, col);
-        // One arm per family, each with its own closure type, so `gather`
-        // is compiled once per family with the family a constant.
+        // One arm per family, each with its own closure type, so
+        // `gather_family` is compiled once per family with the family a
+        // constant.
         match self.family {
-            PatternFamily::Solid => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Solid, p, r, c)),
+            PatternFamily::Solid => self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::Solid, p, r, c)),
             PatternFamily::Checkerboard => {
-                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Checkerboard, p, r, c))
+                self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::Checkerboard, p, r, c))
             }
             PatternFamily::RowStripe => {
-                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::RowStripe, p, r, c))
+                self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::RowStripe, p, r, c))
             }
             PatternFamily::ColStripe => {
-                self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::ColStripe, p, r, c))
+                self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::ColStripe, p, r, c))
             }
-            PatternFamily::Walking => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Walking, p, r, c)),
-            PatternFamily::Random => self.gather(g, r, c, own, |r, c| base_bit(PatternFamily::Random, p, r, c)),
+            PatternFamily::Walking => {
+                self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::Walking, p, r, c))
+            }
+            PatternFamily::Random => self.gather_family(g, r, c, own, |r, c| base_bit(PatternFamily::Random, p, r, c)),
         }
     }
 
-    /// [`DataPattern::neighbours_when`] over one family's `base` bit
-    /// function.
+    /// [`DataPattern::gather`] over one family's `base` bit function.
     #[inline(always)]
-    fn gather(
+    fn gather_family(
         self,
         geometry: ChipGeometry,
         row: u64,
         col: u32,
-        own: bool,
+        own: Option<bool>,
         base: impl Fn(u64, u32) -> bool,
-    ) -> Option<u8> {
+    ) -> Option<(bool, u8)> {
         let bit = |r, c| base(r, c) ^ self.inverted;
-        if bit(row, col) != own {
+        let stored = bit(row, col);
+        if own.is_some_and(|own| own != stored) {
             return None;
         }
         // Neighbours wrap by compare, not by modulo: `row` and `col` lie
@@ -232,7 +263,7 @@ impl DataPattern {
         let south = bit(if row == last_row { 0 } else { row + 1 }, col);
         let west = bit(row, if col == 0 { last_col } else { col - 1 });
         let east = bit(row, if col == last_col { 0 } else { col + 1 });
-        Some(u8::from(north) | u8::from(south) << 1 | u8::from(west) << 2 | u8::from(east) << 3)
+        Some((stored, u8::from(north) | u8::from(south) << 1 | u8::from(west) << 2 | u8::from(east) << 3))
     }
 
     /// The paper's standard profiling set: six families and their inverses
@@ -344,6 +375,8 @@ mod tests {
                     let want = around.iter().enumerate().fold(0u8, |m, (i, &b)| m | u8::from(b) << i);
                     assert_eq!(p.neighbours_when(g, row, col, own), Some(want), "{p} at ({row}, {col})");
                     assert_eq!(p.neighbours_when(g, row, col, !own), None, "{p} at ({row}, {col})");
+                    assert_eq!(p.neighbourhood(g, row, col), (own, want), "{p} at ({row}, {col})");
+                    assert_eq!(p.inverse().neighbourhood(g, row, col), (!own, !want & 0b1111), "{p} at ({row}, {col})");
                 }
             }
         }

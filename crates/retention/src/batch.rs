@@ -15,7 +15,8 @@
 //! trailing-zeros iteration (the gsim2 word-packed SoA trick). The caller
 //! emits a round once through the chip's rank table, so it comes out
 //! sorted with no merge; a single trial ORs its round straight into its
-//! union's bitmap.
+//! union's bitmap. A batch of one skips the planes' scatter: each lane ORs
+//! its 0-or-1 outcome into the round as a value, with no branch on it.
 //!
 //! Two further per-draw savings fall out of the inversion:
 //!
@@ -25,11 +26,16 @@
 //!   each `nonce` extension once per batch (not once per cell) via
 //!   [`StreamPrefix`]; the per-(cell, round) cost drops to one `push` +
 //!   finalize (~7 multiplies) from the ~17 of hashing the full tuple.
-//! * **Integer-domain compares.** The plan carries `prob_thr_u[i] =
-//!   ceil(thr · 2⁵³)` ([`u53_threshold`]), so the kernel compares the raw
-//!   53-bit draw `next_u64() >> 11` against it — exactly equivalent to
-//!   `next_f64() < thr` (see the proof on [`u53_threshold`]) without the
-//!   int→float convert in the hottest loop.
+//! * **Certified integer-domain compares.** The scan fails a cell iff
+//!   `next_f64() < phi(z)`, which is `k < T` for the raw 53-bit draw
+//!   `k = next_u64() >> 11` and `T = ceil(phi(z) · 2⁵³)`
+//!   ([`u53_threshold`]). A plan stores no `T`, which would cost a `phi`
+//!   per lane at compile time, but the certified floor
+//!   `L = ⌊(Φ̃(z) − ε) · 2⁵³⌋` from the Φ table
+//!   ([`crate::cell::phi_floor_u53`]): `k < L` fails, `k ≥ L + W` passes,
+//!   and only a draw in the band between (about 4e-6 of them) makes the
+//!   kernel recompute `T` from the cell, through the chip's rank →
+//!   ordinal table.
 //!
 //! # Determinism contract
 //!
@@ -50,7 +56,8 @@
 use reaper_exec::num;
 use reaper_exec::rng::StreamPrefix;
 
-use crate::chip::TRIAL_DOMAIN;
+use crate::cell::PHI_BAND_U53;
+use crate::chip::{SimulatedChip, TRIAL_DOMAIN};
 use crate::plan::{TrialCtx, TrialPlan, CERTAIN_FAIL, CERTAIN_PASS};
 use crate::vrt::TwoStateVrt;
 
@@ -58,7 +65,7 @@ use crate::vrt::TwoStateVrt;
 pub const MAX_BATCH_ROUNDS: usize = 64;
 
 /// `2⁵³` as an (exactly representable) `f64`.
-const U53_SCALE: f64 = 9_007_199_254_740_992.0;
+pub(crate) const U53_SCALE: f64 = 9_007_199_254_740_992.0;
 
 /// Rescales an in-band probability threshold to the integer domain of the
 /// generator's 53-bit draws: `(next_u64() >> 11) < u53_threshold(thr)` iff
@@ -94,18 +101,18 @@ impl TrialPlan {
     /// observations overwrite earlier ones slot-wise.
     ///
     /// `ctx.nonce` is ignored (each lane key takes its nonce from
-    /// `nonces`); all rounds share `ctx.now_ms`; `by_rank` turns a lane's
-    /// rank into the index its hash lane is keyed by. Outcomes are
-    /// bit-identical to running the window scan once per nonce in order,
-    /// merging each round's VRT updates into `base_vrt` between calls.
+    /// `nonces`); all rounds share `ctx.now_ms`; the chip's rank tables
+    /// (built) turn a lane's rank into the index its hash lane is keyed
+    /// by. Outcomes are bit-identical to running the window scan once per
+    /// nonce in order, merging each round's VRT updates into the chip
+    /// between calls.
     ///
     /// # Panics
     /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`], or
     /// if `rounds` does not hold one bitmap per nonce.
     pub(crate) fn run_rounds(
         &self,
-        base_vrt: &[TwoStateVrt],
-        by_rank: &[u64],
+        chip: &SimulatedChip,
         ctx: &TrialCtx,
         nonces: &[u64],
         rounds: &mut [u64],
@@ -137,16 +144,61 @@ impl TrialPlan {
             .push(TRIAL_DOMAIN);
         let nonce_prefixes: Vec<StreamPrefix> =
             nonces.iter().map(|&nonce| trial_prefix.push(nonce)).collect();
+        let by_rank = chip.by_rank();
         let index_of = |rank: u32| {
             *by_rank
                 .get(num::idx(rank))
                 .expect("invariant: plan ranks lie below the chip's cell count")
         };
+        // A batch of one ORs each lane's outcome into its round as a
+        // value: its plane is 0 or 1, and a branch on it would go either
+        // way. Larger batches scatter a plane's set bits.
+        let mut record = |plane: u64, rank: u32| {
+            if k == 1 {
+                let rank = num::idx(rank);
+                *rounds
+                    .get_mut(rank / 64)
+                    .expect("invariant: plan ranks lie below the bitmap") |= plane << (rank % 64);
+            } else {
+                scatter_plane(plane, rank, words, rounds);
+            }
+        };
 
-        // In-band non-VRT lanes, cell-major, on the calling thread.
-        for (&rank, &thr_u) in lanes.prob_rank.iter().zip(&lanes.prob_thr_u) {
-            let plane = prob_plane(index_of(rank), thr_u, &nonce_prefixes);
-            scatter_plane(plane, rank, words, rounds);
+        // In-band non-VRT lanes, cell-major, on the calling thread. A draw
+        // in a lane's band is decided against its exact threshold,
+        // recomputed from the cell. A batch of one has no rounds to run
+        // abreast, so it draws four lanes abreast instead; larger batches
+        // draw each lane's rounds four abreast (`prob_plane`).
+        let exact = |rank: u32| move || self.exact_threshold(chip, ctx, rank);
+        if let [np] = *nonce_prefixes {
+            let mut single = |rank: u32, lo: u64, d: u64| {
+                let (fails, band) = first_pass(d, lo);
+                record(settle_band(u64::from(fails), u64::from(band), exact(rank), |_| d), rank);
+            };
+            let (ranks, los) = (lanes.prob_rank.chunks_exact(4), lanes.prob_lo.chunks_exact(4));
+            let tail = ranks.remainder().iter().zip(los.remainder());
+            for quad in ranks.zip(los) {
+                let (&[r0, r1, r2, r3], &[l0, l1, l2, l3]) = quad else {
+                    unreachable!("chunks_exact(4) yields 4-element slices")
+                };
+                let [d0, d1, d2, d3] = [r0, r1, r2, r3].map(|rank| draw(np, index_of(rank)));
+                single(r0, l0, d0);
+                single(r1, l1, d1);
+                single(r2, l2, d2);
+                single(r3, l3, d3);
+            }
+            for (&rank, &lo) in tail {
+                single(rank, lo, draw(np, index_of(rank)));
+            }
+        } else {
+            for (&rank, &lo) in lanes.prob_rank.iter().zip(&lanes.prob_lo) {
+                let idx = index_of(rank);
+                let (plane, band) = prob_plane(idx, lo, &nonce_prefixes);
+                let plane = settle_band(plane, band, exact(rank), |r| {
+                    draw(*nonce_prefixes.get(r).expect("invariant: band bits sit below the batch size"), idx)
+                });
+                record(plane, rank);
+            }
         }
 
         // VRT lanes: sequential per-cell replay across the batch,
@@ -163,7 +215,8 @@ impl TrialPlan {
             let [thr_high, thr_low]: [f64; 2] = pair
                 .try_into()
                 .expect("invariant: vrt_thr holds two thresholds per cell");
-            let mut vrt = *base_vrt
+            let mut vrt = *chip
+                .base_vrt()
                 .get(num::idx(slot))
                 .expect("invariant: plan VRT slots are positions pushed into base_vrt");
             let idx = index_of(rank);
@@ -182,16 +235,37 @@ impl TrialPlan {
                 plane |= u64::from(fails) << r;
             }
             vrt_updates.push((slot, vrt));
-            scatter_plane(plane, rank, words, rounds);
+            record(plane, rank);
         }
         vrt_updates
     }
 }
 
-/// The cell-major hot loop of one in-band non-VRT lane: its bit-plane,
-/// one 53-bit draw and one integer compare per round.
-fn prob_plane(idx: u64, thr_u: u64, nonce_prefixes: &[StreamPrefix]) -> u64 {
-    let mut plane = 0u64;
+/// The 53-bit failure draw of the cell at index `idx` in the round whose
+/// nonce prefix is `np`: the first draw of its hash lane.
+fn draw(np: StreamPrefix, idx: u64) -> u64 {
+    np.push(idx).stream().next_u64() >> 11
+}
+
+/// The first-pass decision of a 53-bit draw `d` against an in-band lane's
+/// certified floor `lo` ([`crate::cell::phi_floor_u53`]): whether it fails for
+/// certain, and whether it falls in the band above the floor, which only
+/// the exact threshold decides. A draw in the band does not fail here.
+#[inline(always)]
+fn first_pass(d: u64, lo: u64) -> (bool, bool) {
+    (d < lo, d.wrapping_sub(lo) < PHI_BAND_U53)
+}
+
+/// The cell-major hot loop of one in-band non-VRT lane: its first-pass
+/// bit-plane and the rounds whose draws fell in its band, one 53-bit draw
+/// and two integer compares per round.
+fn prob_plane(idx: u64, lo: u64, nonce_prefixes: &[StreamPrefix]) -> (u64, u64) {
+    let (mut plane, mut band) = (0u64, 0u64);
+    let mut mark = |d: u64, r: usize| {
+        let (fails, in_band) = first_pass(d, lo);
+        plane |= u64::from(fails) << r;
+        band |= u64::from(in_band) << r;
+    };
     // Four independent hash chains per step: one chain's ~7 serial
     // multiplies leave the multiplier idle most cycles, so the loop is
     // latency-bound without explicit interleaving.
@@ -201,20 +275,34 @@ fn prob_plane(idx: u64, thr_u: u64, nonce_prefixes: &[StreamPrefix]) -> u64 {
         let &[p0, p1, p2, p3] = quad else {
             unreachable!("chunks_exact(4) yields 4-element slices")
         };
-        let d0 = p0.push(idx).stream().next_u64() >> 11;
-        let d1 = p1.push(idx).stream().next_u64() >> 11;
-        let d2 = p2.push(idx).stream().next_u64() >> 11;
-        let d3 = p3.push(idx).stream().next_u64() >> 11;
-        plane |= u64::from(d0 < thr_u) << r;
-        plane |= u64::from(d1 < thr_u) << (r + 1);
-        plane |= u64::from(d2 < thr_u) << (r + 2);
-        plane |= u64::from(d3 < thr_u) << (r + 3);
+        let (d0, d1, d2, d3) = (draw(p0, idx), draw(p1, idx), draw(p2, idx), draw(p3, idx));
+        mark(d0, r);
+        mark(d1, r + 1);
+        mark(d2, r + 2);
+        mark(d3, r + 3);
         r += 4;
     }
-    for np in chunks.remainder() {
-        let draw = np.push(idx).stream().next_u64() >> 11;
-        plane |= u64::from(draw < thr_u) << r;
+    for &np in chunks.remainder() {
+        mark(draw(np, idx), r);
         r += 1;
+    }
+    (plane, band)
+}
+
+/// Decides the rounds of `band` (their draws fell in the lane's band, so
+/// their `plane` bits are clear) against the lane's exact threshold,
+/// computed only if `band` has a round: round `r` fails iff
+/// `draw_of(r) < exact()`. About 4e-6 of draws land here.
+fn settle_band(plane: u64, band: u64, exact: impl FnOnce() -> u64, draw_of: impl Fn(usize) -> u64) -> u64 {
+    if band == 0 {
+        return plane;
+    }
+    let exact = exact();
+    let (mut plane, mut band) = (plane, band);
+    while band != 0 {
+        let r = num::idx(band.trailing_zeros());
+        plane |= u64::from(draw_of(r) < exact) << r;
+        band &= band - 1;
     }
     plane
 }
@@ -237,7 +325,8 @@ fn scatter_plane(plane: u64, rank: u32, words: usize, rounds: &mut [u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chip::{emit_ranks, SimulatedChip, Window};
+    use crate::cell::phi_floor_u53;
+    use crate::chip::{emit_ranks, SimulatedChip, Window, Z_CUTOFF};
     use crate::config::RetentionConfig;
     use crate::plan::PatternLowering;
     use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
@@ -282,9 +371,42 @@ mod tests {
         }
     }
 
+    /// A small chip with its rank tables built.
+    #[test]
+    fn certified_floor_decides_as_the_exact_threshold() {
+        // On a dense grid over the band (both ends included) and at draws
+        // on either side of the floor, the band's top and the exact
+        // threshold T, the kernel's first pass plus its band fallback
+        // answer exactly `d < T`; the band holds T.
+        use reaper_analysis::special::phi;
+        let steps = 1u32 << 14;
+        let mut in_band = 0;
+        for k in 0..=8 * steps {
+            let z = -Z_CUTOFF + f64::from(k) / f64::from(steps);
+            let lo = phi_floor_u53(z);
+            let exact = u53_threshold(phi(z));
+            assert!(lo < exact && exact < lo + PHI_BAND_U53, "z {z}: L {lo}, T {exact}");
+            assert_eq!(first_pass(lo - 1, lo), (true, false), "z {z}");
+            assert_eq!(first_pass(lo + PHI_BAND_U53, lo), (false, false), "z {z}");
+            for d in [lo - 1, lo, lo + PHI_BAND_U53 - 1, lo + PHI_BAND_U53, exact - 1, exact] {
+                let (fails, band) = first_pass(d, lo);
+                in_band += usize::from(band);
+                let plane = settle_band(u64::from(fails), u64::from(band), || exact, |r| {
+                    assert_eq!(r, 0, "one round");
+                    d
+                });
+                assert_eq!(plane == 1, d < exact, "z {z}, d {d}: L {lo}, T {exact}");
+            }
+        }
+        assert_eq!(in_band, 4 * (8 * steps as usize + 1), "L, L + W − 1, T − 1 and T lie in the band");
+    }
+
+    /// A small chip with its rank tables built.
     fn quick_chip() -> SimulatedChip {
         let cfg = RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 16);
-        SimulatedChip::new(cfg, 0xBC417)
+        let mut chip = SimulatedChip::new(cfg, 0xBC417);
+        chip.rank_cells();
+        chip
     }
 
     /// The pattern every plan here is compiled for.
@@ -328,15 +450,14 @@ mod tests {
         ctx: &TrialCtx,
         nonces: &[u64],
     ) -> (Vec<Vec<u64>>, Vec<(u32, TwoStateVrt)>) {
-        let by_rank = chip.rank_tables_for_tests().1;
         let words = plan.lanes.certain.len();
         let mut bits = vec![0; nonces.len() * words];
-        let updates = plan.run_rounds(chip.base_vrt_for_tests(), &by_rank, ctx, nonces, &mut bits);
+        let updates = plan.run_rounds(chip, ctx, nonces, &mut bits);
         let rounds = bits
             .chunks(words)
             .map(|round| {
                 let mut failures = Vec::new();
-                emit_ranks(round, &by_rank, &mut failures);
+                emit_ranks(round, chip.by_rank(), &mut failures);
                 failures
             })
             .collect();
@@ -360,7 +481,7 @@ mod tests {
                 chip.reference_round_for_tests(pattern(), window, &round_ctx).0
             })
             .collect();
-        (rounds, chip.base_vrt_for_tests().to_vec())
+        (rounds, chip.base_vrt().to_vec())
     }
 
     #[test]
@@ -410,6 +531,37 @@ mod tests {
         let (want, _) = reference_replay(&chip, &ctx, &window, &nonces);
         assert_eq!(rounds, want);
         assert!(!want.last().expect("64 rounds").is_empty());
+    }
+
+    #[test]
+    fn a_failing_draw_in_a_band_is_decided_exactly() {
+        // The first nonce at which an in-band lane draws inside its band
+        // and below its exact threshold: the round fails the cell only
+        // through the band fallback. That round, alone, leading a batch
+        // and inside a full one, matches the reference scan.
+        let chip = quick_chip();
+        let (plan, ctx, window) = compile_pair(&chip);
+        let by_rank = chip.by_rank();
+        let trial_prefix = StreamPrefix::root().push(ctx.stream_base).push(TRIAL_DOMAIN);
+        let lanes = &plan.lanes;
+        let (nonce, rank) = (0..1u64 << 24)
+            .find_map(|nonce| {
+                let np = trial_prefix.push(nonce);
+                lanes.prob_rank.iter().zip(&lanes.prob_lo).find_map(|(&rank, &lo)| {
+                    let d = draw(np, by_rank[rank as usize]);
+                    let fails_in_band = first_pass(d, lo) == (false, true)
+                        && d < plan.exact_threshold(&chip, &ctx, rank);
+                    fails_in_band.then_some((nonce, rank))
+                })
+            })
+            .expect("a failing band draw within 2^24 nonces");
+        let index = by_rank[rank as usize];
+        for nonces in [vec![nonce], vec![nonce, nonce + 1, nonce + 2], (nonce..nonce + 64).collect()] {
+            let (rounds, _) = run_batch(&plan, &chip, &ctx, &nonces);
+            assert!(rounds[0].contains(&index), "the band draw fails its cell");
+            let (want, _) = reference_replay(&chip, &ctx, &window, &nonces);
+            assert_eq!(rounds, want, "{} rounds from nonce {nonce}", nonces.len());
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use reaper_dram_model::{ChipGeometry, DataPattern};
 use reaper_analysis::special::phi;
 use reaper_exec::num;
 
+use crate::batch::U53_SCALE;
 use crate::chip::Z_CUTOFF;
 
 /// Interpolation-table nodes per unit of z. The table covers the band
@@ -63,6 +64,36 @@ pub(crate) fn below_phi(u: f64, z: f64) -> bool {
     match phi_approx(z) {
         Some(approx) if (u - approx).abs() > PHI_EPS => u < approx,
         _ => u < phi(z),
+    }
+}
+
+/// Width of the band of 53-bit draws, starting at a compiled lane's
+/// certified floor ([`phi_floor_u53`]), that the floor cannot decide: at
+/// least `⌈2·PHI_EPS·2⁵³⌉ + 3` (the cast truncates, hence `+ 4`).
+#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+// lint: allow(lossy-cast) a positive constant near 3.6e10, far inside u64
+pub(crate) const PHI_BAND_U53: u64 = (2.0 * PHI_EPS * U53_SCALE) as u64 + 4;
+
+/// The certified floor `L = ⌊(Φ̃(z) − PHI_EPS)·2⁵³⌋` of an in-band
+/// compiled lane, `|z| ≤ Z_CUTOFF`, against the exact threshold
+/// `T = u53_threshold(phi(z))` of [`crate::batch::u53_threshold`]: a
+/// 53-bit draw `d < L` is below `T` and one `d ≥ L + PHI_BAND_U53` is not,
+/// so only a draw in the band between needs `T`, and with it `phi`.
+///
+/// Proof: `phi(z) > Φ̃(z) − ε`, and the margin between them, at least
+/// `ε − 1.2e-7`, is ~1.7e10 units of 2⁻⁵³, far more than the under one
+/// unit by which the subtraction and the floor can move `L`; so `L < T`.
+/// And `T < phi(z)·2⁵³ + 1 < (Φ̃(z) + ε)·2⁵³ + 1 ≤ L + 2ε·2⁵³ + 3`,
+/// counting a unit each for the floor and the rounding: `T < L + W`.
+/// The crate's third certified compare, after [`below_phi`] and
+/// [`phi_at_least`], and the plan compile's: it calls no `phi`.
+pub(crate) fn phi_floor_u53(z: f64) -> u64 {
+    let approx = phi_approx(z).expect("invariant: in-band lanes have |z| <= Z_CUTOFF");
+    let floor = ((approx - PHI_EPS) * U53_SCALE).floor();
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    {
+        // lint: allow(lossy-cast) Φ̃(z) − ε lies in (0, 1) on the band: the floor is integral and below 2^53
+        floor as u64
     }
 }
 
@@ -166,6 +197,19 @@ impl WeakCell {
         pattern
             .neighbours_when(geometry, row, col, self.vulnerable_bit)
             .map(|stored| self.matches(stored))
+    }
+
+    /// The member of the pair `(pattern, pattern.inverse())` that
+    /// activates the cell (`true` for the inverse) and its DPD stress
+    /// there, from one gather ([`DataPattern::neighbourhood`]): every
+    /// cell stores its vulnerable bit under exactly one member, and the
+    /// inverse stores the complement of all five bits, so its matches-of-4
+    /// are those of the complemented neighbours.
+    pub(crate) fn pair_stress(&self, pattern: DataPattern, geometry: ChipGeometry) -> (bool, u8) {
+        let (row, col) = self.row_col(geometry);
+        let (own, stored) = pattern.neighbourhood(geometry, row, col);
+        let inverse = own != self.vulnerable_bit;
+        (inverse, self.matches(stored ^ (u8::from(inverse) * 0b1111)))
     }
 
     /// Effective CDF mean in seconds given a temperature μ-scale factor, a

@@ -19,7 +19,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use reaper_analysis::dist::{Exponential, LogNormal, Poisson};
 use reaper_exec::cancel::CancelToken;
 use reaper_exec::num;
-use reaper_exec::rng::stream;
+use reaper_exec::rng::StreamPrefix;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 
 use crate::batch::MAX_BATCH_ROUNDS;
@@ -489,6 +489,10 @@ pub struct SimulatedChip {
     /// The cells' indices by rank, ascending: a failure bitmap's emission
     /// table.
     by_rank: Vec<u64>,
+    /// The cells' ordinals by rank, inverting `index_rank`: the batch
+    /// kernel's way from a lane back to its cell, for the rare draw its
+    /// certified threshold cannot decide.
+    rank_ord: Vec<u32>,
     /// Start of the VRT segment of `cells`.
     vrt_start: usize,
     /// Two-state processes for base cells with `vrt_index`.
@@ -562,15 +566,16 @@ pub(crate) fn emit_ranks(bits: &[u64], by_rank: &[u64], out: &mut Vec<u64>) {
 }
 
 /// The weak cells' rank tables: `index_rank[ord]` is the rank of cell
-/// `ord`'s index among all the cells' indices, and `by_rank` lists the
-/// indices ascending, so `by_rank[index_rank[ord]] == cells[ord].index`.
+/// `ord`'s index among all the cells' indices, `by_rank` lists the
+/// indices ascending, so `by_rank[index_rank[ord]] == cells[ord].index`,
+/// and `rank_ord` the ordinals, so `rank_ord[index_rank[ord]] == ord`.
 ///
 /// A counting sort into `n` buckets by the index's leading fraction
 /// `⌊index · n / (max + 1)⌋`, which is monotone in the index, then a sort
 /// of each bucket of two or more. Synthesis draws indices uniformly, so a
 /// bucket holds about one cell and the tables cost a few passes over the
 /// cells instead of a comparison sort of them all.
-fn rank_tables(cells: &[WeakCell]) -> (Vec<u32>, Vec<u64>) {
+fn rank_tables(cells: &[WeakCell]) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
     let n = cells.len();
     let top = cells.iter().map(|c| u128::from(c.index)).max().map_or(1, |max| max + 1);
     let scale = u64::try_from((u128::from(num::to_u64(n)) << 64) / top).unwrap_or(u64::MAX);
@@ -613,16 +618,33 @@ fn rank_tables(cells: &[WeakCell]) -> (Vec<u32>, Vec<u64>) {
         // lint: allow(panic) ordinals lie below n
         index_rank[num::idx(ord)] = num::to_u32(rank);
     }
-    (index_rank, sorted.into_iter().map(|(index, _)| index).collect())
+    let rank_ord = sorted.iter().map(|&(_, ord)| ord).collect();
+    (index_rank, sorted.into_iter().map(|(index, _)| index).collect(), rank_ord)
 }
 
-/// How one single trial is served, resolved by `route_trial`: the window
-/// scan over the trial window (with the cached lowering at this position,
-/// already extended to the window, if any) or the kernel on the cached
-/// plan at this position.
+/// How one single trial is served, resolved by `route_trial`. Routes name
+/// their lowering and plan by pattern and key, so a pair's two routes can
+/// both be resolved before either runs.
 enum TrialRoute {
-    Scan(Option<usize>, Window),
-    Plan(usize),
+    /// The window scan over the trial window, fed by the pattern's cached
+    /// lowering, already extended to the window, when `lowered`.
+    Scan { lowered: bool, window: Window },
+    /// The kernel on the cached plan of `key`. `compile` carries the
+    /// window of a plan whose slot this sighting reserved
+    /// ([`TrialPlan::pending`]), to be compiled before it runs.
+    Plan { key: PlanKey, compile: Option<Window> },
+}
+
+/// Where a window scan takes its cells from.
+enum ScanLanes<'a> {
+    /// Every cell of the window, gated by the pattern's polarity.
+    Cells,
+    /// The polarity-active cells of the pattern's lowering.
+    Lowered(&'a PatternLowering),
+    /// Every cell of the window, for the pair of the pattern and its
+    /// inverse: each cell is active under exactly one member, and one
+    /// active under the inverse draws on the next nonce, its trial's.
+    Pair,
 }
 
 impl SimulatedChip {
@@ -689,6 +711,7 @@ impl SimulatedChip {
             sort_keys: Vec::new(),
             index_rank: Vec::new(),
             by_rank: Vec::new(),
+            rank_ord: Vec::new(),
             vrt_start: 0,
             cells,
             base_vrt,
@@ -755,10 +778,26 @@ impl SimulatedChip {
     }
 
     /// Builds the rank tables if no trial has yet.
-    fn rank_cells(&mut self) {
+    pub(crate) fn rank_cells(&mut self) {
         if self.by_rank.len() != self.cells.len() {
-            (self.index_rank, self.by_rank) = rank_tables(&self.cells);
+            (self.index_rank, self.by_rank, self.rank_ord) = rank_tables(&self.cells);
         }
+    }
+
+    /// The weak cells' indices by rank, ascending (`rank_cells` first).
+    pub(crate) fn by_rank(&self) -> &[u64] {
+        &self.by_rank
+    }
+
+    /// The cell of `rank` (`rank_cells` first).
+    pub(crate) fn cell_of_rank(&self, rank: u32) -> &WeakCell {
+        let ord = self
+            .rank_ord
+            .get(num::idx(rank))
+            .expect("invariant: plan ranks lie below the chip's cell count");
+        self.cells
+            .get(num::idx(*ord))
+            .expect("invariant: rank_ord holds ordinals of the cell array")
     }
 
     /// The trial window at `(interval, temp)`.
@@ -787,10 +826,8 @@ impl SimulatedChip {
         &self.cells
     }
 
-    /// The VRT chain vector; exposed for in-crate tests that run plans
-    /// directly.
-    #[cfg(test)]
-    pub(crate) fn base_vrt_for_tests(&self) -> &[TwoStateVrt] {
+    /// The base cells' VRT chain states, which the kernel reads live.
+    pub(crate) fn base_vrt(&self) -> &[TwoStateVrt] {
         &self.base_vrt
     }
 
@@ -885,6 +922,11 @@ impl SimulatedChip {
 
     /// The body of the single-trial and union entry points;
     /// `use_caches == false` forces the reference route.
+    ///
+    /// A pattern followed by its inverse runs as a pair: both routes are
+    /// resolved in order, as two single trials would resolve them, and
+    /// then `run_pair` serves both trials at once where their routes
+    /// allow.
     fn trial_union(
         &mut self,
         patterns: &[DataPattern],
@@ -896,38 +938,105 @@ impl SimulatedChip {
         self.rank_cells();
         let mut window_bits = vec![0u64; rank_words(self.cells.len())];
         let mut arrival_bits = Vec::new();
-        for &pattern in patterns {
+        let mut rest = patterns;
+        while let Some((&pattern, tail)) = rest.split_first() {
             // The first trial draws and retires arrivals; the clock does
             // not move between the trials, so the rest find nothing to do,
             // the arrival ranks stay put and the resize is a no-op.
             self.process_arrivals(interval.as_secs(), temp);
             arrival_bits.resize(rank_words(self.arrival_order.len()), 0);
             let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
-            self.trial_nonce += 1;
-
-            let route = if use_caches {
-                self.route_trial(pattern, interval, temp)
-            } else {
-                self.plan_cache.stats.scalar_trials += 1;
-                TrialRoute::Scan(None, self.window(interval, temp))
-            };
-            let vrt_updates = match route {
-                TrialRoute::Plan(i) => self.plan_cache.plan_at(i).run_rounds(
-                    &self.base_vrt,
-                    &self.by_rank,
-                    &ctx,
-                    &[ctx.nonce],
-                    &mut window_bits,
-                ),
-                TrialRoute::Scan(lowering, window) => {
-                    let lowering = lowering.map(|i| self.plan_cache.lowering_at(i));
-                    self.scalar_window_scan(pattern, &window, &ctx, lowering, &mut window_bits)
+            let condition = (pattern, interval, temp);
+            let first = self.route_trial(condition, use_caches);
+            let trials = match tail.first() {
+                Some(&inverse) if inverse == pattern.inverse() => {
+                    let second = self.route_trial((inverse, interval, temp), use_caches);
+                    self.run_pair(condition, [first, second], &ctx, &mut window_bits);
+                    2
+                }
+                _ => {
+                    self.run_trial(condition, first, &ctx, &mut window_bits);
+                    1
                 }
             };
-            self.merge_vrt(vrt_updates);
-            self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrival_bits);
+            // Arrival rounds live on the sequential RNG, apart from the
+            // window: one per trial, in order.
+            for _ in 0..trials {
+                self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrival_bits);
+            }
+            self.trial_nonce += num::to_u64(trials);
+            rest = rest.get(trials..).unwrap_or_default();
         }
         TrialOutcome::from_rank_bits(&window_bits, &self.by_rank, &arrival_bits, &self.arrival_order)
+    }
+
+    /// Runs one trial of `condition` on its resolved `route`, ORing its
+    /// window failures into `bits` and merging its VRT updates.
+    fn run_trial(
+        &mut self,
+        condition: (DataPattern, Ms, Celsius),
+        route: TrialRoute,
+        ctx: &TrialCtx,
+        bits: &mut [u64],
+    ) {
+        let (pattern, ..) = condition;
+        let updates = match route {
+            TrialRoute::Plan { key, compile } => {
+                if let Some(window) = compile {
+                    let plan = self.compile_plan(condition, window);
+                    self.plan_cache.fill_plan(plan);
+                }
+                self.plan_cache.plan(&key).run_rounds(self, ctx, &[ctx.nonce], bits)
+            }
+            TrialRoute::Scan { lowered, window } => {
+                // A lowering evicted since the route was resolved leaves
+                // the plain scan, which makes the same draws.
+                let lanes = match self.plan_cache.lowering(pattern).filter(|_| lowered) {
+                    Some(low) => ScanLanes::Lowered(low),
+                    None => ScanLanes::Cells,
+                };
+                self.window_scan(pattern, &window, ctx, lanes, bits)
+            }
+        };
+        self.merge_vrt(updates);
+    }
+
+    /// Runs the trials of `condition`'s pattern (nonce `ctx.nonce`) and of
+    /// its inverse (the next nonce) on their resolved `routes`. Two
+    /// unlowered scans are one walk of the window, each cell decided
+    /// under the member that activates it; two plans compiled on this
+    /// sighting are compiled in one walk ([`TrialPlan::compile_pair`]).
+    /// Any other pair of routes runs one trial at a time.
+    fn run_pair(
+        &mut self,
+        condition: (DataPattern, Ms, Celsius),
+        routes: [TrialRoute; 2],
+        ctx: &TrialCtx,
+        bits: &mut [u64],
+    ) {
+        let (pattern, interval, temp) = condition;
+        let [first, second] = match routes {
+            [TrialRoute::Scan { lowered: false, window }, TrialRoute::Scan { lowered: false, .. }] => {
+                let updates = self.window_scan(pattern, &window, ctx, ScanLanes::Pair, bits);
+                self.merge_vrt(updates);
+                return;
+            }
+            [TrialRoute::Plan { key: a, compile: Some(window) }, TrialRoute::Plan { key: b, compile: Some(_) }] => {
+                let plans = TrialPlan::compile_pair(&self.cfg, &self.cells, &self.index_rank, window, condition);
+                self.plan_cache.stats.plans_compiled += 2;
+                for plan in plans {
+                    self.plan_cache.fill_plan(plan);
+                }
+                [a, b].map(|key| TrialRoute::Plan { key, compile: None })
+            }
+            routes => routes,
+        };
+        self.run_trial(condition, first, ctx, bits);
+        let next = TrialCtx {
+            nonce: ctx.nonce + 1,
+            ..*ctx
+        };
+        self.run_trial((pattern.inverse(), interval, temp), second, &next, bits);
     }
 
     /// The per-trial context at `(interval, temp)` for trial `nonce`.
@@ -1052,12 +1161,13 @@ impl SimulatedChip {
 
     /// The window scan over the cells of `window`: polarity, stress, μ,
     /// σ, z and the certified `u < phi(z)` compare ([`below_phi`]) per
-    /// cell per trial. It serves single trials whose
-    /// condition has no plan yet, and without a lowering it is the
-    /// reference the kernel is verified against. A `lowering` (built for
-    /// `pattern`) supplies the polarity-active cells and their stress
-    /// levels, so the scan skips the rest; inactive cells never open a
-    /// hash lane either way, so the lowering changes no stream.
+    /// cell per trial. It serves single trials whose condition has no
+    /// plan yet, and over [`ScanLanes::Cells`] it is the reference the
+    /// kernel is verified against. A lowering (built for `pattern`)
+    /// supplies the polarity-active cells and their stress levels, so the
+    /// scan skips the rest; inactive cells never open a hash lane either
+    /// way, so the lowering changes no stream. Over [`ScanLanes::Pair`]
+    /// the one walk serves the trials of `pattern` and of its inverse.
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
@@ -1067,12 +1177,12 @@ impl SimulatedChip {
     /// are observed on a *copy* of their chain state; the returned updates
     /// are merged back by the caller (each vrt_index belongs to exactly
     /// one cell, so merges never conflict).
-    fn scalar_window_scan(
+    fn window_scan(
         &self,
         pattern: DataPattern,
         window: &Window,
         ctx: &TrialCtx,
-        lowering: Option<&PatternLowering>,
+        lanes: ScanLanes<'_>,
         bits: &mut [u64],
     ) -> Vec<(u32, TwoStateVrt)> {
         let geometry = self.cfg.geometry;
@@ -1082,22 +1192,29 @@ impl SimulatedChip {
                 .get(ord)
                 .expect("invariant: window ranges and lowering ordinals index the cell array")
         };
-        match lowering {
-            Some(low) => self.scan_lanes(ctx, &low.active_lanes(window), bits, |segment, j| {
+        let stress = |lvl: u8| f64::from(lvl) / 4.0;
+        match lanes {
+            ScanLanes::Lowered(low) => self.scan_lanes(ctx, &low.active_lanes(window), bits, |segment, j| {
                 let (ord, lvl) = low.lane(segment, j);
-                Some((ord, cell(ord), f64::from(lvl) / 4.0))
+                Some((ord, cell(ord), stress(lvl), false))
             }),
-            None => self.scan_lanes(ctx, window, bits, |_, ord| {
+            ScanLanes::Cells => self.scan_lanes(ctx, window, bits, |_, ord| {
                 let lvl = cell(ord).active_stress(pattern, geometry)?;
-                Some((ord, cell(ord), f64::from(lvl) / 4.0))
+                Some((ord, cell(ord), stress(lvl), false))
+            }),
+            ScanLanes::Pair => self.scan_lanes(ctx, window, bits, |_, ord| {
+                let (inverse, lvl) = cell(ord).pair_stress(pattern, geometry);
+                Some((ord, cell(ord), stress(lvl), inverse))
             }),
         }
     }
 
     /// The scan body over the positions of `lanes` (cells or lowering
     /// lanes), one range per window segment: `cell_at(segment, i)` yields
-    /// the ordinal of the cell at position `i`, the cell and its DPD
-    /// stress fraction, or `None` for a polarity-inactive cell. Generic so
+    /// the ordinal of the cell at position `i`, the cell, its DPD stress
+    /// fraction and whether it is active in the next trial (nonce
+    /// `ctx.nonce + 1`, a pair's inverse) rather than in `ctx`'s, or
+    /// `None` for a polarity-inactive cell. Generic so
     /// each lane source compiles to its own loop. It runs inline on the
     /// calling thread at every thread count: a window of a few thousand
     /// cells is tens of microseconds of work, too little to repay a
@@ -1107,7 +1224,7 @@ impl SimulatedChip {
         ctx: &TrialCtx,
         lanes: &Window,
         bits: &mut [u64],
-        cell_at: impl Fn(usize, usize) -> Option<(usize, &'c WeakCell, f64)>,
+        cell_at: impl Fn(usize, usize) -> Option<(usize, &'c WeakCell, f64, bool)>,
     ) -> Vec<(u32, TwoStateVrt)> {
         // The VRT range bounds the chain updates, so the vector never
         // regrows. A visited cell ORs its outcome into its rank bit: a
@@ -1115,36 +1232,40 @@ impl SimulatedChip {
         // way.
         let [_, vrt_lanes] = lanes;
         let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
+        // Each lane key is `[stream_base, TRIAL_DOMAIN, nonce, index]`:
+        // the two trials' prefixes are hashed once, not once per cell.
+        let trial = StreamPrefix::root().push(ctx.stream_base).push(TRIAL_DOMAIN);
+        let [this_trial, next_trial] = [ctx.nonce, ctx.nonce + 1].map(|nonce| trial.push(nonce));
         let positions = lanes
             .iter()
             .enumerate()
             .flat_map(|(segment, range)| range.clone().map(move |j| (segment, j)));
         for (segment, j) in positions {
-            let Some((ord, cell, stress)) = cell_at(segment, j) else {
+            let Some((ord, cell, stress, next)) = cell_at(segment, j) else {
                 continue;
             };
-            let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, cell.index]);
-            let vrt_factor = match cell.vrt_index {
+            let open_lane = || if next { next_trial } else { this_trial }.push(cell.index).stream();
+            // A VRT cell's first draw observes its chain; a non-VRT cell's
+            // lane opens only for a failure draw, which most of the window
+            // never makes (|z| > Z_CUTOFF).
+            let (vrt_factor, mut lane) = match cell.vrt_index {
                 Some(i) => {
+                    let mut lane = open_lane();
                     let mut vrt = *self
                         .base_vrt
                         .get(num::idx(i))
                         .expect("invariant: vrt_index values are positions pushed into base_vrt");
                     let in_low = vrt.observe_at(ctx.now_ms, lane.next_f64());
                     vrt_updates.push((i, vrt));
-                    if in_low {
-                        ctx.low_mu_factor
-                    } else {
-                        1.0
-                    }
+                    (if in_low { ctx.low_mu_factor } else { 1.0 }, Some(lane))
                 }
-                None => 1.0,
+                None => (1.0, None),
             };
             let z = cell.z_score(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, stress, vrt_factor);
             if z < -Z_CUTOFF {
                 continue;
             }
-            let fails = z > Z_CUTOFF || below_phi(lane.next_f64(), z);
+            let fails = z > Z_CUTOFF || below_phi(lane.get_or_insert_with(open_lane).next_f64(), z);
             let rank = num::idx(
                 *self
                     .index_rank
@@ -1171,7 +1292,7 @@ impl SimulatedChip {
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         self.rank_cells();
         let mut bits = vec![0; rank_words(self.cells.len())];
-        let updates = self.scalar_window_scan(pattern, window, ctx, None, &mut bits);
+        let updates = self.window_scan(pattern, window, ctx, ScanLanes::Cells, &mut bits);
         self.merge_vrt(updates.clone());
         let mut failures = Vec::new();
         emit_ranks(&bits, &self.by_rank, &mut failures);
@@ -1181,45 +1302,62 @@ impl SimulatedChip {
     /// The rank tables, for in-crate tests that run plans directly.
     #[cfg(test)]
     pub(crate) fn rank_tables_for_tests(&self) -> (Vec<u32>, Vec<u64>) {
-        rank_tables(&self.cells)
+        let (index_rank, by_rank, _) = rank_tables(&self.cells);
+        (index_rank, by_rank)
     }
 
     /// Resolves how a single trial is served: a cached plan, a plan
     /// compiled on this second sighting of the condition, or the window
     /// scan — fed by a lowering, extended to the trial window, when the
     /// pattern has one cached or is itself seen for the second time.
-    fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
+    /// Without `use_caches`, always the unlowered scan, touching no cache.
+    ///
+    /// Every cache effect lands here, in the trial's turn: a plan compiled
+    /// on this sighting gets its slot now ([`TrialPlan::pending`]), so
+    /// the sightings, LRU ticks and evictions are those of compiling it on
+    /// the spot, and `run_trial` or `run_pair` fills it.
+    fn route_trial(&mut self, (pattern, interval, temp): (DataPattern, Ms, Celsius), use_caches: bool) -> TrialRoute {
+        if !use_caches {
+            self.plan_cache.stats.scalar_trials += 1;
+            return TrialRoute::Scan {
+                lowered: false,
+                window: self.window(interval, temp),
+            };
+        }
         let key = PlanKey::new(pattern, interval, temp);
-        if let Some(i) = self.plan_cache.find_plan(&key) {
+        if self.plan_cache.find_plan(&key) {
             self.count_plan_trials(1);
-            return TrialRoute::Plan(i);
+            return TrialRoute::Plan { key, compile: None };
         }
         if self.plan_cache.note_plan_key(key) {
-            let i = self.compile_plan(pattern, interval, temp);
+            self.plan_cache.insert_plan(TrialPlan::pending(key));
             self.count_plan_trials(1);
-            return TrialRoute::Plan(i);
+            return TrialRoute::Plan {
+                key,
+                compile: Some(self.window(interval, temp)),
+            };
         }
 
         // Pattern-only lanes survive the harness's per-trial temperature
         // jitter, which keeps most conditions from ever recurring.
         let window = self.window(interval, temp);
-        if let Some(i) = self.plan_cache.find_lowering(pattern) {
-            self.plan_cache
-                .lowering_at_mut(i)
-                .extend(&self.cells, self.cfg.geometry, &window);
-            self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Scan(Some(i), window);
-        }
-        if self.plan_cache.note_pattern(pattern) {
+        let lowered = if let Some(low) = self.plan_cache.find_lowering(pattern) {
+            low.extend(&self.cells, self.cfg.geometry, &window);
+            true
+        } else if self.plan_cache.note_pattern(pattern) {
             let lowering = PatternLowering::covering(&self.cells, pattern, self.cfg.geometry, &window);
-            let i = self.plan_cache.insert_lowering(lowering);
+            self.plan_cache.insert_lowering(lowering);
             self.plan_cache.stats.lowerings_built += 1;
+            true
+        } else {
+            false
+        };
+        if lowered {
             self.plan_cache.stats.lowered_trials += 1;
-            return TrialRoute::Scan(Some(i), window);
+        } else {
+            self.plan_cache.stats.scalar_trials += 1;
         }
-
-        self.plan_cache.stats.scalar_trials += 1;
-        TrialRoute::Scan(None, window)
+        TrialRoute::Scan { lowered, window }
     }
 
     /// Counts `k` trials served by the kernel on a compiled plan.
@@ -1228,25 +1366,18 @@ impl SimulatedChip {
         self.plan_cache.stats.batch_rounds += k;
     }
 
-    /// Compiles the plan for a condition and caches it, returning its
-    /// cache position. A cached lowering of the pattern is extended to
-    /// the plan's window and feeds the compile.
-    fn compile_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
-        let window = self.window(interval, temp);
-        let lowering = self.plan_cache.peek_lowering_mut(pattern).map(|low| {
+    /// Compiles the plan of `condition` over its trial `window`. A cached
+    /// lowering of the pattern is extended to the window and feeds the
+    /// compile.
+    fn compile_plan(&mut self, condition: (DataPattern, Ms, Celsius), window: Window) -> TrialPlan {
+        let (pattern, ..) = condition;
+        let lowering = self.plan_cache.lowering_mut(pattern).map(|low| {
             low.extend(&self.cells, self.cfg.geometry, &window);
             &*low
         });
-        let plan = TrialPlan::compile(
-            &self.cfg,
-            &self.cells,
-            &self.index_rank,
-            window,
-            lowering,
-            (pattern, interval, temp),
-        );
+        let plan = TrialPlan::compile(&self.cfg, &self.cells, &self.index_rank, window, lowering, condition);
         self.plan_cache.stats.plans_compiled += 1;
-        self.plan_cache.insert_plan(plan)
+        plan
     }
 
     /// Runs `rounds` retention trials at one fixed condition, returning
@@ -1364,10 +1495,10 @@ impl SimulatedChip {
             // signal single trials wait for, so compile unconditionally
             // (and record the sighting for later single trials).
             self.plan_cache.note_plan_key(g.key);
-            let plan = match self.plan_cache.find_plan(&g.key) {
-                Some(i) => i,
-                None => self.compile_plan(g.pattern, g.interval, g.temp),
-            };
+            if !self.plan_cache.find_plan(&g.key) {
+                let plan = self.compile_plan((g.pattern, g.interval, g.temp), self.window(g.interval, g.temp));
+                self.plan_cache.insert_plan(plan);
+            }
             for chunk in g.positions.chunks(MAX_BATCH_ROUNDS) {
                 if cancel.is_cancelled() {
                     cancelled = true;
@@ -1379,13 +1510,10 @@ impl SimulatedChip {
                     .collect();
                 bits.clear();
                 bits.resize(chunk.len() * words, 0);
-                let updates = self.plan_cache.plan_at(plan).run_rounds(
-                    &self.base_vrt,
-                    &self.by_rank,
-                    &ctx,
-                    &nonces,
-                    &mut bits,
-                );
+                let updates = self
+                    .plan_cache
+                    .plan(&g.key)
+                    .run_rounds(self, &ctx, &nonces, &mut bits);
                 self.count_plan_trials(num::to_u64(chunk.len()));
                 self.merge_vrt(updates);
                 for (r, &pos) in chunk.iter().enumerate() {
@@ -1716,6 +1844,7 @@ impl SimulatedChip {
 mod tests {
     use super::*;
     use reaper_dram_model::Vendor;
+    use reaper_exec::rng::stream;
     use std::collections::HashSet;
 
     fn quick_cfg() -> RetentionConfig {
@@ -2005,17 +2134,24 @@ mod tests {
             low.index = k as u64 * 37 % 101;
         }
         for cells in [chip.cells(), &huge[..], &dense[..], &[]] {
-            let (index_rank, by_rank) = rank_tables(cells);
-            assert_eq!((index_rank.len(), by_rank.len()), (cells.len(), cells.len()));
+            let (index_rank, by_rank, rank_ord) = rank_tables(cells);
+            assert_eq!(
+                (index_rank.len(), by_rank.len(), rank_ord.len()),
+                (cells.len(), cells.len(), cells.len())
+            );
             assert!(by_rank.is_sorted_by(|a, b| a < b), "by_rank must be strictly ascending");
-            for (cell, &rank) in cells.iter().zip(&index_rank) {
+            for (ord, (cell, &rank)) in cells.iter().zip(&index_rank).enumerate() {
                 assert_eq!(by_rank[rank as usize], cell.index);
+                assert_eq!(rank_ord[rank as usize] as usize, ord);
             }
         }
         // The first trial builds the tables of the window-ordered cells.
         assert!(chip.by_rank.is_empty());
         let _ = chip.retention_trial(DataPattern::solid0(), Ms::new(1024.0), Celsius::new(60.0));
-        assert_eq!(rank_tables(chip.cells()), (chip.index_rank.clone(), chip.by_rank.clone()));
+        assert_eq!(
+            rank_tables(chip.cells()),
+            (chip.index_rank.clone(), chip.by_rank.clone(), chip.rank_ord.clone())
+        );
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //!   extend it to their window first, so nothing is lowered ahead of use
 //!   and a profiling job lowers ~750 cells of a ~6.3k-cell chip.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
-//!   trial window all the way to per-cell integer thresholds
-//!   `ceil(phi(z) · 2⁵³)`, stored in rank-keyed lanes (see `PlanLanes`)
-//!   that the bit-plane kernel ([`crate::batch`]) runs — no erf, no struct
-//!   chasing, no VRT copy for non-VRT cells.
+//!   trial window all the way to per-cell integer thresholds, certified
+//!   floors `⌊(Φ̃(z) − ε) · 2⁵³⌋` from the Φ table
+//!   ([`crate::cell::phi_floor_u53`]), stored in rank-keyed lanes (see
+//!   `PlanLanes`) that the bit-plane kernel ([`crate::batch`]) runs — no
+//!   erf at compile time or per draw, no struct chasing, no VRT copy for
+//!   non-VRT cells.
 //!
 //! A single trial whose condition is seen for the first time runs the
 //! window scan (with a lowering, built over its window, once its pattern
@@ -30,6 +32,12 @@
 //! and every later trial at it runs through the kernel as a batch of one.
 //! The multi-round entry points compile unconditionally: asking for many
 //! rounds at one condition is itself the recurrence signal.
+//!
+//! A pattern and its inverse split the cells between them: each cell
+//! stores its vulnerable bit under exactly one of the two. When a union
+//! compiles both members' plans at one sighting,
+//! [`TrialPlan::compile_pair`] fills them in one walk of the window, each
+//! cell going to the plan of the member that activates it.
 //!
 //! # Lifecycle
 //!
@@ -47,7 +55,8 @@
 //! cell.index])`, make the same draws in the same order (VRT observation
 //! first, then the failure draw only when `z` is in band), and compute
 //! μ, σ, z with the exact same floating-point expression order, so the
-//! cached threshold decides exactly as `next_f64() < phi(z)` would in the
+//! cached certified floor, with the exact threshold recomputed for draws
+//! in its band, decides exactly as `next_f64() < phi(z)` would in the
 //! scan. Because every hash lane is keyed by its own (cell, nonce), lane
 //! order is outcome-neutral; failures are bits of a bitmap and VRT writes
 //! are per-slot — hence identical at any thread count. See DESIGN.md
@@ -58,8 +67,8 @@ use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use reaper_exec::num;
 
 use crate::batch::u53_threshold;
-use crate::cell::WeakCell;
-use crate::chip::{count_ranks, rank_words, set_rank, window_len, Window, Z_CUTOFF};
+use crate::cell::{phi_floor_u53, WeakCell};
+use crate::chip::{count_ranks, rank_words, set_rank, window_len, SimulatedChip, Window, Z_CUTOFF};
 use crate::config::RetentionConfig;
 
 /// Counters describing how trials were served; see
@@ -247,6 +256,13 @@ fn threshold_of(z: f64) -> f64 {
     }
 }
 
+/// The cell at `ord` of the window-ordered cell array.
+fn cell_at(cells: &[WeakCell], ord: usize) -> &WeakCell {
+    cells
+        .get(ord)
+        .expect("invariant: window ranges and lowering ordinals index the cell array")
+}
+
 /// The compiled lanes of a [`TrialPlan`], in the chip's rank space: a
 /// cell is named by the rank of its index among the chip's weak cells
 /// (`index_rank`), and the chip's `by_rank` table turns a rank back into
@@ -264,11 +280,13 @@ pub(crate) struct PlanLanes {
     /// every round as it is.
     pub(crate) certain: Vec<u64>,
     /// In-band non-VRT lanes (structure-of-arrays, parallel): the cell's
-    /// rank and its threshold `phi(z)` rescaled to `ceil(phi(z) · 2⁵³)`,
-    /// so `(next_u64() >> 11) < prob_thr_u[i]` iff `next_f64() < phi(z)`,
-    /// exactly (see [`crate::batch::u53_threshold`]).
+    /// rank and the certified floor of its threshold
+    /// ([`crate::cell::phi_floor_u53`]): a 53-bit draw below the floor
+    /// fails, one past its band passes, and one in the band is decided
+    /// against `u53_threshold(phi(z))`, which the kernel recomputes
+    /// ([`TrialPlan::exact_threshold`]).
     pub(crate) prob_rank: Vec<u32>,
-    pub(crate) prob_thr_u: Vec<u64>,
+    pub(crate) prob_lo: Vec<u64>,
     /// VRT lanes: base_vrt slot, cell rank, and per-cell `[high, low]`
     /// state thresholds (flattened pairs, sentinel-encoded).
     pub(crate) vrt_slot: Vec<u32>,
@@ -285,7 +303,7 @@ impl PlanLanes {
         }
         [
             bytes(&self.certain),
-            bytes(&self.prob_rank) + bytes(&self.prob_thr_u),
+            bytes(&self.prob_rank) + bytes(&self.prob_lo),
             bytes(&self.vrt_slot) + bytes(&self.vrt_rank) + bytes(&self.vrt_thr),
         ]
     }
@@ -296,7 +314,7 @@ impl PlanLanes {
 /// Non-VRT cells are resolved at compile time into three classes: certain
 /// pass (dropped — no lane, no draw, exactly like the window scan),
 /// certain fail (a rank bit set in every round), and in-band (one uniform
-/// draw against the cached `phi(z)`). VRT cells keep both per-state
+/// draw against the certified floor of `phi(z)`). VRT cells keep both per-state
 /// thresholds and are observed every round, exactly like the window scan.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TrialPlan {
@@ -306,6 +324,14 @@ pub(crate) struct TrialPlan {
     window_cells: usize,
     /// The immutable compiled lanes.
     pub(crate) lanes: PlanLanes,
+}
+
+/// The z of a cell at DPD level `lvl` (matches-of-4) in VRT state
+/// `vrt_factor`, as the window scan computes it: plan compile and the
+/// kernel's band fallback both take it from here, so they agree bit for
+/// bit.
+fn lane_z(cell: &WeakCell, lvl: u8, (t_secs, ms_scale, ss_scale): (f64, f64, f64), vrt_factor: f64) -> f64 {
+    cell.z_score(t_secs, ms_scale, ss_scale, f64::from(lvl) / 4.0, vrt_factor)
 }
 
 impl TrialPlan {
@@ -323,62 +349,103 @@ impl TrialPlan {
         lowering: Option<&PatternLowering>,
         (pattern, interval, temp): (DataPattern, Ms, Celsius),
     ) -> Self {
-        let t = interval.as_secs();
-        let ms_scale = cfg.mu_temp_scale(temp);
-        let ss_scale = cfg.sigma_temp_scale(temp);
-        let geometry = cfg.geometry;
+        let condition = ([pattern], interval, temp);
+        let [plan] = match lowering {
+            Some(low) => {
+                debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
+                let active = low
+                    .active_lanes(&window)
+                    .into_iter()
+                    .enumerate()
+                    .flat_map(|(segment, lanes)| lanes.map(move |j| (segment, j)))
+                    .map(|(segment, j)| {
+                        let (ord, lvl) = low.lane(segment, j);
+                        (ord, lvl, 0)
+                    });
+                Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
+            }
+            None => {
+                let geometry = cfg.geometry;
+                let active = window.clone().into_iter().flatten().filter_map(|ord| {
+                    let lvl = cell_at(cells, ord).active_stress(pattern, geometry)?;
+                    Some((ord, lvl, 0))
+                });
+                Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
+            }
+        };
+        plan
+    }
 
-        let mut certain = vec![0; rank_words(cells.len())];
-        let mut prob: Vec<(u32, u64)> = Vec::new();
+    /// The plans of `pattern` and of its inverse at one condition, from
+    /// one walk of `window`: each cell goes to the plan of the member
+    /// that activates it ([`WeakCell::pair_stress`]). Equal, lane for
+    /// lane, to two [`TrialPlan::compile`] calls.
+    pub(crate) fn compile_pair(
+        cfg: &RetentionConfig,
+        cells: &[WeakCell],
+        index_rank: &[u32],
+        window: Window,
+        (pattern, interval, temp): (DataPattern, Ms, Celsius),
+    ) -> [Self; 2] {
+        let geometry = cfg.geometry;
+        let active = window.clone().into_iter().flatten().map(|ord| {
+            let (inverse, lvl) = cell_at(cells, ord).pair_stress(pattern, geometry);
+            (ord, lvl, usize::from(inverse))
+        });
+        let condition = ([pattern, pattern.inverse()], interval, temp);
+        Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
+    }
+
+    /// The one compile body: the plans of `patterns` at `(interval,
+    /// temp)` over `window`, from its polarity-active cells as `(ordinal,
+    /// DPD level, target)`, where `target` indexes `patterns`. Non-VRT
+    /// cells are resolved into their class here; VRT cells keep both
+    /// per-state thresholds.
+    fn compile_lanes<const N: usize>(
+        cfg: &RetentionConfig,
+        cells: &[WeakCell],
+        index_rank: &[u32],
+        window: &Window,
+        (patterns, interval, temp): ([DataPattern; N], Ms, Celsius),
+        active: impl Iterator<Item = (usize, u8, usize)>,
+    ) -> [Self; N] {
+        let scales = (interval.as_secs(), cfg.mu_temp_scale(temp), cfg.sigma_temp_scale(temp));
+        struct Classes {
+            certain: Vec<u64>,
+            prob: Vec<(u32, u64)>,
+            vrt: Vec<(u32, u32, [f64; 2])>,
+        }
         // The window's VRT range bounds the VRT lanes (see the scan).
-        let [_, vrt_cells] = &window;
-        let mut vrt: Vec<(u32, u32, [f64; 2])> = Vec::with_capacity(vrt_cells.len());
-        let mut add = |ord: usize, lvl: u8| {
-            let cell = cells
-                .get(ord)
-                .expect("invariant: window ranges and lowering ordinals index the cell array");
+        let [_, vrt_cells] = window;
+        let mut classes: [Classes; N] = std::array::from_fn(|_| Classes {
+            certain: vec![0; rank_words(cells.len())],
+            prob: Vec::new(),
+            vrt: Vec::with_capacity(vrt_cells.len()),
+        });
+        for (ord, lvl, target) in active {
+            let cell = cell_at(cells, ord);
             let rank = *index_rank
                 .get(ord)
                 .expect("invariant: index_rank is parallel to the cell array");
-            let stress = f64::from(lvl) / 4.0;
-            let z = |vrt_factor| cell.z_score(t, ms_scale, ss_scale, stress, vrt_factor);
+            let class = classes
+                .get_mut(target)
+                .expect("invariant: a cell's target indexes the compiled patterns");
+            let z = |vrt_factor| lane_z(cell, lvl, scales, vrt_factor);
             match cell.vrt_index {
                 Some(slot) => {
                     let thr = [z(1.0), z(cfg.vrt_low_mu_factor)].map(threshold_of);
-                    vrt.push((rank, slot, thr));
+                    class.vrt.push((rank, slot, thr));
                 }
                 None => {
                     let z = z(1.0);
                     if z > Z_CUTOFF {
-                        set_rank(&mut certain, rank);
+                        set_rank(&mut class.certain, rank);
                     } else if z >= -Z_CUTOFF {
-                        prob.push((rank, u53_threshold(phi(z))));
+                        class.prob.push((rank, phi_floor_u53(z)));
                     }
                     // z < -Z_CUTOFF: certain pass, dropped — the scan
                     // opens a lane but draws nothing for these, so
                     // skipping the lane entirely changes no stream.
-                }
-            }
-        };
-
-        match lowering {
-            Some(low) => {
-                debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
-                for (segment, lanes) in low.active_lanes(&window).into_iter().enumerate() {
-                    for j in lanes {
-                        let (ord, lvl) = low.lane(segment, j);
-                        add(ord, lvl);
-                    }
-                }
-            }
-            None => {
-                for ord in window.clone().into_iter().flatten() {
-                    let cell = cells
-                        .get(ord)
-                        .expect("invariant: window ranges lie inside the cell array");
-                    if let Some(lvl) = cell.active_stress(pattern, geometry) {
-                        add(ord, lvl);
-                    }
                 }
             }
         }
@@ -386,21 +453,49 @@ impl TrialPlan {
         // Cells were visited in window-key order; store the lanes by rank.
         // Each lane is collected from an exact-size iterator, so none holds
         // spare capacity (a standard-set cycle keeps 24 plans resident).
-        prob.sort_unstable_by_key(|&(rank, _)| rank);
-        vrt.sort_unstable_by_key(|&(rank, ..)| rank);
-        let lanes = PlanLanes {
-            certain,
-            prob_rank: prob.iter().map(|&(rank, _)| rank).collect(),
-            prob_thr_u: prob.iter().map(|&(_, thr)| thr).collect(),
-            vrt_slot: vrt.iter().map(|&(_, slot, _)| slot).collect(),
-            vrt_rank: vrt.iter().map(|&(rank, ..)| rank).collect(),
-            vrt_thr: vrt.iter().flat_map(|&(.., thr)| thr).collect(),
-        };
+        let window_cells = window_len(window);
+        let mut plans = classes.into_iter().zip(patterns).map(|(mut class, pattern)| {
+            class.prob.sort_unstable_by_key(|&(rank, _)| rank);
+            class.vrt.sort_unstable_by_key(|&(rank, ..)| rank);
+            let (prob, vrt) = (&class.prob, &class.vrt);
+            let lanes = PlanLanes {
+                certain: class.certain,
+                prob_rank: prob.iter().map(|&(rank, _)| rank).collect(),
+                prob_lo: prob.iter().map(|&(_, lo)| lo).collect(),
+                vrt_slot: vrt.iter().map(|&(_, slot, _)| slot).collect(),
+                vrt_rank: vrt.iter().map(|&(rank, ..)| rank).collect(),
+                vrt_thr: vrt.iter().flat_map(|&(.., thr)| thr).collect(),
+            };
+            Self {
+                key: PlanKey::new(pattern, interval, temp),
+                window_cells,
+                lanes,
+            }
+        });
+        std::array::from_fn(|_| plans.next().expect("invariant: one plan per pattern"))
+    }
+
+    /// A cache slot for the plan of `key`, reserved on the sighting that
+    /// compiles it and filled ([`PlanCache::fill_plan`]) before it runs.
+    /// Its lanes are empty: run unfilled, the kernel's bitmap-length
+    /// assertion stops it.
+    pub(crate) fn pending(key: PlanKey) -> Self {
         Self {
-            key: PlanKey::new(pattern, interval, temp),
-            window_cells: window_len(&window),
-            lanes,
+            key,
+            window_cells: 0,
+            lanes: PlanLanes::default(),
         }
+    }
+
+    /// The exact threshold `u53_threshold(phi(z))` of the in-band lane of
+    /// `rank`, recomputed from its cell at `ctx`'s condition, which is the
+    /// plan's: what the kernel decides a draw in the lane's band against.
+    pub(crate) fn exact_threshold(&self, chip: &SimulatedChip, ctx: &TrialCtx, rank: u32) -> u64 {
+        let cell = chip.cell_of_rank(rank);
+        let lvl = cell
+            .active_stress(self.key.pattern, chip.geometry())
+            .expect("invariant: an in-band lane's cell is active under its plan's pattern");
+        u53_threshold(phi(lane_z(cell, lvl, (ctx.t_secs, ctx.ms_scale, ctx.ss_scale), 1.0)))
     }
 
     /// The lane invariants the kernel relies on: parallel lanes have equal
@@ -413,7 +508,7 @@ impl TrialPlan {
         let n = lanes.prob_rank.len();
         let ranks = lanes.certain.len() * 64;
         let ranked = |v: &[u32]| v.is_sorted_by(|a, b| a < b) && v.last().is_none_or(|&r| num::idx(r) < ranks);
-        n == lanes.prob_thr_u.len()
+        n == lanes.prob_lo.len()
             && lanes.vrt_slot.len() == lanes.vrt_rank.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
             && count_ranks(&lanes.certain) + n + lanes.vrt_rank.len() <= self.window_cells
@@ -498,75 +593,82 @@ impl PlanCache {
         note_seen(&mut self.pattern_seen, pattern, tick)
     }
 
-    pub(crate) fn find_plan(&mut self, key: &PlanKey) -> Option<usize> {
-        let pos = self.plans.iter().position(|(_, p)| p.key == *key)?;
+    /// Whether a plan for `key` is cached; a hit counts as a use.
+    pub(crate) fn find_plan(&mut self, key: &PlanKey) -> bool {
+        let Some(pos) = self.plans.iter().position(|(_, p)| p.key == *key) else {
+            return false;
+        };
         let tick = self.bump();
         self.plans
             .get_mut(pos)
             .expect("invariant: position() yields an in-bounds index")
             .0 = tick;
-        Some(pos)
+        true
     }
 
-    pub(crate) fn insert_plan(&mut self, plan: TrialPlan) -> usize {
+    pub(crate) fn insert_plan(&mut self, plan: TrialPlan) {
         if self.plans.len() >= PLAN_CAP {
             evict_min_tick(&mut self.plans, |(tick, _)| *tick);
         }
         let tick = self.bump();
         self.plans.push((tick, plan));
-        self.plans.len() - 1
     }
 
-    pub(crate) fn plan_at(&self, i: usize) -> &TrialPlan {
+    /// The cached plan for `key`, without touching recency. Routes name
+    /// plans by key, not by position: an insert between a trial's route
+    /// and its run may move a plan, but cannot evict the one just used.
+    pub(crate) fn plan(&self, key: &PlanKey) -> &TrialPlan {
         self.plans
-            .get(i)
-            .map(|(_, p)| p)
-            .expect("invariant: plan indices come from find/insert with no eviction in between")
-    }
-
-    pub(crate) fn find_lowering(&mut self, pattern: DataPattern) -> Option<usize> {
-        let pos = self
-            .lowerings
             .iter()
-            .position(|(_, l)| l.pattern == pattern)?;
-        let tick = self.bump();
-        self.lowerings
-            .get_mut(pos)
-            .expect("invariant: position() yields an in-bounds index")
-            .0 = tick;
-        Some(pos)
+            .map(|(_, p)| p)
+            .find(|p| p.key == *key)
+            .expect("invariant: a routed plan stays cached until its trial has run")
     }
 
-    /// Lookup for plan compilation, which extends the lowering it finds;
-    /// does not touch recency.
-    pub(crate) fn peek_lowering_mut(&mut self, pattern: DataPattern) -> Option<&mut PatternLowering> {
+    /// Puts the compiled `plan` in the slot reserved for its key
+    /// ([`TrialPlan::pending`]), keeping the slot's recency.
+    pub(crate) fn fill_plan(&mut self, plan: TrialPlan) {
+        let slot = self
+            .plans
+            .iter_mut()
+            .map(|(_, p)| p)
+            .find(|p| p.key == plan.key)
+            .expect("invariant: a plan is filled right after its slot is reserved");
+        *slot = plan;
+    }
+
+    /// The cached lowering of `pattern`, if any; a hit counts as a use.
+    pub(crate) fn find_lowering(&mut self, pattern: DataPattern) -> Option<&mut PatternLowering> {
+        let pos = self.lowerings.iter().position(|(_, l)| l.pattern == pattern)?;
+        let tick = self.bump();
+        let entry = self
+            .lowerings
+            .get_mut(pos)
+            .expect("invariant: position() yields an in-bounds index");
+        entry.0 = tick;
+        Some(&mut entry.1)
+    }
+
+    /// The cached lowering of `pattern`, if any, without touching
+    /// recency.
+    pub(crate) fn lowering(&self, pattern: DataPattern) -> Option<&PatternLowering> {
+        self.lowerings.iter().map(|(_, l)| l).find(|l| l.pattern == pattern)
+    }
+
+    /// [`PlanCache::lowering`], to extend it.
+    pub(crate) fn lowering_mut(&mut self, pattern: DataPattern) -> Option<&mut PatternLowering> {
         self.lowerings
             .iter_mut()
-            .find(|(_, l)| l.pattern == pattern)
             .map(|(_, l)| l)
+            .find(|l| l.pattern == pattern)
     }
 
-    pub(crate) fn insert_lowering(&mut self, lowering: PatternLowering) -> usize {
+    pub(crate) fn insert_lowering(&mut self, lowering: PatternLowering) {
         if self.lowerings.len() >= LOWERING_CAP {
             evict_min_tick(&mut self.lowerings, |(tick, _)| *tick);
         }
         let tick = self.bump();
         self.lowerings.push((tick, lowering));
-        self.lowerings.len() - 1
-    }
-
-    pub(crate) fn lowering_at(&self, i: usize) -> &PatternLowering {
-        self.lowerings
-            .get(i)
-            .map(|(_, l)| l)
-            .expect("invariant: lowering indices come from find/insert with no eviction in between")
-    }
-
-    pub(crate) fn lowering_at_mut(&mut self, i: usize) -> &mut PatternLowering {
-        self.lowerings
-            .get_mut(i)
-            .map(|(_, l)| l)
-            .expect("invariant: lowering indices come from find/insert with no eviction in between")
     }
 
     /// The cached lowerings, for in-crate tests.
@@ -679,6 +781,36 @@ mod tests {
         let n_lanes = count_ranks(&lanes.certain) + lanes.prob_rank.len() + lanes.vrt_rank.len();
         assert!(n_lanes <= direct.window_cells);
         assert!(!lanes.prob_rank.is_empty(), "expected in-band cells");
+    }
+
+    #[test]
+    fn pair_compile_equals_the_single_compiles_lane_for_lane() {
+        // Every family, both members first, at conditions from a short
+        // window to one past every VRT cell's reach: the pair walk sends
+        // each cell to the member that activates it with that member's
+        // stress, so both plans equal their single compiles.
+        let chip = quick_chip();
+        let (index_rank, _) = chip.rank_tables_for_tests();
+        let mut lanes = 0;
+        for (pattern, interval_ms, temp_c) in [
+            (DataPattern::solid0(), 512.0, 45.0),
+            (DataPattern::checkerboard().inverse(), 1024.0, 60.0),
+            (DataPattern::row_stripe(), 2048.0, 70.0),
+            (DataPattern::col_stripe(), 3072.0, 60.0),
+            (DataPattern::walking1(5), 4096.0, 75.0),
+            (DataPattern::random(0xF15), 2048.0, 45.0),
+        ] {
+            let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
+            let window = chip.window(interval, temp);
+            let [plan, inverse] =
+                TrialPlan::compile_pair(chip.config(), chip.cells(), &index_rank, window, (pattern, interval, temp));
+            assert_eq!(plan, compile(&chip, None, (pattern, interval, temp)), "{pattern}");
+            let inverse_condition = (pattern.inverse(), interval, temp);
+            assert_eq!(inverse, compile(&chip, None, inverse_condition), "~{pattern}");
+            lanes += plan.lanes.prob_rank.len().min(inverse.lanes.prob_rank.len());
+            lanes += plan.lanes.vrt_rank.len().min(inverse.lanes.vrt_rank.len());
+        }
+        assert!(lanes > 0, "both members must hold lanes");
     }
 
     #[test]
@@ -803,23 +935,20 @@ mod tests {
             chip.geometry(),
             &chip.window(Ms::new(512.0), Celsius::new(45.0)),
         );
-        let pi = cache.insert_plan(plan);
-        let li = cache.insert_lowering(low);
-        assert!(cache.find_plan(&key).is_some());
-        assert_eq!(cache.plan_at(pi).key, key);
+        cache.insert_plan(plan);
+        cache.insert_lowering(low);
+        assert!(cache.find_plan(&key));
+        assert_eq!(cache.plan(&key).key, key);
         assert!(cache.find_lowering(pat).is_some());
-        assert_eq!(cache.lowering_at(li).pattern, pat);
+        assert_eq!(cache.lowering(pat).map(|l| l.pattern), Some(pat));
 
         // Plans leave only through LRU eviction: a plan hit when the cache
         // is full outlives the older entries, then goes once it is the
         // least recently used. Nothing invalidates it.
-        let plan = cache.plan_at(pi).clone();
+        let plan = cache.plan(&key).clone();
         for i in 0..2 * PLAN_CAP as u64 {
             if i == PLAN_CAP as u64 - 1 {
-                assert!(
-                    cache.find_plan(&key).is_some(),
-                    "a recent hit is not the LRU entry"
-                );
+                assert!(cache.find_plan(&key), "a recent hit is not the LRU entry");
             }
             let key = PlanKey::new(DataPattern::random(i), Ms::new(512.0), Celsius::new(45.0));
             cache.insert_plan(TrialPlan {
@@ -827,10 +956,7 @@ mod tests {
                 ..plan.clone()
             });
         }
-        assert!(
-            cache.find_plan(&key).is_none(),
-            "evicted once least recently used"
-        );
+        assert!(!cache.find_plan(&key), "evicted once least recently used");
         assert!(cache.note_plan_key(key), "sightings persist");
         assert_eq!(cache.stats.invalidations, 0);
     }
