@@ -3,7 +3,7 @@
 //! The one kernel every trial on a compiled [`TrialPlan`] runs through:
 //! single trials as batches of one, and the multi-round and schedule
 //! entry points in batches of up to 64. Running R rounds round-major
-//! would re-stream the `prob_idx`/threshold lanes from memory R times and
+//! would re-stream the `prob_rank`/`prob_lo` lanes from memory R times and
 //! pay the per-batch setup and merge R times. The kernel runs the loop nest
 //! **cell-major** instead: each in-band lane is visited once per batch —
 //! one index load, one threshold load — and the inner loop walks the (up
@@ -328,7 +328,7 @@ mod tests {
     use crate::cell::phi_floor_u53;
     use crate::chip::{emit_ranks, SimulatedChip, Window, Z_CUTOFF};
     use crate::config::RetentionConfig;
-    use crate::plan::PatternLowering;
+    use crate::plan::{LaneSource, PatternLowering};
     use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
     use reaper_exec::rng::stream;
 
@@ -416,20 +416,21 @@ mod tests {
 
     /// The plan under test, its trial context, and the trial window the
     /// reference scan covers at the same condition.
-    fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx, Window) {
+    fn compiled_plan(chip: &SimulatedChip) -> (TrialPlan, TrialCtx, Window) {
         let pattern = pattern();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
         let window = chip.window(interval, temp);
         let low = PatternLowering::covering(chip.cells(), pattern, chip.geometry(), &window);
-        let plan = TrialPlan::compile(
+        let plans = TrialPlan::compile(
             chip.config(),
             chip.cells(),
             &chip.rank_tables_for_tests().0,
-            window,
-            Some(&low),
-            (pattern, interval, temp),
+            &window,
+            LaneSource::Lowered(&low),
+            (interval, temp),
         );
+        let [plan] = <[TrialPlan; 1]>::try_from(plans).expect("one pattern compiles one plan");
         let ctx = TrialCtx {
             t_secs: interval.as_secs(),
             ms_scale: chip.config().mu_temp_scale(temp),
@@ -487,7 +488,7 @@ mod tests {
     #[test]
     fn batch_matches_sequential_reference_replay() {
         let chip = quick_chip();
-        let (plan, ctx, window) = compile_pair(&chip);
+        let (plan, ctx, window) = compiled_plan(&chip);
         let nonces: Vec<u64> = (40..47).collect();
         let (rounds, vrt_updates) = run_batch(&plan, &chip, &ctx, &nonces);
         let (want, base_vrt) = reference_replay(&chip, &ctx, &window, &nonces);
@@ -506,7 +507,7 @@ mod tests {
     #[test]
     fn batch_of_one_equals_reference_scan() {
         let mut chip = quick_chip();
-        let (plan, ctx, window) = compile_pair(&chip);
+        let (plan, ctx, window) = compiled_plan(&chip);
         let (mut rounds, mut vrt_updates) = run_batch(&plan, &chip, &ctx, &[99]);
         let round_ctx = TrialCtx { nonce: 99, ..ctx };
         let (fails, mut updates) = chip.reference_round_for_tests(pattern(), &window, &round_ctx);
@@ -522,7 +523,7 @@ mod tests {
     #[test]
     fn full_width_batch_covers_all_64_bits() {
         let chip = quick_chip();
-        let (plan, ctx, window) = compile_pair(&chip);
+        let (plan, ctx, window) = compiled_plan(&chip);
         let nonces: Vec<u64> = (1000..1064).collect();
         let (rounds, _) = run_batch(&plan, &chip, &ctx, &nonces);
         assert_eq!(rounds.len(), MAX_BATCH_ROUNDS);
@@ -540,7 +541,7 @@ mod tests {
         // through the band fallback. That round, alone, leading a batch
         // and inside a full one, matches the reference scan.
         let chip = quick_chip();
-        let (plan, ctx, window) = compile_pair(&chip);
+        let (plan, ctx, window) = compiled_plan(&chip);
         let by_rank = chip.by_rank();
         let trial_prefix = StreamPrefix::root().push(ctx.stream_base).push(TRIAL_DOMAIN);
         let lanes = &plan.lanes;
@@ -568,7 +569,7 @@ mod tests {
     #[should_panic(expected = "batch size")]
     fn rejects_oversized_batches() {
         let chip = quick_chip();
-        let (plan, ctx, _) = compile_pair(&chip);
+        let (plan, ctx, _) = compiled_plan(&chip);
         let nonces: Vec<u64> = (0..65).collect();
         let _ = run_batch(&plan, &chip, &ctx, &nonces);
     }

@@ -27,6 +27,11 @@ const PHI_TABLE_LEN: usize = 4096;
 /// ≈ 1.2e-7`; the tests pin the bound with a Lipschitz sweep.
 const PHI_EPS: f64 = 2e-6;
 
+/// The DPD level (matches-of-4) of full aggressor stress, a stress
+/// fraction of exactly 1: the worst case the ground truth and the
+/// VRT arrivals, which have no DPD, are evaluated at.
+pub(crate) const FULL_STRESS: u8 = 4;
+
 /// `phi` at the table nodes `z_k = −Z_CUTOFF + k / PHI_TABLE_STEPS`.
 static PHI_TABLE: LazyLock<Vec<f64>> = LazyLock::new(|| {
     (0..=PHI_TABLE_LEN)
@@ -218,10 +223,18 @@ impl WeakCell {
         self.mu0 as f64 * mu_temp_scale * (1.0 - self.dpd_strength as f64 * stress) * vrt_factor
     }
 
-    /// The trial z-score `(t − μ_eff)/σ_eff` at `t_secs` seconds: the one
-    /// expression the window scan, plan compilation and
-    /// [`WeakCell::fail_probability`] share, so they agree bit for bit.
-    pub(crate) fn z_score(
+    /// The trial z-score `(t − μ_eff)/σ_eff` at `t_secs` seconds for a cell
+    /// at DPD level `lvl` (matches-of-4, stress `lvl / 4`): the one
+    /// expression the window scan, plan compilation, the kernel's band
+    /// fallback, the VRT-arrival rounds and the ground truth share, so
+    /// they agree bit for bit. [`FULL_STRESS`] is a stress of exactly 1.
+    pub(crate) fn z_at(&self, lvl: u8, t_secs: f64, mu_temp_scale: f64, sigma_temp_scale: f64, vrt_factor: f64) -> f64 {
+        self.z_score(t_secs, mu_temp_scale, sigma_temp_scale, f64::from(lvl) / 4.0, vrt_factor)
+    }
+
+    /// The z-score at a stress fraction, behind [`WeakCell::z_at`] and
+    /// [`WeakCell::fail_probability`].
+    fn z_score(
         &self,
         t_secs: f64,
         mu_temp_scale: f64,

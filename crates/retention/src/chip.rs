@@ -23,9 +23,9 @@ use reaper_exec::rng::StreamPrefix;
 use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 
 use crate::batch::MAX_BATCH_ROUNDS;
-use crate::cell::{below_phi, phi_at_least, WeakCell};
+use crate::cell::{below_phi, phi_at_least, WeakCell, FULL_STRESS};
 use crate::config::RetentionConfig;
-use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
+use crate::plan::{LaneSource, PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
 
 /// Hard clamp on per-cell σ (seconds). Fig. 6b: the overwhelming
@@ -635,18 +635,6 @@ enum TrialRoute {
     Plan { key: PlanKey, compile: Option<Window> },
 }
 
-/// Where a window scan takes its cells from.
-enum ScanLanes<'a> {
-    /// Every cell of the window, gated by the pattern's polarity.
-    Cells,
-    /// The polarity-active cells of the pattern's lowering.
-    Lowered(&'a PatternLowering),
-    /// Every cell of the window, for the pair of the pattern and its
-    /// inverse: each cell is active under exactly one member, and one
-    /// active under the inverse draws on the next nonce, its trial's.
-    Pair,
-}
-
 impl SimulatedChip {
     /// Synthesizes a chip from `cfg`, deterministically in `seed`.
     ///
@@ -868,8 +856,8 @@ impl SimulatedChip {
     /// the pattern's lowering once the pattern recurs); its second
     /// sighting compiles a plan, and every trial on a cached plan runs
     /// through the bit-plane kernel as a batch of one. All routes are
-    /// bit-identical to [`SimulatedChip::retention_trial_reference`].
-    /// A [`SimulatedChip::retention_trial_union`] of one pattern.
+    /// bit-identical to [`SimulatedChip::retention_trial_reference`]. The
+    /// trial is a [`SimulatedChip::retention_trial_union`] of one pattern.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -983,19 +971,12 @@ impl SimulatedChip {
         let updates = match route {
             TrialRoute::Plan { key, compile } => {
                 if let Some(window) = compile {
-                    let plan = self.compile_plan(condition, window);
-                    self.plan_cache.fill_plan(plan);
+                    self.fill_plans(condition, &window, false);
                 }
                 self.plan_cache.plan(&key).run_rounds(self, ctx, &[ctx.nonce], bits)
             }
             TrialRoute::Scan { lowered, window } => {
-                // A lowering evicted since the route was resolved leaves
-                // the plain scan, which makes the same draws.
-                let lanes = match self.plan_cache.lowering(pattern).filter(|_| lowered) {
-                    Some(low) => ScanLanes::Lowered(low),
-                    None => ScanLanes::Cells,
-                };
-                self.window_scan(pattern, &window, ctx, lanes, bits)
+                self.with_lanes(pattern, &window, lowered, |chip, source| chip.scan_lanes(source, &window, ctx, bits))
             }
         };
         self.merge_vrt(updates);
@@ -1003,9 +984,9 @@ impl SimulatedChip {
 
     /// Runs the trials of `condition`'s pattern (nonce `ctx.nonce`) and of
     /// its inverse (the next nonce) on their resolved `routes`. Two
-    /// unlowered scans are one walk of the window, each cell decided
-    /// under the member that activates it; two plans compiled on this
-    /// sighting are compiled in one walk ([`TrialPlan::compile_pair`]).
+    /// unlowered scans are one walk of the window, and two plans compiled
+    /// on this sighting one compile walk, over [`LaneSource::Pair`]: each
+    /// cell is decided or compiled under the member that activates it.
     /// Any other pair of routes runs one trial at a time.
     fn run_pair(
         &mut self,
@@ -1017,16 +998,12 @@ impl SimulatedChip {
         let (pattern, interval, temp) = condition;
         let [first, second] = match routes {
             [TrialRoute::Scan { lowered: false, window }, TrialRoute::Scan { lowered: false, .. }] => {
-                let updates = self.window_scan(pattern, &window, ctx, ScanLanes::Pair, bits);
+                let updates = self.scan_lanes(LaneSource::Pair(pattern), &window, ctx, bits);
                 self.merge_vrt(updates);
                 return;
             }
             [TrialRoute::Plan { key: a, compile: Some(window) }, TrialRoute::Plan { key: b, compile: Some(_) }] => {
-                let plans = TrialPlan::compile_pair(&self.cfg, &self.cells, &self.index_rank, window, condition);
-                self.plan_cache.stats.plans_compiled += 2;
-                for plan in plans {
-                    self.plan_cache.fill_plan(plan);
-                }
+                self.fill_plans(condition, &window, true);
                 [a, b].map(|key| TrialRoute::Plan { key, compile: None })
             }
             routes => routes,
@@ -1159,15 +1136,16 @@ impl SimulatedChip {
         self.rng = rng;
     }
 
-    /// The window scan over the cells of `window`: polarity, stress, μ,
-    /// σ, z and the certified `u < phi(z)` compare ([`below_phi`]) per
-    /// cell per trial. It serves single trials whose condition has no
-    /// plan yet, and over [`ScanLanes::Cells`] it is the reference the
-    /// kernel is verified against. A lowering (built for `pattern`)
-    /// supplies the polarity-active cells and their stress levels, so the
-    /// scan skips the rest; inactive cells never open a hash lane either
-    /// way, so the lowering changes no stream. Over [`ScanLanes::Pair`]
-    /// the one walk serves the trials of `pattern` and of its inverse.
+    /// The window scan over the active cells of `source` in `window`:
+    /// polarity, stress, μ, σ, z and the certified `u < phi(z)` compare
+    /// ([`below_phi`]) per cell per trial. It serves single trials whose
+    /// condition has no plan yet, and over [`LaneSource::Cells`] it is the
+    /// reference the kernel is verified against. A lowering supplies the
+    /// polarity-active cells and their stress levels, so the scan skips
+    /// the rest; inactive cells never open a hash lane either way, so the
+    /// lowering changes no stream. Over [`LaneSource::Pair`] the one walk
+    /// serves the trials of the pattern (nonce `ctx.nonce`) and of its
+    /// inverse (the next nonce).
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
@@ -1176,75 +1154,33 @@ impl SimulatedChip {
     /// one bitmap), which emits in index order without a sort. VRT cells
     /// are observed on a *copy* of their chain state; the returned updates
     /// are merged back by the caller (each vrt_index belongs to exactly
-    /// one cell, so merges never conflict).
-    fn window_scan(
+    /// one cell, so merges never conflict). It runs inline on the calling
+    /// thread at every thread count: a window of a few thousand cells is
+    /// tens of microseconds of work, too little to repay a per-trial
+    /// fan-out (DESIGN.md §5b).
+    fn scan_lanes(
         &self,
-        pattern: DataPattern,
+        source: LaneSource<'_>,
         window: &Window,
         ctx: &TrialCtx,
-        lanes: ScanLanes<'_>,
         bits: &mut [u64],
-    ) -> Vec<(u32, TwoStateVrt)> {
-        let geometry = self.cfg.geometry;
-        let cells = &self.cells;
-        let cell = |ord: usize| {
-            cells
-                .get(ord)
-                .expect("invariant: window ranges and lowering ordinals index the cell array")
-        };
-        let stress = |lvl: u8| f64::from(lvl) / 4.0;
-        match lanes {
-            ScanLanes::Lowered(low) => self.scan_lanes(ctx, &low.active_lanes(window), bits, |segment, j| {
-                let (ord, lvl) = low.lane(segment, j);
-                Some((ord, cell(ord), stress(lvl), false))
-            }),
-            ScanLanes::Cells => self.scan_lanes(ctx, window, bits, |_, ord| {
-                let lvl = cell(ord).active_stress(pattern, geometry)?;
-                Some((ord, cell(ord), stress(lvl), false))
-            }),
-            ScanLanes::Pair => self.scan_lanes(ctx, window, bits, |_, ord| {
-                let (inverse, lvl) = cell(ord).pair_stress(pattern, geometry);
-                Some((ord, cell(ord), stress(lvl), inverse))
-            }),
-        }
-    }
-
-    /// The scan body over the positions of `lanes` (cells or lowering
-    /// lanes), one range per window segment: `cell_at(segment, i)` yields
-    /// the ordinal of the cell at position `i`, the cell, its DPD stress
-    /// fraction and whether it is active in the next trial (nonce
-    /// `ctx.nonce + 1`, a pair's inverse) rather than in `ctx`'s, or
-    /// `None` for a polarity-inactive cell. Generic so
-    /// each lane source compiles to its own loop. It runs inline on the
-    /// calling thread at every thread count: a window of a few thousand
-    /// cells is tens of microseconds of work, too little to repay a
-    /// per-trial fan-out (DESIGN.md §5b).
-    fn scan_lanes<'c>(
-        &self,
-        ctx: &TrialCtx,
-        lanes: &Window,
-        bits: &mut [u64],
-        cell_at: impl Fn(usize, usize) -> Option<(usize, &'c WeakCell, f64, bool)>,
     ) -> Vec<(u32, TwoStateVrt)> {
         // The VRT range bounds the chain updates, so the vector never
         // regrows. A visited cell ORs its outcome into its rank bit: a
         // shift and an OR instead of a branch on a draw that goes either
         // way.
-        let [_, vrt_lanes] = lanes;
-        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_lanes.len());
+        let [_, vrt_cells] = window;
+        let mut vrt_updates: Vec<(u32, TwoStateVrt)> = Vec::with_capacity(vrt_cells.len());
         // Each lane key is `[stream_base, TRIAL_DOMAIN, nonce, index]`:
         // the two trials' prefixes are hashed once, not once per cell.
         let trial = StreamPrefix::root().push(ctx.stream_base).push(TRIAL_DOMAIN);
         let [this_trial, next_trial] = [ctx.nonce, ctx.nonce + 1].map(|nonce| trial.push(nonce));
-        let positions = lanes
-            .iter()
-            .enumerate()
-            .flat_map(|(segment, range)| range.clone().map(move |j| (segment, j)));
-        for (segment, j) in positions {
-            let Some((ord, cell, stress, next)) = cell_at(segment, j) else {
-                continue;
-            };
-            let open_lane = || if next { next_trial } else { this_trial }.push(cell.index).stream();
+        source.visit(&self.cells, self.cfg.geometry, window, |ord, lvl, target| {
+            let cell = self
+                .cells
+                .get(ord)
+                .expect("invariant: active ordinals index the cell array");
+            let open_lane = || if target == 0 { this_trial } else { next_trial }.push(cell.index).stream();
             // A VRT cell's first draw observes its chain; a non-VRT cell's
             // lane opens only for a failure draw, which most of the window
             // never makes (|z| > Z_CUTOFF).
@@ -1261,9 +1197,9 @@ impl SimulatedChip {
                 }
                 None => (1.0, None),
             };
-            let z = cell.z_score(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, stress, vrt_factor);
+            let z = cell.z_at(lvl, ctx.t_secs, ctx.ms_scale, ctx.ss_scale, vrt_factor);
             if z < -Z_CUTOFF {
-                continue;
+                return;
             }
             let fails = z > Z_CUTOFF || below_phi(lane.get_or_insert_with(open_lane).next_f64(), z);
             let rank = num::idx(
@@ -1275,7 +1211,7 @@ impl SimulatedChip {
             *bits
                 .get_mut(rank / 64)
                 .expect("invariant: the bitmap has a bit per cell") |= u64::from(fails) << (rank % 64);
-        }
+        });
         vrt_updates
     }
 
@@ -1292,7 +1228,7 @@ impl SimulatedChip {
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         self.rank_cells();
         let mut bits = vec![0; rank_words(self.cells.len())];
-        let updates = self.window_scan(pattern, window, ctx, ScanLanes::Cells, &mut bits);
+        let updates = self.scan_lanes(LaneSource::Cells(pattern), window, ctx, &mut bits);
         self.merge_vrt(updates.clone());
         let mut failures = Vec::new();
         emit_ranks(&bits, &self.by_rank, &mut failures);
@@ -1313,9 +1249,10 @@ impl SimulatedChip {
     /// Without `use_caches`, always the unlowered scan, touching no cache.
     ///
     /// Every cache effect lands here, in the trial's turn: a plan compiled
-    /// on this sighting gets its slot now ([`TrialPlan::pending`]), so
-    /// the sightings, LRU ticks and evictions are those of compiling it on
-    /// the spot, and `run_trial` or `run_pair` fills it.
+    /// on this sighting gets its slot now ([`TrialPlan::pending`]), and a
+    /// lowering built on it is cached now, so the sightings, LRU ticks and
+    /// evictions are those of compiling or lowering on the spot;
+    /// `run_trial` or `run_pair` fills the plan or extends the lowering.
     fn route_trial(&mut self, (pattern, interval, temp): (DataPattern, Ms, Celsius), use_caches: bool) -> TrialRoute {
         if !use_caches {
             self.plan_cache.stats.scalar_trials += 1;
@@ -1341,12 +1278,10 @@ impl SimulatedChip {
         // Pattern-only lanes survive the harness's per-trial temperature
         // jitter, which keeps most conditions from ever recurring.
         let window = self.window(interval, temp);
-        let lowered = if let Some(low) = self.plan_cache.find_lowering(pattern) {
-            low.extend(&self.cells, self.cfg.geometry, &window);
+        let lowered = if self.plan_cache.find_lowering(pattern) {
             true
         } else if self.plan_cache.note_pattern(pattern) {
-            let lowering = PatternLowering::covering(&self.cells, pattern, self.cfg.geometry, &window);
-            self.plan_cache.insert_lowering(lowering);
+            self.plan_cache.insert_lowering(PatternLowering::new(pattern, &window));
             self.plan_cache.stats.lowerings_built += 1;
             true
         } else {
@@ -1366,18 +1301,42 @@ impl SimulatedChip {
         self.plan_cache.stats.batch_rounds += k;
     }
 
-    /// Compiles the plan of `condition` over its trial `window`. A cached
-    /// lowering of the pattern is extended to the window and feeds the
-    /// compile.
-    fn compile_plan(&mut self, condition: (DataPattern, Ms, Celsius), window: Window) -> TrialPlan {
-        let (pattern, ..) = condition;
-        let lowering = self.plan_cache.lowering_mut(pattern).map(|low| {
-            low.extend(&self.cells, self.cfg.geometry, &window);
-            &*low
-        });
-        let plan = TrialPlan::compile(&self.cfg, &self.cells, &self.index_rank, window, lowering, condition);
-        self.plan_cache.stats.plans_compiled += 1;
-        plan
+    /// Calls `walk` on the lane source of `pattern`'s trial over
+    /// `window`: the pattern's cached lowering when `lowered`, extended
+    /// here to the window, the one place a lowering grows; otherwise, or
+    /// once that lowering is evicted, every cell of the window, which
+    /// makes the same draws.
+    fn with_lanes<R>(
+        &mut self,
+        pattern: DataPattern,
+        window: &Window,
+        lowered: bool,
+        walk: impl FnOnce(&Self, LaneSource<'_>) -> R,
+    ) -> R {
+        if let Some(low) = self.plan_cache.lowering_mut(pattern).filter(|_| lowered) {
+            low.extend(&self.cells, self.cfg.geometry, window);
+        }
+        let lowering = self.plan_cache.lowering(pattern).filter(|_| lowered);
+        walk(self, lowering.map_or(LaneSource::Cells(pattern), LaneSource::Lowered))
+    }
+
+    /// Compiles the plan of `condition` over its trial `window`, fed by the
+    /// pattern's cached lowering if any, or with `pair` the plans of the
+    /// pattern and its inverse in one walk, and fills their reserved cache
+    /// slots ([`TrialPlan::pending`]).
+    fn fill_plans(&mut self, (pattern, interval, temp): (DataPattern, Ms, Celsius), window: &Window, pair: bool) {
+        let compile = |chip: &Self, source: LaneSource<'_>| {
+            TrialPlan::compile(&chip.cfg, &chip.cells, &chip.index_rank, window, source, (interval, temp))
+        };
+        let plans = if pair {
+            compile(self, LaneSource::Pair(pattern))
+        } else {
+            self.with_lanes(pattern, window, true, compile)
+        };
+        self.plan_cache.stats.plans_compiled += num::to_u64(plans.len());
+        for plan in plans {
+            self.plan_cache.fill_plan(plan);
+        }
     }
 
     /// Runs `rounds` retention trials at one fixed condition, returning
@@ -1496,8 +1455,8 @@ impl SimulatedChip {
             // (and record the sighting for later single trials).
             self.plan_cache.note_plan_key(g.key);
             if !self.plan_cache.find_plan(&g.key) {
-                let plan = self.compile_plan((g.pattern, g.interval, g.temp), self.window(g.interval, g.temp));
-                self.plan_cache.insert_plan(plan);
+                self.plan_cache.insert_plan(TrialPlan::pending(g.key));
+                self.fill_plans((g.pattern, g.interval, g.temp), &self.window(g.interval, g.temp), false);
             }
             for chunk in g.positions.chunks(MAX_BATCH_ROUNDS) {
                 if cancel.is_cancelled() {
@@ -1824,7 +1783,7 @@ impl SimulatedChip {
                 } else {
                     1.0
                 };
-                phi_at_least(c.z_score(t, ms_scale, ss_scale, 1.0, vrt_factor), min_prob)
+                phi_at_least(c.z_at(FULL_STRESS, t, ms_scale, ss_scale, vrt_factor), min_prob)
             })
             .map(|c| c.index)
             .collect();
@@ -2043,7 +2002,7 @@ mod tests {
             vrt.force_state(a.in_low, chip.arrival_clock_ms);
             a.in_low = vrt.observe(now_ms, &mut chip.rng);
             if a.in_low {
-                let z = a.cell().z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0);
+                let z = a.z_score(t_secs, ms_scale, ss_scale);
                 if z > Z_CUTOFF || (z > -Z_CUTOFF && below_phi(chip.rng.random::<f64>(), z)) {
                     failed.push(a.index);
                 }
@@ -2481,7 +2440,7 @@ mod tests {
                         // draw at every stress level, under the scan's exact z.
                         for cell in &cells[plain.end..chip.vrt_start] {
                             for lvl in 0..=4u8 {
-                                let z = cell.z_score(t, ms, ss, f64::from(lvl) / 4.0, 1.0);
+                                let z = cell.z_at(lvl, t, ms, ss, 1.0);
                                 assert!(
                                     z < -Z_CUTOFF,
                                     "{vendor:?} 1/{den} {interval_ms} ms {temp_c} °C: cell {} \

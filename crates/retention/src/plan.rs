@@ -6,8 +6,9 @@
 //! fraction (five `bit_at` evaluations), the effective μ/σ/z, and
 //! `phi(z)` for the failure decision (certified against a table, so the
 //! erf-backed `phi` itself runs only for draws next to it). None of that
-//! depends on the trial nonce — only the uniform draws do. This module factors the invariant work out into two
-//! cacheable tiers:
+//! depends on the trial nonce — only the uniform draws do.
+//!
+//! This module factors the invariant work out into two cacheable tiers:
 //!
 //! * [`PatternLowering`] — keyed by *pattern only*. Packs the
 //!   polarity-active cell ordinals and their quantized DPD stress levels
@@ -15,9 +16,10 @@
 //!   time-independent, so it survives the harness's per-trial thermal
 //!   jitter and `advance` calls. It feeds the window scan (which then
 //!   skips the polarity and stress work) and plan compilation. It covers
-//!   only the cells the pattern's trial windows have reached: both users
-//!   extend it to their window first, so nothing is lowered ahead of use
-//!   and a profiling job lowers ~750 cells of a ~6.3k-cell chip.
+//!   only the cells the pattern's trial windows have reached: it is
+//!   extended to a trial's window just before either reads it, so nothing
+//!   is lowered ahead of use and a profiling job lowers ~750 cells of a
+//!   ~6.3k-cell chip.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
 //!   trial window all the way to per-cell integer thresholds, certified
 //!   floors `⌊(Φ̃(z) − ε) · 2⁵³⌋` from the Φ table
@@ -33,11 +35,11 @@
 //! The multi-round entry points compile unconditionally: asking for many
 //! rounds at one condition is itself the recurrence signal.
 //!
-//! A pattern and its inverse split the cells between them: each cell
-//! stores its vulnerable bit under exactly one of the two. When a union
-//! compiles both members' plans at one sighting,
-//! [`TrialPlan::compile_pair`] fills them in one walk of the window, each
-//! cell going to the plan of the member that activates it.
+//! The scan and the compile walk the same [`LaneSource`]: every cell of
+//! the window under one pattern, a pattern's lowering, or a pattern and
+//! its inverse at once. The pair splits the cells between its members,
+//! since each cell stores its vulnerable bit under exactly one of the
+//! two, so one walk serves both trials or compiles both plans.
 //!
 //! # Lifecycle
 //!
@@ -167,21 +169,23 @@ struct LaneRun {
 }
 
 impl PatternLowering {
-    /// A lowering of `pattern` covering `window`.
-    pub(crate) fn covering(
-        cells: &[WeakCell],
-        pattern: DataPattern,
-        geometry: ChipGeometry,
-        window: &Window,
-    ) -> Self {
-        let mut lowering = Self {
+    /// A lowering of `pattern` covering no cell yet, its runs starting at
+    /// the segment starts of `window`.
+    pub(crate) fn new(pattern: DataPattern, window: &Window) -> Self {
+        Self {
             pattern,
             runs: window.clone().map(|cells| LaneRun {
                 ord: Vec::new(),
                 lvl: Vec::new(),
                 end: cells.start,
             }),
-        };
+        }
+    }
+
+    /// A lowering of `pattern` covering `window`.
+    #[cfg(test)]
+    pub(crate) fn covering(cells: &[WeakCell], pattern: DataPattern, geometry: ChipGeometry, window: &Window) -> Self {
+        let mut lowering = Self::new(pattern, window);
         lowering.extend(cells, geometry, window);
         lowering
     }
@@ -237,6 +241,72 @@ impl PatternLowering {
     }
 }
 
+/// Where a trial's polarity-active cells come from: the one lane source
+/// the window scan and the plan compile walk. Each active cell comes with
+/// its *target*, the index of the pattern it is active under in
+/// [`LaneSource::patterns`]: always 0 but for a pair, whose cells each
+/// store their vulnerable bit under exactly one member (1 for the
+/// inverse).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LaneSource<'a> {
+    /// Every cell of the window, gated by the pattern's polarity.
+    Cells(DataPattern),
+    /// The polarity-active cells of a lowering extended to the window.
+    Lowered(&'a PatternLowering),
+    /// Every cell of the window, for the pattern and its inverse.
+    Pair(DataPattern),
+}
+
+impl LaneSource<'_> {
+    /// The patterns whose trials the source serves, in target order.
+    pub(crate) fn patterns(&self) -> impl Iterator<Item = DataPattern> {
+        let (pattern, n) = match *self {
+            Self::Cells(pattern) => (pattern, 1),
+            Self::Lowered(low) => (low.pattern, 1),
+            Self::Pair(pattern) => (pattern, 2),
+        };
+        [pattern, pattern.inverse()].into_iter().take(n)
+    }
+
+    /// Calls `visit(ordinal, DPD level, target)` on each active cell of
+    /// `window`, in window order: over a lowering its lanes in the window,
+    /// otherwise every cell, skipping the polarity-inactive ones. The
+    /// source is matched once, outside the loops, so each source runs its
+    /// own loop around `visit`.
+    pub(crate) fn visit(
+        self,
+        cells: &[WeakCell],
+        geometry: ChipGeometry,
+        window: &Window,
+        mut visit: impl FnMut(usize, u8, usize),
+    ) {
+        let cell = |ord: usize| cells.get(ord).expect("invariant: window ranges index the cell array");
+        match self {
+            Self::Cells(pattern) => {
+                for ord in window.clone().into_iter().flatten() {
+                    if let Some(lvl) = cell(ord).active_stress(pattern, geometry) {
+                        visit(ord, lvl, 0);
+                    }
+                }
+            }
+            Self::Lowered(low) => {
+                for (segment, lanes) in low.active_lanes(window).into_iter().enumerate() {
+                    for j in lanes {
+                        let (ord, lvl) = low.lane(segment, j);
+                        visit(ord, lvl, 0);
+                    }
+                }
+            }
+            Self::Pair(pattern) => {
+                for ord in window.clone().into_iter().flatten() {
+                    let (inverse, lvl) = cell(ord).pair_stress(pattern, geometry);
+                    visit(ord, lvl, usize::from(inverse));
+                }
+            }
+        }
+    }
+}
+
 /// Sentinel threshold: the cell cannot fail at this condition/state
 /// (`z < −Z_CUTOFF`; the window scan performs no failure draw).
 pub(crate) const CERTAIN_PASS: f64 = -1.0;
@@ -254,13 +324,6 @@ fn threshold_of(z: f64) -> f64 {
     } else {
         phi(z)
     }
-}
-
-/// The cell at `ord` of the window-ordered cell array.
-fn cell_at(cells: &[WeakCell], ord: usize) -> &WeakCell {
-    cells
-        .get(ord)
-        .expect("invariant: window ranges and lowering ordinals index the cell array")
 }
 
 /// The compiled lanes of a [`TrialPlan`], in the chip's rank space: a
@@ -326,90 +389,22 @@ pub(crate) struct TrialPlan {
     pub(crate) lanes: PlanLanes,
 }
 
-/// The z of a cell at DPD level `lvl` (matches-of-4) in VRT state
-/// `vrt_factor`, as the window scan computes it: plan compile and the
-/// kernel's band fallback both take it from here, so they agree bit for
-/// bit.
-fn lane_z(cell: &WeakCell, lvl: u8, (t_secs, ms_scale, ss_scale): (f64, f64, f64), vrt_factor: f64) -> f64 {
-    cell.z_score(t_secs, ms_scale, ss_scale, f64::from(lvl) / 4.0, vrt_factor)
-}
-
 impl TrialPlan {
-    /// Compiles the plan over `window`, the chip's trial window at
-    /// `(interval, temp)` ([`crate::chip::window_ranges`]), naming each
-    /// cell by `index_rank` (parallel to `cells`). When a
-    /// [`PatternLowering`] for the same pattern, extended to `window`, is
-    /// available its packed lanes shortcut the polarity/stress scan; with
-    /// or without one the resulting plan is identical.
+    /// Compiles one plan per pattern of `source`, in target order, at
+    /// `(interval, temp)` over `window`, the chip's trial window there
+    /// ([`crate::chip::window_ranges`]), naming each cell by `index_rank`
+    /// (parallel to `cells`). Non-VRT cells are resolved into their class
+    /// here; VRT cells keep both per-state thresholds. A pattern's plan is
+    /// the same from every source that serves it.
     pub(crate) fn compile(
         cfg: &RetentionConfig,
         cells: &[WeakCell],
         index_rank: &[u32],
-        window: Window,
-        lowering: Option<&PatternLowering>,
-        (pattern, interval, temp): (DataPattern, Ms, Celsius),
-    ) -> Self {
-        let condition = ([pattern], interval, temp);
-        let [plan] = match lowering {
-            Some(low) => {
-                debug_assert!(low.pattern == pattern, "lowering pattern mismatch");
-                let active = low
-                    .active_lanes(&window)
-                    .into_iter()
-                    .enumerate()
-                    .flat_map(|(segment, lanes)| lanes.map(move |j| (segment, j)))
-                    .map(|(segment, j)| {
-                        let (ord, lvl) = low.lane(segment, j);
-                        (ord, lvl, 0)
-                    });
-                Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
-            }
-            None => {
-                let geometry = cfg.geometry;
-                let active = window.clone().into_iter().flatten().filter_map(|ord| {
-                    let lvl = cell_at(cells, ord).active_stress(pattern, geometry)?;
-                    Some((ord, lvl, 0))
-                });
-                Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
-            }
-        };
-        plan
-    }
-
-    /// The plans of `pattern` and of its inverse at one condition, from
-    /// one walk of `window`: each cell goes to the plan of the member
-    /// that activates it ([`WeakCell::pair_stress`]). Equal, lane for
-    /// lane, to two [`TrialPlan::compile`] calls.
-    pub(crate) fn compile_pair(
-        cfg: &RetentionConfig,
-        cells: &[WeakCell],
-        index_rank: &[u32],
-        window: Window,
-        (pattern, interval, temp): (DataPattern, Ms, Celsius),
-    ) -> [Self; 2] {
-        let geometry = cfg.geometry;
-        let active = window.clone().into_iter().flatten().map(|ord| {
-            let (inverse, lvl) = cell_at(cells, ord).pair_stress(pattern, geometry);
-            (ord, lvl, usize::from(inverse))
-        });
-        let condition = ([pattern, pattern.inverse()], interval, temp);
-        Self::compile_lanes(cfg, cells, index_rank, &window, condition, active)
-    }
-
-    /// The one compile body: the plans of `patterns` at `(interval,
-    /// temp)` over `window`, from its polarity-active cells as `(ordinal,
-    /// DPD level, target)`, where `target` indexes `patterns`. Non-VRT
-    /// cells are resolved into their class here; VRT cells keep both
-    /// per-state thresholds.
-    fn compile_lanes<const N: usize>(
-        cfg: &RetentionConfig,
-        cells: &[WeakCell],
-        index_rank: &[u32],
         window: &Window,
-        (patterns, interval, temp): ([DataPattern; N], Ms, Celsius),
-        active: impl Iterator<Item = (usize, u8, usize)>,
-    ) -> [Self; N] {
-        let scales = (interval.as_secs(), cfg.mu_temp_scale(temp), cfg.sigma_temp_scale(temp));
+        source: LaneSource<'_>,
+        (interval, temp): (Ms, Celsius),
+    ) -> Vec<Self> {
+        let (t_secs, ms_scale, ss_scale) = (interval.as_secs(), cfg.mu_temp_scale(temp), cfg.sigma_temp_scale(temp));
         struct Classes {
             certain: Vec<u64>,
             prob: Vec<(u32, u64)>,
@@ -417,20 +412,20 @@ impl TrialPlan {
         }
         // The window's VRT range bounds the VRT lanes (see the scan).
         let [_, vrt_cells] = window;
-        let mut classes: [Classes; N] = std::array::from_fn(|_| Classes {
+        let mut classes: Vec<Classes> = source.patterns().map(|_| Classes {
             certain: vec![0; rank_words(cells.len())],
             prob: Vec::new(),
             vrt: Vec::with_capacity(vrt_cells.len()),
-        });
-        for (ord, lvl, target) in active {
-            let cell = cell_at(cells, ord);
+        }).collect();
+        source.visit(cells, cfg.geometry, window, |ord, lvl, target| {
+            let cell = cells.get(ord).expect("invariant: active ordinals index the cell array");
             let rank = *index_rank
                 .get(ord)
                 .expect("invariant: index_rank is parallel to the cell array");
             let class = classes
                 .get_mut(target)
-                .expect("invariant: a cell's target indexes the compiled patterns");
-            let z = |vrt_factor| lane_z(cell, lvl, scales, vrt_factor);
+                .expect("invariant: a cell's target indexes the source's patterns");
+            let z = |vrt_factor| cell.z_at(lvl, t_secs, ms_scale, ss_scale, vrt_factor);
             match cell.vrt_index {
                 Some(slot) => {
                     let thr = [z(1.0), z(cfg.vrt_low_mu_factor)].map(threshold_of);
@@ -448,13 +443,13 @@ impl TrialPlan {
                     // skipping the lane entirely changes no stream.
                 }
             }
-        }
+        });
 
         // Cells were visited in window-key order; store the lanes by rank.
         // Each lane is collected from an exact-size iterator, so none holds
         // spare capacity (a standard-set cycle keeps 24 plans resident).
         let window_cells = window_len(window);
-        let mut plans = classes.into_iter().zip(patterns).map(|(mut class, pattern)| {
+        let plans = classes.into_iter().zip(source.patterns()).map(|(mut class, pattern)| {
             class.prob.sort_unstable_by_key(|&(rank, _)| rank);
             class.vrt.sort_unstable_by_key(|&(rank, ..)| rank);
             let (prob, vrt) = (&class.prob, &class.vrt);
@@ -472,7 +467,7 @@ impl TrialPlan {
                 lanes,
             }
         });
-        std::array::from_fn(|_| plans.next().expect("invariant: one plan per pattern"))
+        plans.collect()
     }
 
     /// A cache slot for the plan of `key`, reserved on the sighting that
@@ -495,7 +490,7 @@ impl TrialPlan {
         let lvl = cell
             .active_stress(self.key.pattern, chip.geometry())
             .expect("invariant: an in-band lane's cell is active under its plan's pattern");
-        u53_threshold(phi(lane_z(cell, lvl, (ctx.t_secs, ctx.ms_scale, ctx.ss_scale), 1.0)))
+        u53_threshold(phi(cell.z_at(lvl, ctx.t_secs, ctx.ms_scale, ctx.ss_scale, 1.0)))
     }
 
     /// The lane invariants the kernel relies on: parallel lanes have equal
@@ -574,6 +569,17 @@ fn evict_min_tick<T>(entries: &mut Vec<T>, tick_of: impl Fn(&T) -> u64) {
     }
 }
 
+/// Whether a `(tick, value)` cache list holds a value that is `hit`; the
+/// first such value is stamped with the next logical tick, as a use.
+fn touch<T>(tick: &mut u64, entries: &mut [(u64, T)], hit: impl Fn(&T) -> bool) -> bool {
+    let Some(entry) = entries.iter_mut().find(|(_, value)| hit(value)) else {
+        return false;
+    };
+    *tick += 1;
+    entry.0 = *tick;
+    true
+}
+
 impl PlanCache {
     fn bump(&mut self) -> u64 {
         self.tick += 1;
@@ -595,15 +601,7 @@ impl PlanCache {
 
     /// Whether a plan for `key` is cached; a hit counts as a use.
     pub(crate) fn find_plan(&mut self, key: &PlanKey) -> bool {
-        let Some(pos) = self.plans.iter().position(|(_, p)| p.key == *key) else {
-            return false;
-        };
-        let tick = self.bump();
-        self.plans
-            .get_mut(pos)
-            .expect("invariant: position() yields an in-bounds index")
-            .0 = tick;
-        true
+        touch(&mut self.tick, &mut self.plans, |p| p.key == *key)
     }
 
     pub(crate) fn insert_plan(&mut self, plan: TrialPlan) {
@@ -637,16 +635,9 @@ impl PlanCache {
         *slot = plan;
     }
 
-    /// The cached lowering of `pattern`, if any; a hit counts as a use.
-    pub(crate) fn find_lowering(&mut self, pattern: DataPattern) -> Option<&mut PatternLowering> {
-        let pos = self.lowerings.iter().position(|(_, l)| l.pattern == pattern)?;
-        let tick = self.bump();
-        let entry = self
-            .lowerings
-            .get_mut(pos)
-            .expect("invariant: position() yields an in-bounds index");
-        entry.0 = tick;
-        Some(&mut entry.1)
+    /// Whether a lowering of `pattern` is cached; a hit counts as a use.
+    pub(crate) fn find_lowering(&mut self, pattern: DataPattern) -> bool {
+        touch(&mut self.tick, &mut self.lowerings, |l| l.pattern == pattern)
     }
 
     /// The cached lowering of `pattern`, if any, without touching
@@ -743,6 +734,37 @@ mod tests {
             let run = &low.runs[if cells.start == 0 { 0 } else { 1 }];
             assert_eq!(run.ord.iter().filter(|o| in_cells(o)).count(), lanes.len());
         }
+
+        // Over each window, the three lane sources agree: the lowering
+        // yields the all-cells lanes, and the pair sends each cell to the
+        // member whose all-cells source holds it.
+        let active = |source: LaneSource<'_>, window: &Window| {
+            let mut lanes = Vec::new();
+            source.visit(chip.cells(), geometry, window, |ord, lvl, target| lanes.push((ord, lvl, target)));
+            lanes
+        };
+        for window in [&short, &long] {
+            let cells = active(LaneSource::Cells(pattern), window);
+            assert!(cells.iter().all(|&(.., target)| target == 0));
+            assert_eq!(active(LaneSource::Lowered(&low), window), cells);
+            let pair = active(LaneSource::Pair(pattern), window);
+            for (target, member) in [pattern, pattern.inverse()].into_iter().enumerate() {
+                let lanes: Vec<_> = pair
+                    .iter()
+                    .filter(|&&(.., t)| t == target)
+                    .map(|&(ord, lvl, _)| (ord, lvl, 0))
+                    .collect();
+                assert_eq!(lanes, active(LaneSource::Cells(member), window), "target {target}");
+            }
+            assert_eq!(pair.len(), window_len(window), "every cell is active under one member");
+        }
+    }
+
+    /// Compiles the plans of `source` at `(interval, temp)` on `chip`.
+    fn compile_source(chip: &SimulatedChip, source: LaneSource<'_>, interval: Ms, temp: Celsius) -> Vec<TrialPlan> {
+        let (index_rank, _) = chip.rank_tables_for_tests();
+        let window = chip.window(interval, temp);
+        TrialPlan::compile(chip.config(), chip.cells(), &index_rank, &window, source, (interval, temp))
     }
 
     /// Compiles the plan of `(pattern, interval, temp)` on `chip`, with or
@@ -750,18 +772,11 @@ mod tests {
     fn compile(
         chip: &SimulatedChip,
         lowering: Option<&PatternLowering>,
-        condition: (DataPattern, Ms, Celsius),
+        (pattern, interval, temp): (DataPattern, Ms, Celsius),
     ) -> TrialPlan {
-        let (_, interval, temp) = condition;
-        let (index_rank, _) = chip.rank_tables_for_tests();
-        TrialPlan::compile(
-            chip.config(),
-            chip.cells(),
-            &index_rank,
-            chip.window(interval, temp),
-            lowering,
-            condition,
-        )
+        let source = lowering.map_or(LaneSource::Cells(pattern), LaneSource::Lowered);
+        let [plan] = <[TrialPlan; 1]>::try_from(compile_source(chip, source, interval, temp)).expect("one plan");
+        plan
     }
 
     #[test]
@@ -790,7 +805,6 @@ mod tests {
         // each cell to the member that activates it with that member's
         // stress, so both plans equal their single compiles.
         let chip = quick_chip();
-        let (index_rank, _) = chip.rank_tables_for_tests();
         let mut lanes = 0;
         for (pattern, interval_ms, temp_c) in [
             (DataPattern::solid0(), 512.0, 45.0),
@@ -801,9 +815,8 @@ mod tests {
             (DataPattern::random(0xF15), 2048.0, 45.0),
         ] {
             let (interval, temp) = (Ms::new(interval_ms), Celsius::new(temp_c));
-            let window = chip.window(interval, temp);
-            let [plan, inverse] =
-                TrialPlan::compile_pair(chip.config(), chip.cells(), &index_rank, window, (pattern, interval, temp));
+            let plans = compile_source(&chip, LaneSource::Pair(pattern), interval, temp);
+            let [plan, inverse] = <[TrialPlan; 2]>::try_from(plans).expect("a pair compiles two plans");
             assert_eq!(plan, compile(&chip, None, (pattern, interval, temp)), "{pattern}");
             let inverse_condition = (pattern.inverse(), interval, temp);
             assert_eq!(inverse, compile(&chip, None, inverse_condition), "~{pattern}");
@@ -939,7 +952,7 @@ mod tests {
         cache.insert_lowering(low);
         assert!(cache.find_plan(&key));
         assert_eq!(cache.plan(&key).key, key);
-        assert!(cache.find_lowering(pat).is_some());
+        assert!(cache.find_lowering(pat));
         assert_eq!(cache.lowering(pat).map(|l| l.pattern), Some(pat));
 
         // Plans leave only through LRU eviction: a plan hit when the cache

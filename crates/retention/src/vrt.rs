@@ -20,7 +20,7 @@
 //!   transition probabilities [`TwoStateVrt::low_after`] computes once per
 //!   round.
 
-use crate::cell::WeakCell;
+use crate::cell::{WeakCell, FULL_STRESS};
 use rand::Rng;
 
 /// A continuous-time two-state retention process: the cell dwells in a
@@ -171,11 +171,11 @@ impl ArrivalCell {
         }
     }
 
-    /// The trial z-score in the low state: the cell's
-    /// [`WeakCell::z_score`] at full stress and no VRT factor, the
-    /// expression every arrival round and the ground truth share.
+    /// The trial z-score in the low state: the cell's [`WeakCell::z_at`]
+    /// at full stress and no VRT factor, the expression every arrival
+    /// round and the ground truth share.
     pub(crate) fn z_score(&self, t_secs: f64, ms_scale: f64, ss_scale: f64) -> f64 {
-        self.cell().z_score(t_secs, ms_scale, ss_scale, 1.0, 1.0)
+        self.cell().z_at(FULL_STRESS, t_secs, ms_scale, ss_scale, 1.0)
     }
 
     /// Records an observation at `now_ms` (debug builds only).
