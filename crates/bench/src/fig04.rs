@@ -83,12 +83,13 @@ fn accumulation_rate(
     measure_hours: f64,
 ) -> f64 {
     let interval = Ms::from_secs(t_s);
-    // Each iteration's 12 trials are one union, merged into `seen` once;
-    // the cells new to `seen` are the same as merging trial by trial.
-    let mut seen = Vec::new();
-    for it in 0..warmup_iters {
-        merge_sorted_union(&mut seen, &mut step_union(&mut chip, it, interval, temp));
-    }
+    // The warm-up runs at one clock, so its trials are one union: each
+    // fixed pattern's iterations run as one kernel group. The measured
+    // iterations each advance the clock and stay one union per step,
+    // merged into `seen` once; the cells new to `seen` are the same as
+    // merging trial by trial.
+    let warmup: Vec<DataPattern> = (0..warmup_iters).flat_map(DataPattern::standard_set).collect();
+    let mut seen = chip.retention_trial_union(&warmup, interval, temp).into_vec();
     // `seen` grows by about one cell per VRT arrival; reserving the
     // expected growth up front spares the multi-MB doubling copies, each
     // of which kept the old block resident next to the new.

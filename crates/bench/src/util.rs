@@ -44,10 +44,10 @@ pub fn profile_union(
     iterations: u64,
 ) -> FailureProfile {
     // A fixed-condition round loop is exactly what the bit-plane batch
-    // kernel exists for: every (pattern, interval, temp) key repeats
-    // `iterations` times, so the whole loop is submitted as one schedule
-    // and each recurring condition runs up to 64 rounds per kernel pass.
-    // Bit-identical to the former per-trial loop over the same patterns.
+    // kernel exists for: the fixed patterns repeat `iterations` times, so
+    // the whole loop is one union and each recurring condition runs up to
+    // 64 rounds per kernel pass. Bit-identical to the former per-trial
+    // loop over the same patterns.
     Profiler::direct_union(
         chip,
         interval,
@@ -209,8 +209,10 @@ mod tests {
     fn profile_union_grows_with_iterations() {
         let mut chip = representative_chip(Scale::Quick);
         let one = profile_union(&mut chip, Ms::new(2048.0), Celsius::new(45.0), 1).len();
-        // Every trial is served by the bit-plane batch kernel.
-        assert_eq!(chip.plan_stats().batch_rounds, 12);
+        // One iteration's 12 conditions are each seen once, so every
+        // trial routes as a single trial to the window scan.
+        let stats = chip.plan_stats();
+        assert_eq!((stats.batch_rounds, stats.scalar_trials), (0, 12));
         let mut chip = representative_chip(Scale::Quick);
         let four = profile_union(&mut chip, Ms::new(2048.0), Celsius::new(45.0), 4).len();
         assert!(four >= one);

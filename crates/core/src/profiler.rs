@@ -5,7 +5,6 @@
 //! profiling is the degenerate reach point `(+0 ms, +0 °C)`.
 
 use reaper_dram_model::{Celsius, DataPattern, Ms};
-use reaper_exec::cancel::CancelToken;
 use reaper_exec::num;
 use reaper_retention::SimulatedChip;
 use reaper_softmc::TestHarness;
@@ -274,12 +273,12 @@ impl Profiler {
         }
     }
 
-    /// Harness-free union profiling at one fixed condition, served by the
-    /// chip's bit-plane batch kernel: `iterations` passes over `patterns`
-    /// at exactly (`interval`, `dram_temp`), submitted as one trial
-    /// schedule so each recurring condition runs up to
-    /// [`reaper_retention::MAX_BATCH_ROUNDS`] rounds per kernel pass.
-    /// Returns the union of all observed failures.
+    /// Harness-free union profiling at one fixed condition: `iterations`
+    /// passes over `patterns` at exactly (`interval`, `dram_temp`), as one
+    /// [`SimulatedChip::retention_trial_union`], so each recurring pattern
+    /// runs up to [`reaper_retention::MAX_BATCH_ROUNDS`] rounds per kernel
+    /// pass and the rest route as single trials. Returns the union of all
+    /// observed failures.
     ///
     /// Unlike [`Profiler::run`] this charges no simulated time and applies
     /// no thermal-chamber jitter — it is the fast path for callers that
@@ -294,17 +293,10 @@ impl Profiler {
         iterations: u32,
         patterns: &PatternSet,
     ) -> FailureProfile {
-        let mut schedule = Vec::new();
-        for it in 0..iterations {
-            for pattern in patterns.for_iteration(u64::from(it)) {
-                schedule.push((pattern, interval, dram_temp));
-            }
-        }
-        let mut seen = Vec::new();
-        for outcome in chip.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes {
-            merge_sorted_union(&mut seen, &mut outcome.into_vec());
-        }
-        FailureProfile::from_cells(seen)
+        let all: Vec<DataPattern> = (0..iterations)
+            .flat_map(|it| patterns.for_iteration(u64::from(it)))
+            .collect();
+        FailureProfile::from_cells(chip.retention_trial_union(&all, interval, dram_temp).into_vec())
     }
 
     /// Runs until the profile covers at least `coverage_goal` of
@@ -557,9 +549,11 @@ mod tests {
         let got = Profiler::direct_union(&mut chip, interval, temp, 3, &patterns);
         assert_eq!(got, want);
         assert!(!got.is_empty());
-        // All trials were served by the batch kernel.
+        // The 8 fixed patterns recur in every iteration and run on the
+        // batch kernel; the walking and random pairs never recur in 3
+        // iterations and route as single trials, to the window scan.
         let stats = chip.plan_stats();
-        assert_eq!(stats.batch_rounds, 3 * 12);
+        assert_eq!(stats.batch_rounds, 3 * 8);
     }
 
     #[test]

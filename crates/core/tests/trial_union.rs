@@ -13,7 +13,9 @@
 //! walk when both are first sighted, one compile walk when both compile,
 //! one trial at a time otherwise. The second test drives pairs through
 //! each of those route combinations, and through unions whose patterns
-//! do not pair.
+//! do not pair. A pattern repeated within a union is a group that
+//! compiles at once, so only there do the union's routing counters part
+//! from the loop's, by exactly one trial moved from the scan to the plan.
 
 use reaper_core::merge_sorted_union;
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
@@ -136,12 +138,38 @@ fn pairs_match_the_trial_loop_on_every_route_combination() {
         assert_eq!(run(&[random, random.inverse()], t1), [1, 1, 0, 0], "step {step}");
 
         // Unions that do not pair: a pattern followed by another, an odd
-        // trailing pattern, the same pattern twice (its second trial
-        // compiles).
+        // trailing pattern.
         let [first, second, odd, twice] = [100, 200, 300, 400].map(|seed| DataPattern::random(seed + step));
         assert_eq!(run(&[first, second], t0), [2, 0, 0, 0], "step {step}");
         assert_eq!(run(&[odd, odd.inverse(), second.inverse()], t0), [3, 0, 0, 0], "step {step}");
-        assert_eq!(run(&[twice, twice], t1), [1, 0, 1, 1], "step {step}");
+
+        // The same pattern twice is a group of two, which compiles before
+        // its first trial and runs both on the plan, where the loop scans
+        // the first and compiles on the second:
+        // one trial moves from the scan to the plan, and no other counter
+        // moves. It runs on clones, so the chips stay in step for the
+        // unions above.
+        let (mut union, mut looped) = (chip.clone(), reference.clone());
+        let before = union.plan_stats();
+        let got = union.retention_trial_union(&[twice, twice], interval, t1);
+        let mut want = looped.retention_trial(twice, interval, t1).into_vec();
+        merge_sorted_union(&mut want, &mut looped.retention_trial(twice, interval, t1).into_vec());
+        assert_eq!(got.failures(), want.as_slice(), "step {step}");
+        let grown = |[scalar, plan]: [u64; 2]| PlanStats {
+            scalar_trials: before.scalar_trials + scalar,
+            plan_trials: before.plan_trials + plan,
+            batch_rounds: before.batch_rounds + plan,
+            plans_compiled: before.plans_compiled + 1,
+            ..before
+        };
+        assert_eq!(union.plan_stats(), grown([0, 2]), "step {step}");
+        assert_eq!(looped.plan_stats(), grown([1, 1]), "step {step}");
+        assert_eq!(union.arrival_count(), looped.arrival_count(), "step {step}");
+        assert_eq!(
+            union.retention_trial_reference(twice, interval, t1),
+            looped.retention_trial_reference(twice, interval, t1),
+            "step {step}"
+        );
     }
     assert!(chip.arrival_count() > 0, "arrivals must take part");
 }

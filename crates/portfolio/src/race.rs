@@ -18,9 +18,9 @@
 //! posted bound. Lanes also poll the board themselves — at chunk
 //! boundaries (before spending kernel time) and during the accounting
 //! walk — and self-cancel once their own incurred cost strictly exceeds
-//! the board's best. Cancellation reaches a running kernel only at batch
-//! boundaries (see `retention_trial_schedule`), so nothing
-//! ever diverges mid-batch.
+//! the board's best. Cancellation reaches a running schedule only before
+//! a kernel batch or a routed trial (see `retention_trial_schedule`), so
+//! nothing ever diverges mid-batch.
 //!
 //! # Why racing stays deterministic
 //!

@@ -1,8 +1,8 @@
 //! Bit-plane batch trial kernel: up to 64 rounds per cell per pass.
 //!
 //! The one kernel every trial on a compiled [`TrialPlan`] runs through:
-//! single trials as batches of one, and the multi-round and schedule
-//! entry points in batches of up to 64. Running R rounds round-major
+//! a routed trial as a batch of one, and a group of same-condition
+//! trials in one call in batches of up to 64. Running R rounds round-major
 //! would re-stream the `prob_rank`/`prob_lo` lanes from memory R times and
 //! pay the per-batch setup and merge R times. The kernel runs the loop nest
 //! **cell-major** instead: each in-band lane is visited once per batch —
@@ -14,9 +14,10 @@
 //! round, and each failing lane's plane is scattered into the rounds with
 //! trailing-zeros iteration (the gsim2 word-packed SoA trick). The caller
 //! emits a round once through the chip's rank table, so it comes out
-//! sorted with no merge; a single trial ORs its round straight into its
-//! union's bitmap. A batch of one skips the planes' scatter: each lane ORs
-//! its 0-or-1 outcome into the round as a value, with no branch on it.
+//! sorted with no merge; a union's batch ORs its rounds straight into the
+//! union's one bitmap, scattering every plane at stride 0. A batch of one
+//! skips the planes' scatter: each lane ORs its 0-or-1 outcome into the
+//! round as a value, with no branch on it.
 //!
 //! Two further per-draw savings fall out of the inversion:
 //!
@@ -94,11 +95,13 @@ pub(crate) fn u53_threshold(thr: f64) -> u64 {
 
 impl TrialPlan {
     /// Evaluates one round per nonce in a single cell-major pass, ORing
-    /// each round's failures into its bitmap: round `r` owns
-    /// `rounds[r·w..(r+1)·w]`, `w` words with a bit per rank of the chip's
-    /// weak cells. Returns the final VRT chain states, one per VRT lane:
-    /// the union of what per-round merges would have produced, since later
-    /// observations overwrite earlier ones slot-wise.
+    /// each round's failures into its bitmap: round `r` owns the `w` words
+    /// at `r · stride` in `rounds`, a bit per rank of the chip's weak
+    /// cells. A stride of 0 ORs every round into one bitmap (a union's
+    /// sink); a stride of `w` gives each round its own. Returns the final
+    /// VRT chain states, one per VRT lane: the union of what per-round
+    /// merges would have produced, since later observations overwrite
+    /// earlier ones slot-wise.
     ///
     /// `ctx.nonce` is ignored (each lane key takes its nonce from
     /// `nonces`); all rounds share `ctx.now_ms`; the chip's rank tables
@@ -108,14 +111,16 @@ impl TrialPlan {
     /// between calls.
     ///
     /// # Panics
-    /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`], or
-    /// if `rounds` does not hold one bitmap per nonce.
+    /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`], if
+    /// `stride` is neither 0 nor `w`, or if `rounds` is too short for the
+    /// bitmaps that `stride` lays out.
     pub(crate) fn run_rounds(
         &self,
         chip: &SimulatedChip,
         ctx: &TrialCtx,
-        nonces: &[u64],
+        nonces: impl ExactSizeIterator<Item = u64>,
         rounds: &mut [u64],
+        stride: usize,
     ) -> Vec<(u32, TwoStateVrt)> {
         let k = nonces.len();
         assert!(
@@ -125,13 +130,17 @@ impl TrialPlan {
         debug_assert!(self.lanes_consistent(), "plan SoA lanes out of sync");
         let lanes = &self.lanes;
         let words = lanes.certain.len();
-        assert_eq!(rounds.len(), k * words, "one failure bitmap per round");
+        assert!(
+            stride == 0 || stride == words,
+            "rounds share one bitmap or own one each"
+        );
+        let rounds = rounds
+            .get_mut(..(k - 1) * stride + words)
+            // lint: allow(panic) documented `# Panics`: `rounds` too short for its stride
+            .expect("`rounds` holds the bitmaps `stride` lays out");
 
         // Certain-fail cells fail every round.
-        for r in 0..k {
-            let round = rounds
-                .get_mut(r * words..(r + 1) * words)
-                .expect("invariant: rounds holds k bitmaps of `words` words");
+        for round in rounds.chunks_mut(words.max(1)) {
             for (word, &certain) in round.iter_mut().zip(&lanes.certain) {
                 *word |= certain;
             }
@@ -142,8 +151,7 @@ impl TrialPlan {
         let trial_prefix = StreamPrefix::root()
             .push(ctx.stream_base)
             .push(TRIAL_DOMAIN);
-        let nonce_prefixes: Vec<StreamPrefix> =
-            nonces.iter().map(|&nonce| trial_prefix.push(nonce)).collect();
+        let nonce_prefixes: Vec<StreamPrefix> = nonces.map(|nonce| trial_prefix.push(nonce)).collect();
         let by_rank = chip.by_rank();
         let index_of = |rank: u32| {
             *by_rank
@@ -152,7 +160,8 @@ impl TrialPlan {
         };
         // A batch of one ORs each lane's outcome into its round as a
         // value: its plane is 0 or 1, and a branch on it would go either
-        // way. Larger batches scatter a plane's set bits.
+        // way. Larger batches scatter a plane's set bits, at stride 0 all
+        // into the one bitmap.
         let mut record = |plane: u64, rank: u32| {
             if k == 1 {
                 let rank = num::idx(rank);
@@ -160,7 +169,7 @@ impl TrialPlan {
                     .get_mut(rank / 64)
                     .expect("invariant: plan ranks lie below the bitmap") |= plane << (rank % 64);
             } else {
-                scatter_plane(plane, rank, words, rounds);
+                scatter_plane(plane, rank, stride, rounds);
             }
         };
 
@@ -308,15 +317,15 @@ fn settle_band(plane: u64, band: u64, exact: impl FnOnce() -> u64, draw_of: impl
 }
 
 /// Sets `rank`'s bit in the bitmap of every round whose bit is set in
-/// one cell's bit-plane.
-fn scatter_plane(plane: u64, rank: u32, words: usize, rounds: &mut [u64]) {
+/// one cell's bit-plane: round `r`'s bitmap starts at `r · stride`.
+fn scatter_plane(plane: u64, rank: u32, stride: usize, rounds: &mut [u64]) {
     let rank = num::idx(rank);
     let (word, bit) = (rank / 64, 1u64 << (rank % 64));
     let mut plane = plane;
     while plane != 0 {
         let r = num::idx(plane.trailing_zeros());
         *rounds
-            .get_mut(r * words + word)
+            .get_mut(r * stride + word)
             .expect("invariant: plane bits sit below the batch size, ranks below the bitmap") |= bit;
         plane &= plane - 1;
     }
@@ -453,7 +462,7 @@ mod tests {
     ) -> (Vec<Vec<u64>>, Vec<(u32, TwoStateVrt)>) {
         let words = plan.lanes.certain.len();
         let mut bits = vec![0; nonces.len() * words];
-        let updates = plan.run_rounds(chip, ctx, nonces, &mut bits);
+        let updates = plan.run_rounds(chip, ctx, nonces.iter().copied(), &mut bits, words);
         let rounds = bits
             .chunks(words)
             .map(|round| {

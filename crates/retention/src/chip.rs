@@ -7,9 +7,10 @@
 //! and the batch kernel record a failure as its cell's rank bit, and VRT
 //! arrivals as bits of their ranks in `arrival_order`; `emit_ranks`
 //! turns a bitmap into ascending indices. An outcome is therefore emitted
-//! sorted, with no per-trial sort or merge, and a union of same-clock
-//! trials ([`SimulatedChip::retention_trial_union`]) ORs its trials'
-//! bitmaps and emits once.
+//! sorted, with no per-trial sort or merge. Every trial entry point but
+//! the reference scan wraps one multi-trial body (`run_trials`), which
+//! runs a call's trials grouped by condition and reports one outcome per
+//! trial or, for a union, ORs their bitmaps and emits once.
 
 use std::ops::Range;
 
@@ -527,6 +528,9 @@ pub struct SimulatedChip {
     trial_nonce: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
+    /// `run_trials`' `(group, position)` order, empty between calls: kept
+    /// so that a call reuses the last one's allocation.
+    trial_order: Vec<(usize, usize)>,
 }
 
 /// Sets the bit of `rank` in a failure bitmap.
@@ -622,9 +626,9 @@ fn rank_tables(cells: &[WeakCell]) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
     (index_rank, sorted.into_iter().map(|(index, _)| index).collect(), rank_ord)
 }
 
-/// How one single trial is served, resolved by `route_trial`. Routes name
-/// their lowering and plan by pattern and key, so a pair's two routes can
-/// both be resolved before either runs.
+/// How a trial, or a group's trials, are served, resolved by
+/// `route_trial`. Routes name their lowering and plan by pattern and key,
+/// so a pair's two routes can both be resolved before either runs.
 enum TrialRoute {
     /// The window scan over the trial window, fed by the pattern's cached
     /// lowering, already extended to the window, when `lowered`.
@@ -633,6 +637,47 @@ enum TrialRoute {
     /// window of a plan whose slot this sighting reserved
     /// ([`TrialPlan::pending`]), to be compiled before it runs.
     Plan { key: PlanKey, compile: Option<Window> },
+}
+
+/// Where the multi-trial body puts its trials' window failures.
+enum Sink {
+    /// One weak-cell bitmap that every trial ORs into: a union.
+    Union(Vec<u64>),
+    /// Each entry's failures, emitted, by entry position; `None` until
+    /// the entry's trial has run.
+    PerEntry(Vec<Option<Vec<u64>>>),
+}
+
+impl Sink {
+    /// The bitmaps the next `k` trials write into, and their stride: trial
+    /// `r` writes the `words` words at `r · stride`. The union's one
+    /// bitmap has stride 0; otherwise `k` clear bitmaps in `trial_bits`
+    /// have stride `words`.
+    fn bits<'a>(&'a mut self, trial_bits: &'a mut Vec<u64>, k: usize, words: usize) -> (&'a mut [u64], usize) {
+        match self {
+            Self::Union(bits) => (bits, 0),
+            Self::PerEntry(_) => {
+                trial_bits.clear();
+                trial_bits.resize(k * words, 0);
+                (trial_bits, words)
+            }
+        }
+    }
+
+    /// Emits the bitmaps in `trial_bits` of the trials at `positions` into
+    /// their slots; a union emits once, at the end.
+    fn emit(&mut self, positions: impl Iterator<Item = usize>, trial_bits: &[u64], words: usize, by_rank: &[u64]) {
+        if let Self::PerEntry(slots) = self {
+            for (r, pos) in positions.enumerate() {
+                let round = trial_bits
+                    .get(r * words..(r + 1) * words)
+                    .expect("invariant: `bits` laid out one bitmap per trial");
+                let mut failures = Vec::with_capacity(count_ranks(round));
+                emit_ranks(round, by_rank, &mut failures);
+                *slots.get_mut(pos).expect("invariant: positions enumerate the entries") = Some(failures);
+            }
+        }
+    }
 }
 
 impl SimulatedChip {
@@ -715,6 +760,7 @@ impl SimulatedChip {
             stream_base: seed,
             trial_nonce: 0,
             plan_cache: PlanCache::default(),
+            trial_order: Vec::new(),
             cfg,
         };
         chip.rebuild_sort();
@@ -855,9 +901,8 @@ impl SimulatedChip {
     /// A condition seen for the first time runs the window scan (fed by
     /// the pattern's lowering once the pattern recurs); its second
     /// sighting compiles a plan, and every trial on a cached plan runs
-    /// through the bit-plane kernel as a batch of one. All routes are
-    /// bit-identical to [`SimulatedChip::retention_trial_reference`]. The
-    /// trial is a [`SimulatedChip::retention_trial_union`] of one pattern.
+    /// through the bit-plane kernel as a batch of one: a union of one. All
+    /// routes are bit-identical to [`SimulatedChip::retention_trial_reference`].
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -867,14 +912,16 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
-        self.trial_union(&[pattern], interval, temp, true)
+        assert!(interval.is_positive(), "retention interval must be positive");
+        self.run_union(&[(pattern, interval, temp)])
     }
 
     /// [`SimulatedChip::retention_trial`] through the window scan without
     /// a lowering, always: the reference every other trial path is checked
     /// against. It consumes the same nonce and draws as the production
     /// trial, so the two can be interleaved on one chip, and it leaves the
-    /// lowering and plan caches (sightings included) untouched.
+    /// lowering and plan caches (sightings included) untouched; it counts
+    /// as a scalar trial.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -884,18 +931,37 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
-        self.trial_union(&[pattern], interval, temp, false)
+        assert!(interval.is_positive(), "retention interval must be positive");
+        self.process_arrivals(interval.as_secs(), temp);
+        self.rank_cells();
+        self.plan_cache.stats.scalar_trials += 1;
+        let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
+        self.trial_nonce += 1;
+        let mut window = vec![0; rank_words(self.cells.len())];
+        let updates = self.scan_lanes(
+            LaneSource::Cells(pattern),
+            &self.window(interval, temp),
+            &ctx,
+            &mut window,
+            0,
+        );
+        self.merge_vrt(updates);
+        let mut arrivals = vec![0; rank_words(self.arrival_order.len())];
+        self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrivals);
+        TrialOutcome::from_rank_bits(&window, &self.by_rank, &arrivals, &self.arrival_order)
     }
 
     /// One [`SimulatedChip::retention_trial`] per pattern, in order, at one
     /// clock and condition, returning the union of their failures: the
-    /// cells that failed at least one of the trials. Bit-identical to
-    /// merging the outcomes of a `retention_trial` loop over `patterns`,
-    /// and it leaves the chip in the same state (nonces, VRT chains, the
-    /// sequential RNG, the caches). The trials OR their failures into one
-    /// weak-cell and one arrival bitmap, which are emitted once, so a
-    /// union costs one emission instead of one per trial and a merge per
-    /// trial. An empty `patterns` runs nothing.
+    /// cells that failed at least one of the trials. It is the multi-trial
+    /// body with the union sink, so a pattern that recurs in `patterns`
+    /// runs as one kernel group and the others route as single trials do.
+    /// Bit-identical to merging the outcomes of a `retention_trial` loop
+    /// over `patterns`, with the same nonces, VRT chains and sequential RNG
+    /// after it; the caches and counters match the loop's too unless a
+    /// pattern recurs, whose group compiles before its first trial, not on
+    /// its second. The trials OR their failures into one weak-cell and one
+    /// arrival bitmap, emitted once. An empty `patterns` runs nothing.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -905,67 +971,168 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
-        self.trial_union(patterns, interval, temp, true)
-    }
-
-    /// The body of the single-trial and union entry points;
-    /// `use_caches == false` forces the reference route.
-    ///
-    /// A pattern followed by its inverse runs as a pair: both routes are
-    /// resolved in order, as two single trials would resolve them, and
-    /// then `run_pair` serves both trials at once where their routes
-    /// allow.
-    fn trial_union(
-        &mut self,
-        patterns: &[DataPattern],
-        interval: Ms,
-        temp: Celsius,
-        use_caches: bool,
-    ) -> TrialOutcome {
         assert!(interval.is_positive(), "retention interval must be positive");
-        self.rank_cells();
-        let mut window_bits = vec![0u64; rank_words(self.cells.len())];
-        let mut arrival_bits = Vec::new();
-        let mut rest = patterns;
-        while let Some((&pattern, tail)) = rest.split_first() {
-            // The first trial draws and retires arrivals; the clock does
-            // not move between the trials, so the rest find nothing to do,
-            // the arrival ranks stay put and the resize is a no-op.
-            self.process_arrivals(interval.as_secs(), temp);
-            arrival_bits.resize(rank_words(self.arrival_order.len()), 0);
-            let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
-            let condition = (pattern, interval, temp);
-            let first = self.route_trial(condition, use_caches);
-            let trials = match tail.first() {
-                Some(&inverse) if inverse == pattern.inverse() => {
-                    let second = self.route_trial((inverse, interval, temp), use_caches);
-                    self.run_pair(condition, [first, second], &ctx, &mut window_bits);
-                    2
-                }
-                _ => {
-                    self.run_trial(condition, first, &ctx, &mut window_bits);
-                    1
-                }
-            };
-            // Arrival rounds live on the sequential RNG, apart from the
-            // window: one per trial, in order.
-            for _ in 0..trials {
-                self.arrival_round(ctx.t_secs, ctx.ms_scale, ctx.ss_scale, &mut arrival_bits);
-            }
-            self.trial_nonce += num::to_u64(trials);
-            rest = rest.get(trials..).unwrap_or_default();
-        }
-        TrialOutcome::from_rank_bits(&window_bits, &self.by_rank, &arrival_bits, &self.arrival_order)
+        let entries: Vec<_> = patterns.iter().map(|&p| (p, interval, temp)).collect();
+        self.run_union(&entries)
     }
 
-    /// Runs one trial of `condition` on its resolved `route`, ORing its
-    /// window failures into `bits` and merging its VRT updates.
+    /// The multi-trial body over `entries` with the union sink.
+    fn run_union(&mut self, entries: &[(DataPattern, Ms, Celsius)]) -> TrialOutcome {
+        let mut run = self.run_trials(entries, || false, true);
+        run.outcomes
+            .pop()
+            .expect("invariant: the union sink yields one outcome")
+    }
+
+    /// The one body of every multi-trial entry point: one trial per
+    /// `(pattern, interval, temp)` entry at the chip's clock, reported per
+    /// entry or, with `union`, as one outcome ORed over them all.
+    ///
+    /// Every entry's nonce is reserved up front, in entry order, and the
+    /// entries are grouped by exact condition, groups in first-seen order.
+    /// A group of two or more is its own second sighting: it compiles its
+    /// plan, or finds it cached, and runs kernel batches of up to
+    /// [`MAX_BATCH_ROUNDS`] rounds. A group of one routes as a single trial
+    /// (`route_trial`), paired (`run_pair`) with the next entry when that
+    /// is its inverse at its condition, alone in its group too. The
+    /// arrival rounds then replay on the sequential RNG in entry order.
+    ///
+    /// Outcome-safe: each (cell, nonce) draws from its own hash lane, so
+    /// the order of the window trials matters only through VRT chains,
+    /// which move only on their first observation at the clock. A group's
+    /// pattern fixes which cells it activates and groups run in first-seen
+    /// order, so the first group to observe a VRT cell holds its minimal
+    /// activating nonce, routed groups of one included, as in a loop.
+    ///
+    /// `stop` is polled before every kernel batch and every routed trial or
+    /// pair (a union never stops). A stopped run is cancelled: it returns
+    /// the completed entry prefix, whose arrival rounds replay over exactly
+    /// that prefix; completed trials past it are discarded.
+    fn run_trials(
+        &mut self,
+        entries: &[(DataPattern, Ms, Celsius)],
+        mut stop: impl FnMut() -> bool,
+        union: bool,
+    ) -> PartialTrials {
+        for (_, interval, _) in entries {
+            assert!(interval.is_positive(), "retention interval must be positive");
+        }
+        if let Some(&(_, interval, temp)) = entries.first() {
+            // The clock stands still through the call: only this first
+            // draw can add or retire arrivals, so their ranks hold still.
+            self.process_arrivals(interval.as_secs(), temp);
+        }
+        self.rank_cells();
+        let first_nonce = self.trial_nonce;
+        self.trial_nonce += num::to_u64(entries.len());
+        let words = rank_words(self.cells.len());
+        let mut sink = if union {
+            Sink::Union(vec![0; words])
+        } else {
+            Sink::PerEntry(vec![None; entries.len()])
+        };
+
+        // An entry's group is its condition's first position, so the sorted
+        // `(group, position)` pairs run the groups in first-seen order.
+        let key = |&(pattern, interval, temp): &(DataPattern, Ms, Celsius)| PlanKey::new(pattern, interval, temp);
+        let mut order = std::mem::take(&mut self.trial_order);
+        order.extend(
+            (entries.iter().enumerate())
+                .map(|(pos, e)| (entries.iter().position(|f| key(f) == key(e)).unwrap_or(pos), pos)),
+        );
+        order.sort_unstable();
+        let mut groups = order.chunk_by(|a, b| a.0 == b.0).peekable();
+        let mut trial_bits = Vec::new();
+        let mut cancelled = false;
+        // The temperature scales of the last condition run, which the
+        // arrival rounds reuse while their entries stay at its temperature.
+        let mut scales = (None, 1.0, 1.0);
+        'groups: while let Some(group) = groups.next() {
+            let &[(first, _), ..] = group else {
+                unreachable!("chunk_by yields nonempty runs")
+            };
+            let condition @ (pattern, interval, temp) = *entries.get(first).expect("invariant: groups are positions");
+            // A lone entry pairs with the next if that is its inverse, alone too.
+            let inverse = (pattern.inverse(), interval, temp);
+            let lone_inverse = |next: &&[(usize, usize)]| {
+                *next == [(first + 1, first + 1)] && entries.get(first + 1).map(key) == Some(key(&inverse))
+            };
+            let paired = group.len() == 1 && groups.next_if(lone_inverse).is_some();
+            let ctx = self.trial_ctx(interval, temp, first_nonce + num::to_u64(first));
+            scales = (Some(temp), ctx.ms_scale, ctx.ss_scale);
+            for (k, chunk) in group.chunks(MAX_BATCH_ROUNDS).enumerate() {
+                if stop() {
+                    cancelled = true;
+                    break 'groups;
+                }
+                // The group routes on its first batch; the rest run on its plan.
+                let route = match k {
+                    0 => self.route_trial(condition, group.len() > 1),
+                    _ => TrialRoute::Plan {
+                        key: key(&condition),
+                        compile: None,
+                    },
+                };
+                let positions = chunk.iter().map(|&(_, pos)| pos).chain(paired.then_some(first + 1));
+                let (bits, stride) = sink.bits(&mut trial_bits, chunk.len() + usize::from(paired), words);
+                if paired {
+                    let second = self.route_trial(inverse, false);
+                    self.run_pair(condition, [route, second], &ctx, bits, stride);
+                } else {
+                    let nonces = chunk.iter().map(|&(_, pos)| first_nonce + num::to_u64(pos));
+                    self.run_trial(condition, route, &ctx, nonces, bits, stride);
+                }
+                sink.emit(positions, &trial_bits, words, &self.by_rank);
+            }
+        }
+        order.clear();
+        self.trial_order = order;
+
+        // The arrival rounds, in entry order over the completed prefix.
+        let mut arrived = vec![0; rank_words(self.arrival_order.len())];
+        let mut round = |chip: &mut Self, (_, interval, temp): (DataPattern, Ms, Celsius), bits: &mut [u64]| {
+            if scales.0 != Some(temp) {
+                scales = (
+                    Some(temp),
+                    chip.cfg.mu_temp_scale(temp),
+                    chip.cfg.sigma_temp_scale(temp),
+                );
+            }
+            chip.arrival_round(interval.as_secs(), scales.1, scales.2, bits);
+        };
+        let outcomes = match sink {
+            Sink::Union(window) => {
+                debug_assert!(!cancelled, "a union never stops");
+                for &entry in entries {
+                    round(self, entry, &mut arrived);
+                }
+                let outcome = TrialOutcome::from_rank_bits(&window, &self.by_rank, &arrived, &self.arrival_order);
+                vec![outcome]
+            }
+            Sink::PerEntry(slots) => (slots.into_iter().zip(entries))
+                .map_while(|(slot, &entry)| {
+                    let failures = slot?;
+                    arrived.fill(0);
+                    round(self, entry, &mut arrived);
+                    Some(TrialOutcome::with_arrivals(failures, &arrived, &self.arrival_order))
+                })
+                .collect(),
+        };
+        PartialTrials { outcomes, cancelled }
+    }
+
+    /// Runs the trials of `condition` at `nonces` on their resolved
+    /// `route`, ORing trial `r`'s window failures into the bitmap at
+    /// `r · stride` in `bits` (see [`TrialPlan::run_rounds`]) and merging
+    /// their VRT updates. A scan runs one trial, at `ctx.nonce`.
     fn run_trial(
         &mut self,
         condition: (DataPattern, Ms, Celsius),
         route: TrialRoute,
         ctx: &TrialCtx,
+        nonces: impl ExactSizeIterator<Item = u64>,
         bits: &mut [u64],
+        stride: usize,
     ) {
         let (pattern, ..) = condition;
         let updates = match route {
@@ -973,17 +1140,24 @@ impl SimulatedChip {
                 if let Some(window) = compile {
                     self.fill_plans(condition, &window, false);
                 }
-                self.plan_cache.plan(&key).run_rounds(self, ctx, &[ctx.nonce], bits)
+                let stats = &mut self.plan_cache.stats;
+                stats.plan_trials += num::to_u64(nonces.len());
+                stats.batch_rounds += num::to_u64(nonces.len());
+                self.plan_cache.plan(&key).run_rounds(self, ctx, nonces, bits, stride)
             }
             TrialRoute::Scan { lowered, window } => {
-                self.with_lanes(pattern, &window, lowered, |chip, source| chip.scan_lanes(source, &window, ctx, bits))
+                debug_assert_eq!(nonces.len(), 1, "a scan runs one trial, at `ctx.nonce`");
+                self.with_lanes(pattern, &window, lowered, |chip, source| {
+                    chip.scan_lanes(source, &window, ctx, bits, stride)
+                })
             }
         };
         self.merge_vrt(updates);
     }
 
     /// Runs the trials of `condition`'s pattern (nonce `ctx.nonce`) and of
-    /// its inverse (the next nonce) on their resolved `routes`. Two
+    /// its inverse (the next nonce) on their resolved `routes`, into the
+    /// bitmaps at 0 and `stride` in `bits`: one for both at stride 0. Two
     /// unlowered scans are one walk of the window, and two plans compiled
     /// on this sighting one compile walk, over [`LaneSource::Pair`]: each
     /// cell is decided or compiled under the member that activates it.
@@ -994,11 +1168,12 @@ impl SimulatedChip {
         routes: [TrialRoute; 2],
         ctx: &TrialCtx,
         bits: &mut [u64],
+        stride: usize,
     ) {
         let (pattern, interval, temp) = condition;
         let [first, second] = match routes {
             [TrialRoute::Scan { lowered: false, window }, TrialRoute::Scan { lowered: false, .. }] => {
-                let updates = self.scan_lanes(LaneSource::Pair(pattern), &window, ctx, bits);
+                let updates = self.scan_lanes(LaneSource::Pair(pattern), &window, ctx, bits, stride);
                 self.merge_vrt(updates);
                 return;
             }
@@ -1008,12 +1183,22 @@ impl SimulatedChip {
             }
             routes => routes,
         };
-        self.run_trial(condition, first, ctx, bits);
+        self.run_trial(condition, first, ctx, std::iter::once(ctx.nonce), bits, stride);
         let next = TrialCtx {
             nonce: ctx.nonce + 1,
             ..*ctx
         };
-        self.run_trial((pattern.inverse(), interval, temp), second, &next, bits);
+        let bits = bits
+            .get_mut(stride..)
+            .expect("invariant: `bits` holds the inverse's bitmap at `stride`");
+        self.run_trial(
+            (pattern.inverse(), interval, temp),
+            second,
+            &next,
+            std::iter::once(next.nonce),
+            bits,
+            stride,
+        );
     }
 
     /// The per-trial context at `(interval, temp)` for trial `nonce`.
@@ -1151,7 +1336,8 @@ impl SimulatedChip {
     /// the outcome is a pure function of that tuple — independent of
     /// evaluation order and therefore of thread count. Each failure sets
     /// the cell's rank bit in `bits` (ORed, so a union of trials can share
-    /// one bitmap), which emits in index order without a sort. VRT cells
+    /// one bitmap), which emits in index order without a sort; a pair's
+    /// inverse writes the bitmap at `stride`. VRT cells
     /// are observed on a *copy* of their chain state; the returned updates
     /// are merged back by the caller (each vrt_index belongs to exactly
     /// one cell, so merges never conflict). It runs inline on the calling
@@ -1164,6 +1350,7 @@ impl SimulatedChip {
         window: &Window,
         ctx: &TrialCtx,
         bits: &mut [u64],
+        stride: usize,
     ) -> Vec<(u32, TwoStateVrt)> {
         // The VRT range bounds the chain updates, so the vector never
         // regrows. A visited cell ORs its outcome into its rank bit: a
@@ -1209,7 +1396,7 @@ impl SimulatedChip {
                     .expect("invariant: index_rank is parallel to the cell array"),
             );
             *bits
-                .get_mut(rank / 64)
+                .get_mut(target * stride + rank / 64)
                 .expect("invariant: the bitmap has a bit per cell") |= u64::from(fails) << (rank % 64);
         });
         vrt_updates
@@ -1228,7 +1415,7 @@ impl SimulatedChip {
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         self.rank_cells();
         let mut bits = vec![0; rank_words(self.cells.len())];
-        let updates = self.scan_lanes(LaneSource::Cells(pattern), window, ctx, &mut bits);
+        let updates = self.scan_lanes(LaneSource::Cells(pattern), window, ctx, &mut bits, 0);
         self.merge_vrt(updates.clone());
         let mut failures = Vec::new();
         emit_ranks(&bits, &self.by_rank, &mut failures);
@@ -1242,33 +1429,28 @@ impl SimulatedChip {
         (index_rank, by_rank)
     }
 
-    /// Resolves how a single trial is served: a cached plan, a plan
-    /// compiled on this second sighting of the condition, or the window
-    /// scan — fed by a lowering, extended to the trial window, when the
-    /// pattern has one cached or is itself seen for the second time.
-    /// Without `use_caches`, always the unlowered scan, touching no cache.
+    /// Resolves how a trial is served: a cached plan, a plan compiled on
+    /// this second sighting of the condition, or the window scan — fed by
+    /// a lowering, extended to the trial window, when the pattern has one
+    /// cached or is itself seen for the second time. A `group` of trials
+    /// at one condition is its own second sighting, recorded even when its
+    /// plan is cached, so it never scans.
     ///
     /// Every cache effect lands here, in the trial's turn: a plan compiled
     /// on this sighting gets its slot now ([`TrialPlan::pending`]), and a
     /// lowering built on it is cached now, so the sightings, LRU ticks and
     /// evictions are those of compiling or lowering on the spot;
     /// `run_trial` or `run_pair` fills the plan or extends the lowering.
-    fn route_trial(&mut self, (pattern, interval, temp): (DataPattern, Ms, Celsius), use_caches: bool) -> TrialRoute {
-        if !use_caches {
-            self.plan_cache.stats.scalar_trials += 1;
-            return TrialRoute::Scan {
-                lowered: false,
-                window: self.window(interval, temp),
-            };
-        }
+    fn route_trial(&mut self, (pattern, interval, temp): (DataPattern, Ms, Celsius), group: bool) -> TrialRoute {
         let key = PlanKey::new(pattern, interval, temp);
+        if group {
+            self.plan_cache.note_plan_key(key);
+        }
         if self.plan_cache.find_plan(&key) {
-            self.count_plan_trials(1);
             return TrialRoute::Plan { key, compile: None };
         }
-        if self.plan_cache.note_plan_key(key) {
+        if group || self.plan_cache.note_plan_key(key) {
             self.plan_cache.insert_plan(TrialPlan::pending(key));
-            self.count_plan_trials(1);
             return TrialRoute::Plan {
                 key,
                 compile: Some(self.window(interval, temp)),
@@ -1293,12 +1475,6 @@ impl SimulatedChip {
             self.plan_cache.stats.scalar_trials += 1;
         }
         TrialRoute::Scan { lowered, window }
-    }
-
-    /// Counts `k` trials served by the kernel on a compiled plan.
-    fn count_plan_trials(&mut self, k: u64) {
-        self.plan_cache.stats.plan_trials += k;
-        self.plan_cache.stats.batch_rounds += k;
     }
 
     /// Calls `walk` on the lane source of `pattern`'s trial over
@@ -1341,11 +1517,11 @@ impl SimulatedChip {
 
     /// Runs `rounds` retention trials at one fixed condition, returning
     /// one outcome per round in nonce order: a one-group
-    /// [`SimulatedChip::retention_trial_schedule`], so the same nonces,
-    /// the same kernel batches of up to [`MAX_BATCH_ROUNDS`] and the same
-    /// arrival replay. Bit-identical to calling
-    /// [`SimulatedChip::retention_trial`] `rounds` times; `rounds == 0`
-    /// runs nothing.
+    /// [`SimulatedChip::retention_trial_schedule`]. Two rounds or more
+    /// compile the condition's plan on the spot and run kernel batches of
+    /// up to [`MAX_BATCH_ROUNDS`]; one round routes as
+    /// [`SimulatedChip::retention_trial`] does. Bit-identical to calling
+    /// `retention_trial` `rounds` times; `rounds == 0` runs nothing.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -1358,43 +1534,23 @@ impl SimulatedChip {
     ) -> Vec<TrialOutcome> {
         assert!(interval.is_positive(), "retention interval must be positive");
         let schedule = vec![(pattern, interval, temp); num::idx_u64(u64::from(rounds))];
-        let run = self.retention_trial_schedule(&schedule, &CancelToken::new());
-        debug_assert!(!run.cancelled, "a fresh token cannot be cancelled");
-        run.outcomes
+        self.run_trials(&schedule, || false, false).outcomes
     }
 
-    /// Runs a heterogeneous trial schedule through the batch kernel: one
-    /// trial per `(pattern, interval, temp)` entry, outcomes in schedule
-    /// order, bit-identical to a [`SimulatedChip::retention_trial`] loop
-    /// over the same entries. Every condition gets a compiled plan, found
-    /// or compiled on the spot.
+    /// Runs a heterogeneous trial schedule: one trial per
+    /// `(pattern, interval, temp)` entry, outcomes in schedule order,
+    /// bit-identical to a [`SimulatedChip::retention_trial`] loop over the
+    /// same entries. A condition that recurs in the schedule runs as
+    /// kernel batches of up to [`MAX_BATCH_ROUNDS`]; the others route as
+    /// single trials do.
     ///
-    /// Entries are grouped by exact condition (first-seen order) and each
-    /// group's trials run as batches of up to [`MAX_BATCH_ROUNDS`], keyed
-    /// by their original schedule-position nonces. The regrouping is
-    /// outcome-safe: per-(cell, nonce) hash lanes are order-independent; a
-    /// VRT chain's state can only transition on its *first* observation at
-    /// the current wall clock, and that observation carries the cell's
-    /// globally minimal activating nonce in both orders (any group
-    /// processed earlier that activated the cell would contain a smaller
-    /// one); and arrival-cell draws are replayed on the sequential RNG in
-    /// schedule order after all groups.
-    ///
-    /// `cancel` is polled at every kernel-batch boundary; cancellation
-    /// never lands mid-batch. The returned outcomes are the longest
-    /// *schedule prefix* whose entries all completed, bit-identical to the
-    /// same prefix of the uncancelled run: per-(cell, nonce) kernel lanes
-    /// are position-independent, and arrival draws are replayed on the
-    /// sequential RNG in schedule order over exactly that prefix — the same
-    /// draws, in the same order, that the uncancelled run would have made
-    /// for it. Completed work from groups *past* the prefix is discarded.
-    /// [`PartialTrials::cancelled`] reports whether the run stopped early.
-    ///
-    /// A cancelled run has still reserved a nonce for every entry and may
-    /// have skipped VRT updates the abandoned batches would have applied,
-    /// so the chip is *not* suitable for continuing a bit-identical
-    /// sequence — racing callers discard a cancelled lane's chip along
-    /// with its result, which is the intended use.
+    /// `cancel` is polled before every kernel batch and every routed trial
+    /// or pair, never mid-batch. The outcomes returned are the longest
+    /// *schedule prefix* whose entries all completed, bit-identical to that
+    /// prefix of the uncancelled run; [`PartialTrials::cancelled`] reports
+    /// an early stop. A cancelled run has reserved a nonce for every entry
+    /// and may have skipped VRT updates, so its chip cannot continue a
+    /// bit-identical sequence: racing callers discard it with the result.
     ///
     /// # Panics
     /// Panics if any interval is not positive.
@@ -1403,123 +1559,7 @@ impl SimulatedChip {
         schedule: &[(DataPattern, Ms, Celsius)],
         cancel: &CancelToken,
     ) -> PartialTrials {
-        let Some(&(_, first_interval, first_temp)) = schedule.first() else {
-            return PartialTrials {
-                outcomes: Vec::new(),
-                cancelled: false,
-            };
-        };
-        for (_, interval, _) in schedule {
-            assert!(interval.is_positive(), "retention interval must be positive");
-        }
-        // The first condition drives the arrival draw, exactly as in a
-        // sequential loop (later same-clock calls are retain-only no-ops).
-        self.process_arrivals(first_interval.as_secs(), first_temp);
-
-        let first_nonce = self.trial_nonce;
-        self.trial_nonce += num::to_u64(schedule.len());
-        self.rank_cells();
-
-        // Group schedule positions by exact condition, first-seen order.
-        struct Group {
-            key: PlanKey,
-            pattern: DataPattern,
-            interval: Ms,
-            temp: Celsius,
-            positions: Vec<usize>,
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        for (pos, &(pattern, interval, temp)) in schedule.iter().enumerate() {
-            let key = PlanKey::new(pattern, interval, temp);
-            match groups.iter_mut().find(|g| g.key == key) {
-                Some(g) => g.positions.push(pos),
-                None => groups.push(Group {
-                    key,
-                    pattern,
-                    interval,
-                    temp,
-                    positions: vec![pos],
-                }),
-            }
-        }
-
-        let mut failures_by_pos: Vec<Option<Vec<u64>>> = vec![None; schedule.len()];
-        let mut cancelled = false;
-        let words = rank_words(self.cells.len());
-        let mut bits = Vec::new();
-        'groups: for g in &groups {
-            // Per-round nonces come from the batch.
-            let ctx = self.trial_ctx(g.interval, g.temp, 0);
-            // Asking for a batch at a condition *is* the recurrence
-            // signal single trials wait for, so compile unconditionally
-            // (and record the sighting for later single trials).
-            self.plan_cache.note_plan_key(g.key);
-            if !self.plan_cache.find_plan(&g.key) {
-                self.plan_cache.insert_plan(TrialPlan::pending(g.key));
-                self.fill_plans((g.pattern, g.interval, g.temp), &self.window(g.interval, g.temp), false);
-            }
-            for chunk in g.positions.chunks(MAX_BATCH_ROUNDS) {
-                if cancel.is_cancelled() {
-                    cancelled = true;
-                    break 'groups;
-                }
-                let nonces: Vec<u64> = chunk
-                    .iter()
-                    .map(|&pos| first_nonce + num::to_u64(pos))
-                    .collect();
-                bits.clear();
-                bits.resize(chunk.len() * words, 0);
-                let updates = self
-                    .plan_cache
-                    .plan(&g.key)
-                    .run_rounds(self, &ctx, &nonces, &mut bits);
-                self.count_plan_trials(num::to_u64(chunk.len()));
-                self.merge_vrt(updates);
-                for (r, &pos) in chunk.iter().enumerate() {
-                    let round = bits
-                        .get(r * words..(r + 1) * words)
-                        .expect("invariant: the batch holds one bitmap per round");
-                    let mut fails = Vec::with_capacity(count_ranks(round));
-                    emit_ranks(round, &self.by_rank, &mut fails);
-                    *failures_by_pos
-                        .get_mut(pos)
-                        .expect("invariant: positions enumerate the schedule") = Some(fails);
-                }
-            }
-        }
-
-        // The completed prefix: everything before the first unserved
-        // position. Filled positions *past* that boundary came from groups
-        // that finished before the cancel landed; the uncancelled run
-        // would interleave their arrival draws with the missing entries',
-        // so they cannot be returned bit-identically and are discarded.
-        let completed = failures_by_pos
-            .iter()
-            .position(Option::is_none)
-            .unwrap_or(schedule.len());
-
-        // Replay arrivals on the sequential RNG in schedule order, over
-        // exactly the completed prefix, and merge each position's arrival
-        // failures into its kernel round.
-        let mut outcomes = Vec::with_capacity(completed);
-        let mut arrived = vec![0; rank_words(self.arrival_order.len())];
-        for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
-            let failures = slot
-                .take()
-                .expect("invariant: positions before the prefix boundary are filled");
-            arrived.fill(0);
-            self.arrival_round(
-                interval.as_secs(),
-                self.cfg.mu_temp_scale(temp),
-                self.cfg.sigma_temp_scale(temp),
-                &mut arrived,
-            );
-            outcomes.push(TrialOutcome::with_arrivals(failures, &arrived, &self.arrival_order));
-        }
-        PartialTrials {
-            outcomes,
-            cancelled,
-        }
+        self.run_trials(schedule, || cancel.is_cancelled(), false)
     }
 
     /// Routing/compilation counters since chip construction.
@@ -2246,6 +2286,148 @@ mod tests {
         let mut chip = SimulatedChip::new(quick_cfg(), 32);
         let run = chip.retention_trial_schedule(&[], &CancelToken::new());
         assert!(run.outcomes.is_empty() && !run.cancelled);
+    }
+
+    /// A mix for the multi-trial body at two conditions: two fixed patterns
+    /// recurring across the 64-round batch boundary at `a`, a random
+    /// pattern/inverse pair seen once each at `a`, a pattern recurring at
+    /// `b`, and three entries alone at their conditions that pair with no
+    /// neighbour: a pattern, another, and that one's inverse at `a`.
+    fn mixed_entries(a: (Ms, Celsius), b: (Ms, Celsius)) -> Vec<(DataPattern, Ms, Celsius)> {
+        let random = DataPattern::random(0x0A5);
+        let mut entries = Vec::new();
+        for r in 0..MAX_BATCH_ROUNDS + 6 {
+            entries.push((DataPattern::checkerboard(), a.0, a.1));
+            entries.push((DataPattern::solid0(), a.0, a.1));
+            if r == 9 {
+                entries.extend([(random, a.0, a.1), (random.inverse(), a.0, a.1)]);
+            }
+            if r % 16 == 0 {
+                entries.push((DataPattern::row_stripe(), b.0, b.1));
+            }
+        }
+        let lone = DataPattern::random(0x0A6);
+        entries.extend([
+            (DataPattern::col_stripe(), b.0, b.1),
+            (lone, b.0, b.1),
+            (lone.inverse(), a.0, a.1),
+        ]);
+        entries
+    }
+
+    #[test]
+    fn union_sink_matches_the_merged_reference_loop() {
+        // With arrivals active, the union sink over two conditions equals
+        // merging a reference loop over the same entries, and leaves the
+        // chip where the loop leaves its clone.
+        let (a, b) = (
+            (Ms::new(2048.0), Celsius::new(60.0)),
+            (Ms::new(1536.0), Celsius::new(63.0)),
+        );
+        let entries = mixed_entries(a, b);
+        let mut chip = SimulatedChip::new(quick_cfg(), 35);
+        chip.advance(Ms::from_hours(4.0));
+        let mut reference = chip.clone();
+        let mut want = Vec::new();
+        for &(p, i, t) in &entries {
+            want.extend(reference.retention_trial_reference(p, i, t).into_vec());
+        }
+        let got = chip.run_trials(&entries, || false, true);
+        assert!(!got.cancelled && chip.arrival_count() > 0);
+        assert_eq!(got.outcomes, vec![TrialOutcome::from_unsorted(want)]);
+        assert_eq!(
+            (&chip.base_vrt, chip.arrival_count()),
+            (&reference.base_vrt, reference.arrival_count())
+        );
+        // The recurring conditions ran on their plans; the pair and the
+        // three lone entries scanned.
+        let s = chip.plan_stats();
+        assert_eq!((s.plan_trials, s.scalar_trials, s.plans_compiled), (145, 5, 3));
+        let (p, (i, t)) = (DataPattern::row_stripe(), b);
+        assert_eq!(
+            chip.retention_trial(p, i, t),
+            reference.retention_trial_reference(p, i, t)
+        );
+    }
+
+    #[test]
+    fn schedule_pairs_keep_their_own_outcomes_on_every_route() {
+        // A lone pattern/inverse pair in a per-entry schedule runs as a
+        // pair on every route (one window walk, one compile walk, two
+        // plans, two lowered scans) and each trial keeps its own outcome.
+        let mut chip = SimulatedChip::new(quick_cfg(), 37);
+        chip.advance(Ms::from_hours(4.0));
+        let mut reference = chip.clone();
+        let (interval, p) = (Ms::new(2048.0), DataPattern::walking1(3));
+        for temp in [60.0, 60.0, 60.0, 60.25].map(Celsius::new) {
+            let schedule = [(p, interval, temp), (p.inverse(), interval, temp)];
+            let got = chip.retention_trial_schedule(&schedule, &CancelToken::new()).outcomes;
+            let want: Vec<_> = schedule
+                .iter()
+                .map(|&(p, i, t)| reference.retention_trial_reference(p, i, t))
+                .collect();
+            assert!(want.iter().all(|o| !o.is_empty()), "both trials fail cells at {temp}");
+            assert_eq!(got, want, "at {temp}");
+        }
+        let s = chip.plan_stats();
+        assert_eq!(
+            (s.scalar_trials, s.lowered_trials, s.plan_trials, s.plans_compiled),
+            (2, 2, 4, 2)
+        );
+    }
+
+    #[test]
+    fn stopping_at_every_boundary_returns_a_bit_identical_prefix() {
+        // The per-entry sink stopped before each of its kernel batches and
+        // routed trials in turn: every run returns a prefix of the whole
+        // run's outcomes, which grows with the boundary, and the whole run
+        // matches the reference loop.
+        let (a, b) = (
+            (Ms::new(2048.0), Celsius::new(60.0)),
+            (Ms::new(1536.0), Celsius::new(63.0)),
+        );
+        let entries = mixed_entries(a, b);
+        let mut chip = SimulatedChip::new(RetentionConfig::for_vendor(Vendor::B).with_capacity_scale(1, 32), 36);
+        chip.advance(Ms::from_hours(6.0));
+        let mut reference = chip.clone();
+        let want: Vec<TrialOutcome> = entries
+            .iter()
+            .map(|&(p, i, t)| reference.retention_trial_reference(p, i, t))
+            .collect();
+        let mut polls = 0;
+        let full = chip.clone().run_trials(
+            &entries,
+            || {
+                polls += 1;
+                false
+            },
+            false,
+        );
+        assert_eq!((full.outcomes.as_slice(), full.cancelled), (want.as_slice(), false));
+        // Batches of 64 and 6 for each fixed pattern and of 5 at `b`, the
+        // pair, and the three lone entries.
+        assert_eq!(polls, 2 * 2 + 1 + 1 + 3);
+        let mut last = 0;
+        for boundary in 0..=polls {
+            let mut seen = 0;
+            let run = chip.clone().run_trials(
+                &entries,
+                || {
+                    seen += 1;
+                    seen > boundary
+                },
+                false,
+            );
+            let n = run.outcomes.len();
+            assert_eq!(run.outcomes.as_slice(), &want[..n], "stopped at boundary {boundary}");
+            assert_eq!(run.cancelled, boundary < polls);
+            assert!(
+                n >= last && (boundary > 0 || n == 0),
+                "boundary {boundary}: {n} after {last}"
+            );
+            last = n;
+        }
+        assert_eq!(last, entries.len());
     }
 
     #[test]

@@ -32,8 +32,9 @@
 //! window scan (with a lowering, built over its window, once its pattern
 //! recurs); a recurring condition compiles a plan on its second sighting,
 //! and every later trial at it runs through the kernel as a batch of one.
-//! The multi-round entry points compile unconditionally: asking for many
-//! rounds at one condition is itself the recurrence signal.
+//! A condition with two or more trials in one call compiles at once:
+//! asking for many rounds at one condition is itself the recurrence
+//! signal.
 //!
 //! The scan and the compile walk the same [`LaneSource`]: every cell of
 //! the window under one pattern, a pattern's lowering, or a pattern and

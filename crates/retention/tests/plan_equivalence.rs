@@ -269,11 +269,12 @@ fn plans_survive_advances_and_arrivals() {
                 chip.retention_trial(pattern, interval, temp)
             }
         };
-        // The rounds form compiles on first sight.
+        // Two rounds in one call are their own second sighting: the
+        // rounds form compiles on first sight.
         let mut transcript: Vec<Vec<u64>> = if reference {
-            vec![trial(&mut chip).into_vec()]
+            vec![trial(&mut chip).into_vec(), trial(&mut chip).into_vec()]
         } else {
-            chip.retention_trial_rounds(pattern, interval, temp, 1)
+            chip.retention_trial_rounds(pattern, interval, temp, 2)
                 .into_iter()
                 .map(|o| o.into_vec())
                 .collect()

@@ -24,8 +24,9 @@ echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
 echo "== trial plans: every trial path vs. the reference scan (steady-state script + property), certified compile thresholds, pattern/inverse pairs on every route, byte-identity pins (drift_pin: drift run + arrival stress) =="
-cargo test --release -q --offline -p reaper-retention --lib -- lowered_trials_match_the_reference_as_windows_grow_and_shrink a_profiling_job_lowers_no_cell_past_its_largest_window extended_lowering_matches_per_cell_predicates phi_at_least_equals_the_exact_compare by_rank_is_ascending_and_inverts_index_rank plan_lane_bytes_match_the_rank_layout certified_floor_decides_as_the_exact_threshold a_failing_draw_in_a_band_is_decided_exactly pair_compile_equals_the_single_compiles_lane_for_lane compile_with_and_without_lowering_is_identical
+cargo test --release -q --offline -p reaper-retention --lib -- lowered_trials_match_the_reference_as_windows_grow_and_shrink a_profiling_job_lowers_no_cell_past_its_largest_window extended_lowering_matches_per_cell_predicates phi_at_least_equals_the_exact_compare by_rank_is_ascending_and_inverts_index_rank plan_lane_bytes_match_the_rank_layout certified_floor_decides_as_the_exact_threshold a_failing_draw_in_a_band_is_decided_exactly pair_compile_equals_the_single_compiles_lane_for_lane compile_with_and_without_lowering_is_identical union_sink_matches_the_merged_reference_loop stopping_at_every_boundary_returns_a_bit_identical_prefix schedule_pairs_keep_their_own_outcomes_on_every_route
 cargo test --release -q --offline -p reaper-core --test trial_union
+cargo test --release -q --offline -p reaper-retention --test cancellation
 cargo test --release -q --offline -p reaper-memsim --lib validation_rejects_refresh_a_bank_never_recovers_from
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo test --release -q --offline -p reaper-retention --test synthesis_pin
