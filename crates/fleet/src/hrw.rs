@@ -40,20 +40,26 @@ pub fn score(shard_seed: u64, job_id: u64) -> u64 {
 /// (seed as from [`shard_seed`]). Returns `None` for an empty shard
 /// set. The result is independent of the slice order.
 pub fn place(job_id: u64, shards: &[(String, u64)]) -> Option<&str> {
-    let mut best: Option<(&str, u64)> = None;
-    for (name, seed) in shards {
+    let i = place_index(job_id, shards)?;
+    shards.get(i).map(|(name, _)| name.as_str())
+}
+
+/// The position in `shards` of [`place`]'s winner.
+pub fn place_index(job_id: u64, shards: &[(String, u64)]) -> Option<usize> {
+    let mut best: Option<(usize, &str, u64)> = None;
+    for (i, (name, seed)) in shards.iter().enumerate() {
         let s = score(*seed, job_id);
         let better = match best {
             None => true,
-            Some((best_name, best_score)) => {
+            Some((_, best_name, best_score)) => {
                 s > best_score || (s == best_score && name.as_str() < best_name)
             }
         };
         if better {
-            best = Some((name.as_str(), s));
+            best = Some((i, name.as_str(), s));
         }
     }
-    best.map(|(name, _)| name)
+    best.map(|(i, _, _)| i)
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! * [`hrw`] — rendezvous (highest-random-weight) placement: the owner
 //!   of a job ID is a pure function of `(shard name, job ID)`, stable
 //!   under shard additions/removals and across restarts,
-//! * [`router`] — the frontend: a `poll(2)` event loop classifying
-//!   requests on the loop thread, a worker pool doing the blocking
-//!   shard round-trips over pooled keep-alive connections, and relay
-//!   threads for chunked watch streams,
+//! * [`router`] — the frontend: a `poll(2)` event loop that places
+//!   requests and drives their shard round-trips itself over
+//!   non-blocking keep-alive sockets, and relay threads for chunked
+//!   watch streams,
 //! * [`replication`] — tick-driven pull sync: every shard mirrors its
 //!   peers' profile stores via `/v1/sync/manifest` + `delta?since=`,
 //!   installing at the peer's exact epochs so ETags survive failover,

@@ -5,21 +5,25 @@
 //! ## Shape
 //!
 //! The frontend is the same `poll(2)` event loop the shards use
-//! ([`reaper_serve::eventloop`]); a request's placement is decided on
-//! the loop thread (pure hashing, no I/O) and the blocking shard
-//! round-trip happens on a proxy worker pool, which completes the
-//! response back into the loop:
+//! ([`reaper_serve::eventloop`]). A request's placement is decided on
+//! the loop thread (pure hashing, no I/O), and the loop itself drives
+//! the shard round-trip on a non-blocking upstream socket
+//! ([`Handled::Forward`]), keeping up to the directory's `pool_idle`
+//! keep-alive sockets per shard address:
 //!
 //! ```text
-//! client ── event loop ── classify ──► BoundedQueue ──► proxy worker
-//!             ▲                                             │
-//!             └────────────── complete(conn, resp) ◄────────┘
-//!                                 (ConnectionPool per shard)
+//! client ──► event loop ── place ──► Forward ──► shard socket
+//!   ▲            │                                   │
+//!   └── finish ◄─┴────────── response bytes ◄────────┘
 //! ```
 //!
-//! Watch subscriptions are long-lived chunked streams, so they bypass
-//! the queue: the loop hands the client socket to a relay thread that
-//! streams the shard's chunked response through verbatim.
+//! A connection's reads pause while its request is out, so each client
+//! connection has at most one shard request in flight and the in-flight
+//! bound is the loop's `max_connections`.
+//!
+//! Watch subscriptions are long-lived chunked streams, so they leave
+//! the loop: it hands the client socket to a relay thread that streams
+//! the shard's chunked response through verbatim.
 //!
 //! ## Failover
 //!
@@ -27,11 +31,10 @@
 //! answers `503` with a `retry-after` hint and counts one failover; the
 //! router itself stays up. When the shard restarts — typically on a
 //! fresh ephemeral port — [`ShardDirectory::update_addr`] retargets its
-//! connection pool and the same requests succeed again. Placement is
-//! keyed by shard *name* ([`crate::hrw`]), so a restart never moves the
-//! partition.
+//! connection pool, and since every forward reads the pool's address
+//! the same requests succeed again at once. Placement is keyed by shard
+//! *name* ([`crate::hrw`]), so a restart never moves the partition.
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,96 +42,108 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
 use reaper_core::ProfilingRequest;
-use reaper_exec::pool::{BoundedQueue, PushError, WorkerPool};
 use reaper_exec::sync::lock;
-use reaper_serve::eventloop::{ConnToken, EventLoop, EventLoopHandle, Handled, Handler};
+use reaper_serve::eventloop::{EventLoop, Forward, Handled, Handler};
 use reaper_serve::http::{self, ClientResponse, Request, Response};
 use reaper_serve::metrics::{render_fleet, FleetIdentity, FleetMetrics};
 use reaper_serve::{api, json, ConnectionPool, ServiceMetrics};
 
 use crate::hrw;
 
-/// Live shard membership: name → (placement seed, connection pool).
+/// Live shard membership: each shard's name, placement seed and
+/// connection pool.
 ///
-/// Shared between the router (placement + proxying) and the
+/// Shared between the router (placement + upstream addresses) and the
 /// replication agents (peer pulls), so one [`update_addr`] after a
 /// shard restart repoints both.
 ///
 /// [`update_addr`]: ShardDirectory::update_addr
 pub struct ShardDirectory {
-    /// `BTreeMap` so every iteration (placement scans, peer pulls,
-    /// metrics) sees shards in one deterministic order.
-    state: Mutex<BTreeMap<String, ShardEntry>>,
+    state: Mutex<Members>,
     pool_idle: usize,
 }
 
-struct ShardEntry {
-    seed: u64,
-    pool: Arc<ConnectionPool>,
+/// Shards in name order, so every iteration (placement scans, peer
+/// pulls, metrics) sees them in one deterministic order.
+struct Members {
+    /// `(name, placement seed)`, built at registration.
+    seeds: Vec<(String, u64)>,
+    /// `pools[i]` reaches the shard `seeds[i]` names.
+    pools: Vec<Arc<ConnectionPool>>,
 }
 
 impl ShardDirectory {
     /// Builds a directory from `(name, address)` pairs, keeping at most
     /// `pool_idle` warm connections per shard.
     pub fn new(shards: &[(String, SocketAddr)], pool_idle: usize) -> Self {
-        let mut state = BTreeMap::new();
-        for (name, addr) in shards {
-            state.insert(
-                name.clone(),
-                ShardEntry {
-                    seed: hrw::shard_seed(name),
-                    pool: Arc::new(ConnectionPool::new(*addr, pool_idle)),
-                },
-            );
-        }
-        Self {
-            state: Mutex::new(state),
+        let directory = Self {
+            state: Mutex::new(Members {
+                seeds: Vec::new(),
+                pools: Vec::new(),
+            }),
             pool_idle,
+        };
+        for (name, addr) in shards {
+            directory.update_addr(name, *addr);
         }
+        directory
     }
 
     /// Registers a shard or repoints an existing one (a restart on a
     /// fresh ephemeral port), dropping its pooled connections.
     pub fn update_addr(&self, name: &str, addr: SocketAddr) {
         let mut state = lock(&self.state);
-        match state.get(name) {
-            Some(entry) => entry.pool.retarget(addr),
-            None => {
-                state.insert(
-                    name.to_string(),
-                    ShardEntry {
-                        seed: hrw::shard_seed(name),
-                        pool: Arc::new(ConnectionPool::new(addr, self.pool_idle)),
-                    },
-                );
+        match state.seeds.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+            Ok(i) => {
+                if let Some(pool) = state.pools.get(i) {
+                    pool.retarget(addr);
+                }
+            }
+            Err(i) => {
+                state
+                    .seeds
+                    .insert(i, (name.to_string(), hrw::shard_seed(name)));
+                state
+                    .pools
+                    .insert(i, Arc::new(ConnectionPool::new(addr, self.pool_idle)));
             }
         }
     }
 
-    /// The owning shard for `job_id`, per rendezvous placement.
-    pub fn place(&self, job_id: u64) -> Option<(String, Arc<ConnectionPool>)> {
+    /// The pool of the shard that owns `job_id`, per rendezvous
+    /// placement.
+    pub fn place(&self, job_id: u64) -> Option<Arc<ConnectionPool>> {
         let state = lock(&self.state);
-        let shards: Vec<(String, u64)> = state
-            .iter()
-            .map(|(name, entry)| (name.clone(), entry.seed))
-            .collect();
-        let winner = hrw::place(job_id, &shards)?;
-        state
-            .get(winner)
-            .map(|entry| (winner.to_string(), Arc::clone(&entry.pool)))
+        let i = hrw::place_index(job_id, &state.seeds)?;
+        state.pools.get(i).map(Arc::clone)
+    }
+
+    /// The name of the shard that owns `job_id`.
+    pub fn owner(&self, job_id: u64) -> Option<String> {
+        let state = lock(&self.state);
+        let i = hrw::place_index(job_id, &state.seeds)?;
+        state.seeds.get(i).map(|(name, _)| name.clone())
     }
 
     /// Every shard's `(name, pool)`, in name order.
     pub fn pools(&self) -> Vec<(String, Arc<ConnectionPool>)> {
-        lock(&self.state)
+        let state = lock(&self.state);
+        state
+            .seeds
             .iter()
-            .map(|(name, entry)| (name.clone(), Arc::clone(&entry.pool)))
+            .zip(&state.pools)
+            .map(|((name, _), pool)| (name.clone(), Arc::clone(pool)))
             .collect()
+    }
+
+    /// Warm connections kept per shard.
+    pub fn pool_idle(&self) -> usize {
+        self.pool_idle
     }
 
     /// Number of registered shards.
     pub fn len(&self) -> usize {
-        lock(&self.state).len()
+        lock(&self.state).seeds.len()
     }
 
     /// True when no shard is registered.
@@ -142,12 +157,8 @@ impl ShardDirectory {
 pub struct RouterConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
-    /// Blocking proxy workers (each drives one shard round-trip at a
-    /// time).
-    pub proxy_workers: usize,
-    /// Proxy queue bound; requests beyond it are shed with `503`.
-    pub proxy_queue: usize,
-    /// Event-loop registered-socket cap.
+    /// Event-loop registered-socket cap; also the bound on shard
+    /// requests in flight (at most one per connection).
     pub max_connections: usize,
 }
 
@@ -155,30 +166,14 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            proxy_workers: 4,
-            proxy_queue: 256,
             max_connections: reaper_serve::server::DEFAULT_MAX_CONNECTIONS,
         }
     }
 }
 
-/// One queued proxy round-trip, owned by a proxy worker until it
-/// completes the response back into the event loop.
-struct ProxyTicket {
-    method: String,
-    target: String,
-    /// Forwarded request headers (the conditional-GET subset).
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-    job_id: u64,
-    conn: ConnToken,
-}
-
 struct RouterShared {
     shutdown: AtomicBool,
     directory: Arc<ShardDirectory>,
-    queue: BoundedQueue<ProxyTicket>,
-    handle: EventLoopHandle,
     identity: FleetIdentity,
     fleet: FleetMetrics,
 }
@@ -190,38 +185,27 @@ pub struct Router {
     shared: Arc<RouterShared>,
     local_addr: SocketAddr,
     loop_thread: Option<JoinHandle<()>>,
-    workers: Option<WorkerPool>,
 }
 
 impl Router {
-    /// Binds the frontend, spawns the proxy workers and the event loop.
+    /// Binds the frontend and spawns its event loop.
     ///
     /// # Errors
     /// Propagates socket bind failures.
     pub fn start(config: RouterConfig, directory: Arc<ShardDirectory>) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let event_loop = EventLoop::new(listener, config.max_connections)?;
+        let event_loop =
+            EventLoop::new(listener, config.max_connections)?.upstream_idle(directory.pool_idle());
         let shared = Arc::new(RouterShared {
             shutdown: AtomicBool::new(false),
             directory,
-            queue: BoundedQueue::new(config.proxy_queue.max(1)),
-            handle: event_loop.handle(),
             identity: FleetIdentity {
                 role: "router",
                 shard_id: None,
             },
             fleet: FleetMetrics::new(),
         });
-
-        let workers = {
-            let shared = Arc::clone(&shared);
-            WorkerPool::spawn(
-                "reaper-fleet-proxy",
-                config.proxy_workers.max(1),
-                move |_i| proxy_loop(&shared),
-            )
-        };
 
         let loop_thread = {
             let handler = Arc::new(RouterHandler {
@@ -237,7 +221,6 @@ impl Router {
             shared,
             local_addr,
             loop_thread: Some(loop_thread),
-            workers: Some(workers),
         })
     }
 
@@ -246,15 +229,11 @@ impl Router {
         self.local_addr
     }
 
-    /// Graceful shutdown: stop the loop, close the queue, join workers.
+    /// Graceful shutdown: stop the loop and join it.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
         if let Some(h) = self.loop_thread.take() {
             let _ = h.join();
-        }
-        if let Some(pool) = self.workers.take() {
-            pool.join();
         }
     }
 }
@@ -265,27 +244,39 @@ struct RouterHandler {
 }
 
 impl Handler for RouterHandler {
-    fn handle(&self, request: Request, conn: ConnToken) -> Handled {
+    fn handle(&self, request: Request) -> Handled {
         match classify(&request) {
             Classified::Health => Handled::Respond(healthz(&self.shared)),
             Classified::Metrics => Handled::Respond(metrics_page(&self.shared)),
             Classified::Bad(response) => Handled::Respond(response),
             Classified::Proxy(job_id) => {
-                let ticket = ProxyTicket {
-                    method: request.method.clone(),
-                    target: request.target.clone(),
-                    headers: forwarded_headers(&request),
-                    body: request.body,
-                    job_id,
-                    conn,
+                let Some(pool) = self.shared.directory.place(job_id) else {
+                    return Handled::Respond(shed("no shards registered"));
                 };
-                match self.shared.queue.try_push(ticket) {
-                    Ok(()) => Handled::Deferred,
-                    Err(PushError::Full) => Handled::Respond(shed("router queue is full; retry")),
-                    Err(PushError::Closed) => {
-                        Handled::Respond(shed("router is shutting down"))
-                    }
-                }
+                ServiceMetrics::inc(&self.shared.fleet.proxied_requests);
+                let headers: Vec<(&str, &str)> = request
+                    .headers
+                    .iter()
+                    .filter(|(name, _)| is_forwarded(name))
+                    .map(|(n, v)| (n.as_str(), v.as_str()))
+                    .collect();
+                let shared = Arc::clone(&self.shared);
+                Handled::Forward(Forward {
+                    upstream: pool.addr(),
+                    request: http::request_bytes(
+                        &request.method,
+                        &request.target,
+                        &headers,
+                        &request.body,
+                    ),
+                    finish: Box::new(move |answer| match answer {
+                        Some(answer) => downstream_response(answer),
+                        None => {
+                            ServiceMetrics::inc(&shared.fleet.failovers);
+                            shed("shard unavailable; retry")
+                        }
+                    }),
+                })
             }
             Classified::WatchRelay(job_id) => {
                 let shared = Arc::clone(&self.shared);
@@ -339,16 +330,11 @@ fn classify(request: &Request) -> Classified {
     }
 }
 
-/// The request headers the router forwards to the shard: the
+/// True for the request headers the router forwards to the shard: the
 /// conditional-GET family, so ETag revalidation works through the
 /// proxy.
-fn forwarded_headers(request: &Request) -> Vec<(String, String)> {
-    request
-        .headers
-        .iter()
-        .filter(|(name, _)| name == "if-none-match")
-        .cloned()
-        .collect()
+fn is_forwarded(name: &str) -> bool {
+    name == "if-none-match"
 }
 
 /// A `503` with an explicit retry hint.
@@ -375,55 +361,25 @@ fn metrics_page(shared: &Arc<RouterShared>) -> Response {
     Response::text(200, text)
 }
 
-/// One proxy worker: drain tickets, round-trip each to its shard, and
-/// complete the response into the event loop.
-fn proxy_loop(shared: &Arc<RouterShared>) {
-    while let Some(ticket) = shared.queue.pop() {
-        let response = proxy_one(shared, &ticket);
-        shared.handle.complete(ticket.conn, response);
-    }
-}
-
-fn proxy_one(shared: &Arc<RouterShared>, ticket: &ProxyTicket) -> Response {
-    let Some((_name, pool)) = shared.directory.place(ticket.job_id) else {
-        return shed("no shards registered");
-    };
-    ServiceMetrics::inc(&shared.fleet.proxied_requests);
-    let headers: Vec<(&str, &str)> = ticket
-        .headers
-        .iter()
-        .map(|(n, v)| (n.as_str(), v.as_str()))
-        .collect();
-    match pool.request(&ticket.method, &ticket.target, &headers, &ticket.body) {
-        Ok(resp) => downstream_response(&resp),
-        Err(_) => {
-            ServiceMetrics::inc(&shared.fleet.failovers);
-            shed("shard unavailable; retry")
-        }
-    }
-}
-
 /// Re-frames a shard's response for the client, preserving the headers
 /// the API contract depends on (`etag`, `x-reaper-epoch`,
 /// `x-reaper-delta`) and the content type.
-fn downstream_response(resp: &ClientResponse) -> Response {
+fn downstream_response(resp: ClientResponse) -> Response {
     let content_type = match resp.header("content-type") {
         Some(v) if v.starts_with("application/json") => "application/json",
         Some(v) if v.starts_with("text/plain") => "text/plain; version=0.0.4",
         _ => "application/octet-stream",
     };
-    let mut out = Response {
+    let extra_headers = ["etag", "x-reaper-epoch", "x-reaper-delta"]
+        .into_iter()
+        .filter_map(|name| Some((name, resp.header(name)?.to_string())))
+        .collect();
+    Response {
         status: resp.status,
         content_type,
-        extra_headers: Vec::new(),
-        body: resp.body.clone(),
-    };
-    for name in ["etag", "x-reaper-epoch", "x-reaper-delta"] {
-        if let Some(value) = resp.header(name) {
-            out.extra_headers.push((name, value.to_string()));
-        }
+        extra_headers,
+        body: resp.body,
     }
-    out
 }
 
 /// Relays a watch subscription on its own thread: forwards the request
@@ -437,7 +393,7 @@ fn relay_watch(
     target: &str,
     mut client: TcpStream,
 ) {
-    let Some((_name, pool)) = shared.directory.place(job_id) else {
+    let Some(pool) = shared.directory.place(job_id) else {
         let _ = http::write_response(&mut client, &shed("no shards registered"), false);
         return;
     };
@@ -449,11 +405,8 @@ fn relay_watch(
         return;
     };
     let _ = upstream.set_nodelay(true);
-    let head = format!(
-        "{method} {target} HTTP/1.1\r\nhost: reaper-fleet\r\ncontent-length: 0\r\n\
-         connection: close\r\n\r\n"
-    );
-    if upstream.write_all(head.as_bytes()).is_err() {
+    let head = http::request_bytes(method, target, &[("connection", "close")], &[]);
+    if upstream.write_all(&head).is_err() {
         ServiceMetrics::inc(&shared.fleet.failovers);
         let _ = http::write_response(&mut client, &shed("shard unavailable; retry"), false);
         return;

@@ -115,7 +115,7 @@ impl Fleet {
     /// The index of the shard that owns `job_id`, per the directory's
     /// current placement.
     pub fn owner_of(&self, job_id: u64) -> Option<usize> {
-        let (name, _pool) = self.directory.place(job_id)?;
+        let name = self.directory.owner(job_id)?;
         self.shards.iter().position(|s| s.name == name)
     }
 

@@ -163,24 +163,6 @@ impl Client {
         }
     }
 
-    fn request_once(
-        &mut self,
-        method: &str,
-        target: &str,
-        body: &[u8],
-    ) -> Result<ClientResponse, ClientError> {
-        let conn = self.connect()?;
-        let head = format!(
-            "{method} {target} HTTP/1.1\r\nhost: reaper-serve\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        conn.get_mut().write_all(&message)?;
-        conn.get_mut().flush()?;
-        http::read_response(conn).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
     /// Sends one request, reconnecting once if the kept-alive connection
     /// turned out to be dead.
     fn request(
@@ -189,18 +171,7 @@ impl Client {
         target: &str,
         body: &[u8],
     ) -> Result<ClientResponse, ClientError> {
-        let had_conn = self.conn.is_some();
-        match self.request_once(method, target, body) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conn = None;
-                if had_conn {
-                    self.request_once(method, target, body)
-                } else {
-                    Err(e)
-                }
-            }
-        }
+        self.request_with_headers(method, target, &[], body)
     }
 
     fn parse_json(resp: &ClientResponse) -> Result<Value, ClientError> {
@@ -300,12 +271,12 @@ impl Client {
         body: &[u8],
     ) -> Result<ClientResponse, ClientError> {
         let had_conn = self.conn.is_some();
-        match self.request_once_with_headers(method, target, extra_headers, body) {
+        match self.request_once(method, target, extra_headers, body) {
             Ok(resp) => Ok(resp),
             Err(e) => {
                 self.conn = None;
                 if had_conn {
-                    self.request_once_with_headers(method, target, extra_headers, body)
+                    self.request_once(method, target, extra_headers, body)
                 } else {
                     Err(e)
                 }
@@ -313,24 +284,14 @@ impl Client {
         }
     }
 
-    fn request_once_with_headers(
+    fn request_once(
         &mut self,
         method: &str,
         target: &str,
         extra_headers: &[(&str, &str)],
         body: &[u8],
     ) -> Result<ClientResponse, ClientError> {
-        let conn = self.connect()?;
-        let mut head = format!("{method} {target} HTTP/1.1\r\nhost: reaper-serve\r\n");
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        conn.get_mut().write_all(&message)?;
-        conn.get_mut().flush()?;
-        http::read_response(conn).map_err(|e| ClientError::Protocol(e.to_string()))
+        roundtrip(self.connect()?, method, target, extra_headers, body)
     }
 
     fn require_etag(resp: &ClientResponse) -> Result<String, ClientError> {
@@ -478,8 +439,8 @@ impl Client {
             target.push_str(&format!("&since={epoch}"));
         }
         let conn = self.connect()?;
-        let head = format!("GET {target} HTTP/1.1\r\nhost: reaper-serve\r\ncontent-length: 0\r\n\r\n");
-        conn.get_mut().write_all(head.as_bytes())?;
+        conn.get_mut()
+            .write_all(&http::request_bytes("GET", &target, &[], &[]))?;
         conn.get_mut().flush()?;
         let (status, headers) =
             http::read_response_head(conn).map_err(|e| ClientError::Protocol(e.to_string()))?;
@@ -569,11 +530,25 @@ impl Client {
     }
 }
 
+/// One request/response exchange on a blocking keep-alive connection.
+fn roundtrip(
+    conn: &mut BufReader<TcpStream>,
+    method: &str,
+    target: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> Result<ClientResponse, ClientError> {
+    conn.get_mut()
+        .write_all(&http::request_bytes(method, target, extra_headers, body))?;
+    conn.get_mut().flush()?;
+    http::read_response(conn).map_err(|e| ClientError::Protocol(e.to_string()))
+}
+
 /// A thread-safe pool of keep-alive connections to one target address.
 ///
-/// The fleet router checks a connection out per proxied request and
-/// returns it on a keep-alive success, so shard round-trips skip the
-/// TCP handshake. A pooled connection that turns out to be stale (the
+/// Fleet replication checks a connection out per peer pull and returns
+/// it on a keep-alive success, so round-trips skip the TCP handshake.
+/// A pooled connection that turns out to be stale (the
 /// shard reaped it while idle, or the shard restarted) fails its
 /// round-trip; the pool then dials one fresh connection and retries the
 /// request exactly once — errors on a fresh connection propagate.
@@ -642,25 +617,6 @@ impl ConnectionPool {
         Ok(BufReader::new(stream))
     }
 
-    fn roundtrip(
-        conn: &mut BufReader<TcpStream>,
-        method: &str,
-        target: &str,
-        extra_headers: &[(&str, &str)],
-        body: &[u8],
-    ) -> Result<ClientResponse, ClientError> {
-        let mut head = format!("{method} {target} HTTP/1.1\r\nhost: reaper-serve\r\n");
-        for (name, value) in extra_headers {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        conn.get_mut().write_all(&message)?;
-        conn.get_mut().flush()?;
-        http::read_response(conn).map_err(|e| ClientError::Protocol(e.to_string()))
-    }
-
     /// Sends one request: over a pooled connection when one is idle
     /// (retrying once on a fresh dial if it proves stale), else over a
     /// fresh dial. Keep-alive successes return the connection to the
@@ -679,14 +635,14 @@ impl ConnectionPool {
     ) -> Result<ClientResponse, ClientError> {
         let (addr, pooled) = self.checkout();
         if let Some(mut conn) = pooled {
-            if let Ok(resp) = Self::roundtrip(&mut conn, method, target, extra_headers, body) {
+            if let Ok(resp) = roundtrip(&mut conn, method, target, extra_headers, body) {
                 self.finish(addr, conn, &resp);
                 return Ok(resp);
             }
             // Stale pooled connection: fall through to one fresh dial.
         }
         let mut conn = Self::dial(addr)?;
-        let resp = Self::roundtrip(&mut conn, method, target, extra_headers, body)?;
+        let resp = roundtrip(&mut conn, method, target, extra_headers, body)?;
         self.finish(addr, conn, &resp);
         Ok(resp)
     }

@@ -152,14 +152,10 @@ fn read_headers<R: BufRead>(reader: &mut R) -> Result<Headers, HttpError> {
     Ok(headers)
 }
 
-/// Parses the shared header/body tail of a request or response.
-fn read_headers_and_body<R: BufRead>(reader: &mut R) -> Result<(Headers, Vec<u8>), HttpError> {
-    let headers = read_headers(reader)?;
-
-    let chunked = headers
-        .iter()
-        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    if chunked {
+/// Reads the body its headers announce: a chunked stream drained whole,
+/// or `Content-Length` bytes (none when the header is absent).
+fn read_body<R: BufRead>(reader: &mut R, headers: &Headers) -> Result<Vec<u8>, HttpError> {
+    if is_chunked(headers) {
         // Drain the whole chunked stream into one body (the incremental
         // reader for long-poll subscribers is `read_chunk`).
         let mut body = Vec::new();
@@ -169,9 +165,22 @@ fn read_headers_and_body<R: BufRead>(reader: &mut R) -> Result<(Headers, Vec<u8>
             }
             body.extend_from_slice(&chunk);
         }
-        return Ok((headers, body));
+        return Ok(body);
     }
+    let mut body = vec![0u8; content_length(headers)?];
+    reader.read_exact(&mut body)?;
+    Ok(body)
+}
 
+/// True when the headers declare `Transfer-Encoding: chunked`.
+fn is_chunked(headers: &Headers) -> bool {
+    headers
+        .iter()
+        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"))
+}
+
+/// The declared `Content-Length` (0 when absent), capped at `MAX_BODY`.
+fn content_length(headers: &Headers) -> Result<usize, HttpError> {
     let length = match headers.iter().find(|(n, _)| n == "content-length") {
         None => 0,
         Some((_, v)) => v
@@ -181,9 +190,7 @@ fn read_headers_and_body<R: BufRead>(reader: &mut R) -> Result<(Headers, Vec<u8>
     if length > MAX_BODY {
         return Err(HttpError::TooLarge("body"));
     }
-    let mut body = vec![0u8; length];
-    reader.read_exact(&mut body)?;
-    Ok((headers, body))
+    Ok(length)
 }
 
 /// Reads one `Transfer-Encoding: chunked` chunk: `Some(data)` for a data
@@ -244,7 +251,8 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, HttpE
 
     let request_line = read_line(reader, "request line")?;
     let (method, target) = parse_request_line(&request_line)?;
-    let (headers, body) = read_headers_and_body(reader)?;
+    let headers = read_headers(reader)?;
+    let body = read_body(reader, &headers)?;
     Ok(Some(Request {
         method,
         target,
@@ -291,6 +299,48 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     None
 }
 
+/// The head of one `Content-Length`-framed message at the front of a
+/// byte buffer: its start line, its headers, and where its body lies.
+struct BufferedHead {
+    start_line: String,
+    headers: Headers,
+    body: core::ops::Range<usize>,
+}
+
+impl BufferedHead {
+    /// Parses the head if the buffer holds all of it. Chunked bodies are
+    /// refused: no peer of this service sends them on the buffered path,
+    /// and rejecting the framing keeps the parser single-pass.
+    fn parse(buf: &[u8], chunked: &'static str) -> Result<Option<Self>, HttpError> {
+        let Some(head_end) = find_head_end(buf) else {
+            if buf.len() > MAX_HEAD {
+                return Err(HttpError::TooLarge("message head"));
+            }
+            return Ok(None);
+        };
+        if head_end > MAX_HEAD {
+            return Err(HttpError::TooLarge("message head"));
+        }
+        let mut head = buf.get(..head_end).unwrap_or(buf);
+        let start_line = read_line(&mut head, "start line")?;
+        let headers = read_headers(&mut head)?;
+        if is_chunked(&headers) {
+            return Err(HttpError::Malformed(chunked));
+        }
+        let length = content_length(&headers)?;
+        Ok(Some(Self {
+            start_line,
+            headers,
+            body: head_end..head_end.saturating_add(length),
+        }))
+    }
+
+    /// The body bytes, once the buffer holds all of them.
+    fn body<'a>(&self, buf: &'a [u8]) -> Option<&'a [u8]> {
+        buf.get(self.body.clone())
+    }
+}
+
 /// Incrementally parses one request out of a byte buffer — the
 /// non-blocking event loop's entry point. The readiness loop appends
 /// whatever the socket had ready and asks whether a complete message
@@ -299,56 +349,80 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// Returns `Ok(None)` while the buffer holds only a request prefix,
 /// and `Ok(Some((request, consumed)))` once a full message is present,
 /// where `consumed` is the byte count to drain from the buffer's front
-/// (pipelined requests may follow it). Chunked request *bodies* are not
-/// accepted on this path: no client of this service sends them, and
-/// rejecting the framing keeps the parser single-pass.
+/// (pipelined requests may follow it). Chunked request bodies are not
+/// accepted on this path.
 ///
 /// # Errors
 /// [`HttpError`] for protocol violations and oversized messages.
 pub fn parse_request_bytes(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD {
-            return Err(HttpError::TooLarge("request head"));
-        }
+    let Some(head) = BufferedHead::parse(buf, "chunked request body")? else {
         return Ok(None);
     };
-    if head_end > MAX_HEAD {
-        return Err(HttpError::TooLarge("request head"));
-    }
-    let head = buf.get(..head_end).unwrap_or(buf);
-    let mut reader = io::BufReader::new(head);
-    let request_line = read_line(&mut reader, "request line")?;
-    let (method, target) = parse_request_line(&request_line)?;
-    let headers = read_headers(&mut reader)?;
-
-    if headers
-        .iter()
-        .any(|(n, v)| n == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"))
-    {
-        return Err(HttpError::Malformed("chunked request body"));
-    }
-    let length = match headers.iter().find(|(n, _)| n == "content-length") {
-        None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed("unparsable content-length"))?,
-    };
-    if length > MAX_BODY {
-        return Err(HttpError::TooLarge("body"));
-    }
-    let Some(body) = buf.get(head_end..head_end.saturating_add(length)) else {
+    let (method, target) = parse_request_line(&head.start_line)?;
+    let Some(body) = head.body(buf) else {
         // Head complete, body still in flight.
         return Ok(None);
     };
+    let body = body.to_vec();
     Ok(Some((
         Request {
             method,
             target,
-            headers,
-            body: body.to_vec(),
+            headers: head.headers,
+            body,
         },
-        head_end.saturating_add(length),
+        head.body.end,
     )))
+}
+
+/// Incrementally parses one `Content-Length`-framed response out of a
+/// byte buffer — the sibling of [`parse_request_bytes`], used by the
+/// event loop to read a forwarded request's answer off a non-blocking
+/// upstream socket. A missing `Content-Length` means an empty body, as
+/// in [`read_response`]; chunked responses are refused.
+///
+/// # Errors
+/// [`HttpError`] for protocol violations and oversized messages.
+pub fn parse_response_bytes(buf: &[u8]) -> Result<Option<(ClientResponse, usize)>, HttpError> {
+    let Some(head) = BufferedHead::parse(buf, "chunked response body")? else {
+        return Ok(None);
+    };
+    let status = parse_status_line(&head.start_line)?;
+    let Some(body) = head.body(buf) else {
+        return Ok(None);
+    };
+    let body = body.to_vec();
+    Ok(Some((
+        ClientResponse {
+            status,
+            headers: head.headers,
+            body,
+        },
+        head.body.end,
+    )))
+}
+
+/// Serializes one client request with `Content-Length` framing. Every
+/// request this workspace sends — the [`crate::Client`], the
+/// [`crate::ConnectionPool`] and the fleet router's forwards — is built
+/// here, so the wire bytes cannot drift between them.
+pub fn request_bytes(
+    method: &str,
+    target: &str,
+    extra_headers: &[(&str, &str)],
+    body: &[u8],
+) -> Vec<u8> {
+    let mut head = format!("{method} {target} HTTP/1.1\r\nhost: reaper-serve\r\n");
+    for (name, value) in extra_headers {
+        head.push_str(name);
+        head.push_str(": ");
+        head.push_str(value);
+        head.push_str("\r\n");
+    }
+    head.push_str(&format!("content-length: {}\r\n\r\n", body.len()));
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    message
 }
 
 /// A response ready to serialize: status, content type, extra headers,
@@ -545,19 +619,24 @@ impl ClientResponse {
 /// transport failures.
 pub fn read_response_head<R: BufRead>(reader: &mut R) -> Result<(u16, Headers), HttpError> {
     let status_line = read_line(reader, "status line")?;
-    let mut parts = status_line.split_ascii_whitespace();
+    let status = parse_status_line(&status_line)?;
+    let headers = read_headers(reader)?;
+    Ok((status, headers))
+}
+
+/// Splits `HTTP/1.x CODE REASON` into its status code.
+fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+    let mut parts = line.split_ascii_whitespace();
     let version = parts
         .next()
         .ok_or(HttpError::Malformed("empty status line"))?;
     if !version.starts_with("HTTP/1.") {
         return Err(HttpError::Malformed("unsupported http version"));
     }
-    let status = parts
+    parts
         .next()
         .and_then(|s| s.parse::<u16>().ok())
-        .ok_or(HttpError::Malformed("unparsable status code"))?;
-    let headers = read_headers(reader)?;
-    Ok((status, headers))
+        .ok_or(HttpError::Malformed("unparsable status code"))
 }
 
 /// Reads one response off a client connection (chunked bodies are
@@ -567,19 +646,8 @@ pub fn read_response_head<R: BufRead>(reader: &mut R) -> Result<(u16, Headers), 
 /// [`HttpError`] for protocol violations, oversized messages, and
 /// transport failures.
 pub fn read_response<R: BufRead>(reader: &mut R) -> Result<ClientResponse, HttpError> {
-    let status_line = read_line(reader, "status line")?;
-    let mut parts = status_line.split_ascii_whitespace();
-    let version = parts
-        .next()
-        .ok_or(HttpError::Malformed("empty status line"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Malformed("unsupported http version"));
-    }
-    let status = parts
-        .next()
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or(HttpError::Malformed("unparsable status code"))?;
-    let (headers, body) = read_headers_and_body(reader)?;
+    let (status, headers) = read_response_head(reader)?;
+    let body = read_body(reader, &headers)?;
     Ok(ClientResponse {
         status,
         headers,
@@ -764,6 +832,89 @@ mod tests {
             .expect("complete");
         assert_eq!(req.path(), "/metrics");
         assert_eq!(consumed, raw.len());
+    }
+
+    #[test]
+    fn serialized_requests_parse_back_unchanged() {
+        let body = b"{\"seed\":7}";
+        let wire = request_bytes(
+            "POST",
+            "/v1/profiles/00ab/epochs?x=1",
+            &[("if-none-match", "\"e1\""), ("x-extra", "v")],
+            body,
+        );
+        let (req, consumed) = parse_request_bytes(&wire)
+            .expect("valid")
+            .expect("complete");
+        assert_eq!(consumed, wire.len());
+        assert_eq!(req.method, "POST");
+        assert_eq!(req.target, "/v1/profiles/00ab/epochs?x=1");
+        assert_eq!(req.body, body);
+        let headers: Vec<(&str, &str)> = req
+            .headers
+            .iter()
+            .map(|(n, v)| (n.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(
+            headers,
+            [
+                ("host", "reaper-serve"),
+                ("if-none-match", "\"e1\""),
+                ("x-extra", "v"),
+                ("content-length", "10"),
+            ]
+        );
+        // The blocking reader sees the same request.
+        let blocking = parse_bytes(&wire).expect("valid").expect("present");
+        assert_eq!(blocking.target, req.target);
+        assert_eq!(blocking.headers, req.headers);
+        assert_eq!(blocking.body, req.body);
+        // No body, no extra headers.
+        let bare = request_bytes("GET", "/healthz", &[], &[]);
+        assert_eq!(bare, b"GET /healthz HTTP/1.1\r\nhost: reaper-serve\r\ncontent-length: 0\r\n\r\n");
+    }
+
+    #[test]
+    fn incremental_response_parser_handles_prefixes_and_framing() {
+        let first = Response::bytes(200, b"RPF1body".to_vec())
+            .with_header("etag", "\"h\"".to_string());
+        let mut wire = Vec::new();
+        write_response(&mut wire, &first, true).expect("write to vec");
+        let first_len = wire.len();
+        write_response(&mut wire, &Response::json(304, String::new()), false).expect("write");
+        for cut in 0..first_len {
+            let step = parse_response_bytes(&wire[..cut]).expect("prefix is clean");
+            assert!(step.is_none(), "cut={cut} parsed early");
+        }
+        let (resp, consumed) = parse_response_bytes(&wire)
+            .expect("valid")
+            .expect("complete");
+        assert_eq!(consumed, first_len);
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("etag"), Some("\"h\""));
+        assert_eq!(resp.body, b"RPF1body");
+        // It agrees with the blocking reader.
+        let blocking = read_response(&mut BufReader::new(wire.as_slice())).expect("parse");
+        assert_eq!(blocking.headers, resp.headers);
+        assert_eq!(blocking.body, resp.body);
+        let (next, consumed2) = parse_response_bytes(&wire[consumed..])
+            .expect("valid")
+            .expect("complete");
+        assert_eq!((next.status, next.header("connection")), (304, Some("close")));
+        assert_eq!(consumed + consumed2, wire.len());
+
+        assert!(parse_response_bytes(b"HTTP/2 200 OK\r\n\r\n").is_err());
+        assert!(parse_response_bytes(b"HTTP/1.1 abc OK\r\n\r\n").is_err());
+        assert!(parse_response_bytes(
+            b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n0\r\n\r\n"
+        )
+        .is_err());
+        // A missing content-length frames an empty body.
+        let (empty, n) = parse_response_bytes(b"HTTP/1.1 204 No Content\r\n\r\nX")
+            .expect("valid")
+            .expect("complete");
+        assert!(empty.body.is_empty());
+        assert_eq!(n, b"HTTP/1.1 204 No Content\r\n\r\n".len());
     }
 
     #[test]

@@ -481,11 +481,7 @@ struct ShardHandler {
 
 #[cfg(unix)]
 impl crate::eventloop::Handler for ShardHandler {
-    fn handle(
-        &self,
-        request: Request,
-        _conn: crate::eventloop::ConnToken,
-    ) -> crate::eventloop::Handled {
+    fn handle(&self, request: Request) -> crate::eventloop::Handled {
         match route(&request, &self.shared) {
             Routed::Plain(response) => crate::eventloop::Handled::Respond(response),
             Routed::Watch(params) => {

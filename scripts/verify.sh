@@ -69,6 +69,10 @@ cargo test --release -q --offline -p reaper-fleet --test byte_equality
 echo "== fleet: failover conformance (503 -> restart -> 304, zero recompute; rolling restarts under load, byte equality) =="
 cargo test --release -q --offline -p reaper-fleet --test failover
 
+echo "== fleet: router forward path (pipelined reads in order, stale shard socket redialled once, mid-response shard death -> 503) =="
+cargo test --release -q --offline -p reaper-fleet --test router
+cargo test --release -q --offline -p reaper-serve --lib -- eventloop:: serialized_requests_parse_back_unchanged incremental_response_parser_handles_prefixes_and_framing
+
 echo "== fleet: throughput gate (4-shard cache-hit reads >= 2x one node, enforced on >= 2 cores) =="
 cargo test --release -q --offline -p reaper-fleet --test throughput -- --ignored
 
